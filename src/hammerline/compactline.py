@@ -69,6 +69,12 @@ class CompactMap:
             return (-INF, INF)
         return (self.a, INF)
 
+    def infinite_ends(self) -> tuple[float, ...]:
+        """Compact coordinates (-1.0, 1.0) of the infinite interval ends."""
+        if self.kind == FULL_LINE:
+            return (-1.0, 1.0)
+        return (1.0,)
+
     def contains(self, t: float) -> bool:
         lo, hi = self.interval()
         return lo <= t <= hi

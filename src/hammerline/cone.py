@@ -74,7 +74,7 @@ class ConeSystem:
 # ---------------------------------------------------------------------------
 # functional evaluation
 
-def _certify_integrable_tail(fn, cmap, side: int) -> None:
+def _certify_integrable_tail(fn, cmap, side: float) -> None:
     kind, val = tail_trend(lambda t: fn(t) * abs(t) ** 1.5, cmap, side)
     if kind == "diverges":
         raise DomainError(
@@ -82,91 +82,19 @@ def _certify_integrable_tail(fn, cmap, side: int) -> None:
             f"toward {'+' if side > 0 else '-'}inf")
 
 
-def _integral_sides(cmap):
-    lo, hi = cmap.interval()
-    sides = []
-    if math.isinf(lo):
-        sides.append(-1)
-    if math.isinf(hi):
-        sides.append(+1)
-    return sides
+def _tail_value(fn, cmap, side: float, undecided: str) -> float:
+    """Certified value of fn at an infinite end: its limit, or +-inf for a
+    certified divergence; undecided behavior raises ``undecided``."""
+    kind, val = tail_trend(fn, cmap, side)
+    if kind == "unknown":
+        raise DomainError(undecided)
+    return val
 
 
-def _ratio_endpoint(num: Weight, den: Weight, cmap, side: int) -> float:
-    """Endpoint value of num/den; inf for certified divergence."""
-    kind, val = tail_trend(lambda t: num(t) / den(t), cmap, side)
-    if kind == "limit":
-        return val
-    if kind == "diverges":
-        return math.inf if val > 0 else -math.inf
-    raise DomainError("weight ratio has no certified endpoint behavior")
-
-
-def _integral_of(u: WeightedFunction, w2: Weight, quad: QuadratureConfig) -> float:
-    sp = u.space
-    grid, cmap, phi = sp.grid, sp.map, sp.weight
-    interp = grid.interpolant(u.samples[0])
-
-    def fn(t: float) -> float:
-        return interp(cmap.to_compact(t)) * phi(t) / w2(t)
-
-    for side in _integral_sides(cmap):
-        _certify_integrable_tail(lambda t: abs(fn(t)), cmap, side)
-    try:
-        return integrate_interval(fn, cmap, quad)
-    except QuadratureError as e:
-        raise DomainError(f"integral part did not converge: {e}") from e
-
-
-def _sup_of(u: WeightedFunction, w3: Weight) -> float:
-    sp = u.space
-    grid, cmap, phi = sp.grid, sp.map, sp.weight
-    interp = grid.interpolant(u.samples[0])
-
-    end_vals = {}
-    for i, t in enumerate(grid.t):
-        if math.isinf(t):
-            side = -1 if t < 0 else +1
-            ratio = _ratio_endpoint(phi, w3, cmap, side)
-            tilde_end = abs(float(u.samples[0, i]))
-            if math.isinf(ratio):
-                # an unbounded ratio amplifies any interpolation wiggle of
-                # the sampled element without bound near the endpoint, so no
-                # trustworthy sup exists even for vanishing elements
-                raise DomainError(
-                    "sup part ill-conditioned: the space weight outgrows the "
-                    "sup weight toward the endpoint")
-            end_vals[1.0 if side > 0 else -1.0] = tilde_end * abs(ratio)
-
-    def fn_x(x: float) -> float:
-        if x in end_vals:
-            return end_vals[x]
-        t = cmap.from_compact(x)
-        if math.isinf(t):
-            return 0.0
-        return abs(interp(x)) * phi(t) / w3(t)
-
-    return sup_on_grid(fn_x, grid)
-
-
-def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
-                    quad: QuadratureConfig | None = None) -> float:
-    """Value of the functional on a space element (quadrature-certified)."""
-    quad = quad or DEFAULT_QUAD
-    if spec.kind == "weighted-integral":
-        return _integral_of(u, spec.integral_weight, quad)
-    if spec.kind == "weighted-sup":
-        return _sup_of(u, spec.sup_weight)
-    return _integral_of(u, spec.integral_weight, quad) - _sup_of(u, spec.sup_weight)
-
-
-def _slice_integral(fn, w2: Weight, space: Space, quad, kinks) -> float:
+def _integral_part(g, space: Space, quad: QuadratureConfig, kinks=()) -> float:
+    """Integral of g over the interval, refused when a tail is not integrable."""
     cmap = space.map
-
-    def g(t: float) -> float:
-        return float(fn(t)) / w2(t)
-
-    for side in _integral_sides(cmap):
+    for side in cmap.infinite_ends():
         _certify_integrable_tail(lambda t: abs(g(t)), cmap, side)
     try:
         return integrate_interval(g, cmap, quad, breakpoints=kinks)
@@ -174,50 +102,102 @@ def _slice_integral(fn, w2: Weight, space: Space, quad, kinks) -> float:
         raise DomainError(f"integral part did not converge: {e}") from e
 
 
-def _slice_sup(fn, w3: Weight, space: Space) -> float:
-    grid, cmap = space.grid, space.map
+def _combine(spec: FunctionalSpec, integral, sup) -> float:
+    """The functional from its parts: integral(integral_weight),
+    sup(sup_weight), or integral minus sup for a difference."""
+    if spec.kind == "weighted-integral":
+        return integral(spec.integral_weight)
+    if spec.kind == "weighted-sup":
+        return sup(spec.sup_weight)
+    return integral(spec.integral_weight) - sup(spec.sup_weight)
 
-    def h(t: float) -> float:
-        return abs(float(fn(t))) / w3(t)
 
-    end_vals = {}
-    for t in grid.t:
-        if math.isinf(t):
-            side = -1 if t < 0 else +1
-            kind, val = tail_trend(h, cmap, side)
-            if kind == "limit":
-                end_vals[1.0 if side > 0 else -1.0] = abs(val)
-            elif kind == "diverges":
-                raise DomainError("sup part unbounded for this slice")
-            else:
-                raise DomainError("sup part endpoint behavior undecided")
+def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
+                    quad: QuadratureConfig | None = None) -> float:
+    """Value of the functional on a space element (quadrature-certified).
 
-    def fn_x(x: float) -> float:
-        if x in end_vals:
-            return end_vals[x]
-        t = cmap.from_compact(x)
-        if math.isinf(t):
-            return 0.0
-        return h(t)
+    At an infinite end the sup part takes the element's end sample times
+    the certified limit of phi/sup_weight, and refuses when that ratio
+    diverges or has no certified limit.
+    """
+    quad = quad or DEFAULT_QUAD
+    sp = u.space
+    grid, cmap, phi = sp.grid, sp.map, sp.weight
+    row = u.samples[0]
+    interp = grid.interpolant(row)
 
-    return sup_on_grid(fn_x, grid)
+    def integral(w2: Weight) -> float:
+        return _integral_part(
+            lambda t: interp(cmap.to_compact(t)) * phi(t) / w2(t), sp, quad)
+
+    def sup(w3: Weight) -> float:
+        ends = {}
+        for x in cmap.infinite_ends():
+            ratio = _tail_value(lambda t: phi(t) / w3(t), cmap, x,
+                                "weight ratio has no certified endpoint behavior")
+            if math.isinf(ratio):
+                # an unbounded ratio amplifies any interpolation wiggle of
+                # the sampled element without bound near the endpoint, so no
+                # trustworthy sup exists even for vanishing elements
+                raise DomainError(
+                    "sup part ill-conditioned: the space weight outgrows the "
+                    "sup weight toward the endpoint")
+            ends[x] = abs(float(row[0 if x < 0 else -1])) * abs(ratio)
+
+        def fn_x(x: float) -> float:
+            t = cmap.from_compact(x)
+            return abs(interp(x)) * phi(t) / w3(t)
+
+        return sup_on_grid(fn_x, grid, ends)
+
+    return _combine(spec, integral, sup)
 
 
 def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                         space: Space, quad: QuadratureConfig | None = None,
                         kinks: Sequence[float] = ()) -> float:
-    """Functional applied to a raw callable (kernel slices and the like)."""
+    """Functional applied to a raw callable (kernel slices and the like).
+
+    At an infinite end the sup part takes the certified limit of
+    |fn|/sup_weight, and refuses when it diverges or is undecided.
+    """
     quad = quad or DEFAULT_QUAD
-    if spec.kind == "weighted-integral":
-        return _slice_integral(fn, spec.integral_weight, space, quad, kinks)
-    if spec.kind == "weighted-sup":
-        return _slice_sup(fn, spec.sup_weight, space)
-    return (_slice_integral(fn, spec.integral_weight, space, quad, kinks)
-            - _slice_sup(fn, spec.sup_weight, space))
+    grid, cmap = space.grid, space.map
+
+    def integral(w2: Weight) -> float:
+        return _integral_part(lambda t: float(fn(t)) / w2(t), space, quad, kinks)
+
+    def sup(w3: Weight) -> float:
+        def h(t: float) -> float:
+            return abs(float(fn(t))) / w3(t)
+
+        ends = {}
+        for x in cmap.infinite_ends():
+            lim = _tail_value(h, cmap, x, "sup part endpoint behavior undecided")
+            if math.isinf(lim):
+                raise DomainError("sup part unbounded for this slice")
+            ends[x] = abs(lim)
+
+        def fn_x(x: float) -> float:   # h inlined: one call less per evaluation
+            t = cmap.from_compact(x)
+            return abs(float(fn(t))) / w3(t)
+
+        return sup_on_grid(fn_x, grid, ends)
+
+    return _combine(spec, integral, sup)
 
 
 # ---------------------------------------------------------------------------
 # kernel profiles
+
+def _kernel_slice(kernel: Kernel, s: float) -> tuple:
+    """The slice t -> k(t,s)eta(s) and its kinks (the diagonal of a
+    Volterra kernel)."""
+    def fn(t: float) -> float:
+        return float(kernel.fn(t, s)) * float(kernel.eta(s))
+
+    return fn, ((s,) if kernel.support == VOLTERRA else ())
+
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
@@ -283,10 +263,7 @@ def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
     cmap = space.map
 
     def profile(s: float) -> float:
-        def fn(t: float) -> float:
-            return float(kernel.fn(t, s)) * float(kernel.eta(s))
-
-        kinks = (s,) if kernel.support == VOLTERRA else ()
+        fn, kinks = _kernel_slice(kernel, s)
         return eval_functional_raw(spec, fn, space, quad, kinks=kinks)
 
     s_vals = _profile_s_grid(space, s_points)
@@ -720,11 +697,8 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         # Fubini route: fresh inner slice integrals under an adaptive outer
         # quadrature; exact to quadrature tolerance
         def inner(s: float) -> float:
-            def fn(t: float) -> float:
-                return float(kern.fn(t, s)) * float(kern.eta(s))
-
-            kinks = (s,) if kern.support == VOLTERRA else ()
-            return _slice_integral(fn, w2, sp, relaxed, kinks)
+            fn, kinks = _kernel_slice(kern, s)
+            return _integral_part(lambda t: float(fn(t)) / w2(t), sp, relaxed, kinks)
 
         def g(s: float) -> float:
             return inner(s) * float(nl.fn(s, u_raw(s)))
@@ -749,12 +723,9 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
 
     def spec_rhs(spec: FunctionalSpec, sup_prof, u_raw) -> tuple:
         """Inner integral of spec(slice)*f(s, u(s)); returns (value, exact)."""
-        if spec.kind == "weighted-integral":
-            return exact_integral_rhs(spec.integral_weight, u_raw), True
-        if spec.kind == "weighted-sup":
-            return tab_sup_rhs(sup_prof, u_raw), False
-        return (exact_integral_rhs(spec.integral_weight, u_raw)
-                - tab_sup_rhs(sup_prof, u_raw)), False
+        value = _combine(spec, lambda w2: exact_integral_rhs(w2, u_raw),
+                         lambda _w3: tab_sup_rhs(sup_prof, u_raw))
+        return value, spec.kind == "weighted-integral"
 
     # C6: cone functional of images dominates the slice estimate
     c6_ok = True
@@ -928,29 +899,14 @@ def _resolve_envelope(report: CertificateReport, which: str, envelope):
 def _envelope_extreme(env, rho: float, space: Space, mode: str) -> float:
     grid, cmap = space.grid, space.map
 
-    end_vals = {}
-    for t in grid.t:
-        if math.isinf(t):
-            side = -1 if t < 0 else +1
-            kind, val = tail_trend(lambda tt: float(env(tt, rho)) / rho, cmap, side)
-            if kind == "limit":
-                end_vals[1.0 if side > 0 else -1.0] = val
-            elif kind == "diverges":
-                end_vals[1.0 if side > 0 else -1.0] = val  # +-inf, honest
-            else:
-                raise DomainError("envelope endpoint behavior undecided")
-
     def fn_x(x: float) -> float:
-        if x in end_vals:
-            return end_vals[x]
-        t = cmap.from_compact(x)
-        if math.isinf(t):
-            return 0.0
-        return float(env(t, rho)) / rho
+        return float(env(cmap.from_compact(x), rho)) / rho
 
-    if mode == "sup":
-        return sup_on_grid(fn_x, grid)
-    return inf_on_grid(fn_x, grid)
+    ends = {x: _tail_value(lambda t: float(env(t, rho)) / rho, cmap, x,
+                           "envelope endpoint behavior undecided")
+            for x in cmap.infinite_ends()}
+    search = sup_on_grid if mode == "sup" else inf_on_grid
+    return search(fn_x, grid, ends)
 
 
 def check_index_one(report: CertificateReport, rho: float,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .compactline import CompactMap, Grid, GridSpec, build_grid
+from .compactline import CompactMap, Grid
 from .errors import DomainError, QuadratureError
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval, sup_on_grid
 from .weights import Weight, tail_limit
@@ -112,24 +112,17 @@ def slice_endpoint_values(kernel: Kernel, weight: Weight, s: float,
     return lo, hi
 
 
-class KernelLimits(tuple):
-    """(z_lo, z_hi, sup): endpoint values of the rescaled slice and the sup
-    of its absolute value over the t-grid with golden refinement."""
+class KernelLimits(NamedTuple):
+    """Endpoint values of the rescaled slice and the sup of its absolute
+    value over the t-grid with golden refinement."""
 
-    __slots__ = ()
-
-    def __new__(cls, z_lo, z_hi, sup):
-        return super().__new__(cls, (z_lo, z_hi, sup))
-
-    z_lo = property(lambda self: self[0])
-    z_hi = property(lambda self: self[1])
-    sup = property(lambda self: self[2])
+    z_lo: float
+    z_hi: float
+    sup: float
 
 
 def kernel_limits(kernel: Kernel, phi: Weight, s: float, *,
-                  grid: Grid | None = None) -> KernelLimits:
-    if grid is None:
-        grid = build_grid(CompactMap.half_line(), GridSpec(33))
+                  grid: Grid) -> KernelLimits:
     cmap = grid.map
     z_lo, z_hi = slice_endpoint_values(kernel, phi, s, cmap)
     for name, z in (("left", z_lo), ("right", z_hi)):
@@ -137,12 +130,10 @@ def kernel_limits(kernel: Kernel, phi: Weight, s: float, *,
             raise DomainError(f"slice at s={s} unbounded toward the {name} end")
 
     def fn_x(x: float) -> float:
-        t = cmap.from_compact(x)
-        if math.isinf(t):
-            return abs(z_lo) if t < 0 else abs(z_hi)
-        return abs(slice_tilde(kernel, phi, t, s))
+        return abs(slice_tilde(kernel, phi, cmap.from_compact(x), s))
 
-    return KernelLimits(z_lo, z_hi, sup_on_grid(fn_x, grid))
+    ends = {x: abs(z_lo) if x < 0 else abs(z_hi) for x in cmap.infinite_ends()}
+    return KernelLimits(z_lo, z_hi, sup_on_grid(fn_x, grid, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,7 @@ class ModulusReport:
 
 
 def kernel_modulus_check(kernel: Kernel, phi: Weight, omega: Callable[[float], float],
-                         grid: Grid | None = None, *,
+                         grid: Grid, *,
                          eps_grid: tuple = (1e-1, 1e-2, 1e-3),
                          delta_min: float = 1e-9, s_count: int = 24) -> ModulusReport:
     """Translation equicontinuity of the rescaled slice against omega.
@@ -241,8 +232,6 @@ def kernel_modulus_check(kernel: Kernel, phi: Weight, omega: Callable[[float], f
     eps * omega(s) for steps of 0.5*delta and 0.999*delta across a (t, s)
     lattice. Fails when some eps admits no delta >= delta_min.
     """
-    if grid is None:
-        grid = build_grid(CompactMap.half_line(), GridSpec(33))
     cmap = grid.map
     t_probes = [t for t in grid.t[grid.finite_mask()]][::2]
     s_probes = [cmap.from_compact(x) for x in np.linspace(-0.999, 0.999, s_count)]
@@ -299,13 +288,11 @@ class DominatorReport:
 
 
 def dominator_check(nl: Nonlinearity, phi: Weight, r: float,
-                    grid: Grid | None = None, *, y_count: int = 33,
+                    grid: Grid, *, y_count: int = 33,
                     tol: float = 1e-12) -> DominatorReport:
     """Sampled domination f(t, y*phi(t)) <= phi_r(t) over y in [-r, r]."""
     if r <= 0:
         raise DomainError("radius must be positive")
-    if grid is None:
-        grid = build_grid(CompactMap.half_line(), GridSpec(33))
     dom = resolve_dominator(nl, phi)
     if dom is None:
         raise DomainError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from scipy.integrate import quad
 
@@ -108,11 +108,17 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def sup_on_grid(fn_x: Callable[[float], float], grid: Grid,
+                end_vals: Mapping[float, float] | None = None,
                 xtol: float = 1e-8, edge: float = 1e-12) -> float:
     """Sup of fn_x over [-1, 1]: node values, endpoint values, and a golden
-    refinement inside every bracket (endpoint brackets clipped inward)."""
+    refinement inside every bracket (endpoint brackets clipped inward).
+
+    ``end_vals`` holds the values at the infinite ends, keyed by their
+    compact coordinate -1.0 / 1.0; fn_x is never called at those points.
+    """
+    end_vals = end_vals or {}
     xs = grid.x
-    best = max(fn_x(x) for x in xs)
+    best = max(end_vals[x] if x in end_vals else fn_x(x) for x in xs)
     for a, b in zip(xs, xs[1:]):
         a = max(a, -1.0 + edge)
         b = min(b, 1.0 - edge)
@@ -125,5 +131,8 @@ def sup_on_grid(fn_x: Callable[[float], float], grid: Grid,
 
 
 def inf_on_grid(fn_x: Callable[[float], float], grid: Grid,
+                end_vals: Mapping[float, float] | None = None,
                 xtol: float = 1e-8) -> float:
-    return -sup_on_grid(lambda x: -fn_x(x), grid, xtol=xtol)
+    """Inf of fn_x over [-1, 1], with the end convention of sup_on_grid."""
+    neg_ends = {x: -v for x, v in (end_vals or {}).items()}
+    return -sup_on_grid(lambda x: -fn_x(x), grid, neg_ends, xtol=xtol)

@@ -88,8 +88,6 @@ def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None
         if keep_iterates:
             iterates.append(u)
         if upd < tol:
-            if res < best_res:
-                best_u, best_res = u, res  # unreachable guard; keep best honest
             break
     converged = bool(trace and trace[-1] < tol and best_res <= tol)
     slope = float(best_u.samples[0, -1])

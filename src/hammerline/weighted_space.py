@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compactline import CompactMap, Grid, GridSpec, build_grid
+from .compactline import CompactMap, Grid
 from .errors import DomainError
 from .weights import Weight, tail_limit
 
@@ -225,8 +225,7 @@ def _agree(vals, rel) -> bool:
 
 
 def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float],
-                        cmap: CompactMap, grid: GridSpec | None = None, *,
-                        side: int = +1, agree_rel: float = 1e-4,
+                        cmap: CompactMap, *, side: int = +1, agree_rel: float = 1e-4,
                         big: float = 1e6, small: float = 1e-6,
                         k_hi: int = 12) -> AsymptoticRelation:
     """Compare the tail growth of two positive functions along the map.
@@ -238,10 +237,8 @@ def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float]
     limit is within ``agree_rel`` of 1); a monotone ratio beyond ``big`` /
     below ``small`` declares 'greater' / 'less'. If no decision fires, the
     full record is graded to 'comparable', one-sided bounds, or
-    'undetermined'. ``grid`` is accepted for interface parity; the probe set
-    is fixed by the protocol above.
+    'undetermined'.
     """
-    del grid
     ratios: list[float] = []
     probes: list[float] = []
 

@@ -97,6 +97,61 @@ def test_sup_functional_with_underflowing_weight_is_refused(problem_c2):
         hl.eval_functional(bad, problem_c2.forcing)
 
 
+# -- full line: both infinite ends -----------------------------------------
+
+FLAT = hl.exponential(c=1.0, rate=0.0)
+FLAT_SUP = hl.FunctionalSpec(kind="weighted-sup", sup_weight=FLAT)
+FLAT_INTEGRAL = hl.FunctionalSpec(kind="weighted-integral", integral_weight=FLAT)
+
+
+@pytest.fixture(scope="module")
+def full_space():
+    grid = hl.build_grid(hl.CompactMap.full_line(L=1.0), hl.GridSpec(m=41))
+    return hl.Space(grid=grid, weight=FLAT, order=0)
+
+
+def test_full_line_element_functionals(full_space):
+    u = hl.from_raw(full_space, lambda t: 1.0 / (1.0 + t * t),
+                    endpoints={"lo": 0.0, "hi": 0.0})
+    assert hl.eval_functional(FLAT_SUP, u) == pytest.approx(1.0, abs=1e-12)
+    assert hl.eval_functional(FLAT_INTEGRAL, u) == pytest.approx(math.pi, abs=1e-11)
+
+
+def test_full_line_slice_functionals(full_space):
+    peak = lambda t: math.exp(-abs(t - 0.5))  # noqa: E731
+    sup = hl.eval_functional_raw(FLAT_SUP, peak, full_space, kinks=(0.5,))
+    integral = hl.eval_functional_raw(FLAT_INTEGRAL, peak, full_space, kinks=(0.5,))
+    assert sup == pytest.approx(1.0, abs=1e-9)
+    assert integral == pytest.approx(2.0, abs=1e-12)
+    # sup of 2 - tanh t is its limit 3 at -inf
+    falling = lambda t: 2.0 - math.tanh(t)  # noqa: E731
+    sup = hl.eval_functional_raw(FLAT_SUP, falling, full_space)
+    assert sup == pytest.approx(3.0, abs=1e-12)
+
+
+def test_full_line_envelope_extremes(full_space):
+    from hammerline.cone import _envelope_extreme
+
+    cubic = lambda t, rho: 1.0 + abs(t) ** 3  # noqa: E731
+    assert _envelope_extreme(cubic, 1.0, full_space, "sup") == math.inf
+    # inf of 1 + tanh t is its limit 0 at -inf
+    step = lambda t, rho: 1.0 + math.tanh(t)  # noqa: E731
+    low = _envelope_extreme(step, 1.0, full_space, "inf")
+    assert low == pytest.approx(0.0, abs=1e-12)
+
+
+def test_full_line_refusals(full_space):
+    from hammerline.cone import _envelope_extreme
+
+    with pytest.raises(DomainError, match="sup part unbounded for this slice"):
+        hl.eval_functional_raw(FLAT_SUP, lambda t: 1.0 + abs(t) ** 3, full_space)
+    wobble = lambda t: 1.0 + 0.5 * math.sin(t)  # noqa: E731
+    with pytest.raises(DomainError, match="sup part endpoint behavior undecided"):
+        hl.eval_functional_raw(FLAT_SUP, wobble, full_space)
+    with pytest.raises(DomainError, match="envelope endpoint behavior undecided"):
+        _envelope_extreme(lambda t, rho: wobble(t), 1.0, full_space, "sup")
+
+
 def test_profile_integrals(problem_c2, system_c2, space):
     low = hl.kernel_functional_integral(system_c2.lower, problem_c2.kernel,
                                         space=space)

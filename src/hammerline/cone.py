@@ -23,7 +23,7 @@ from .compactline import Grid
 from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, inf_on_grid,
                          integrate_interval, sup_on_grid)
-from .weights import Weight, tail_trend
+from .weights import Weight, tail_trend, weight_key
 from .weighted_space import Space, WeightedFunction, norm
 from .hammerstein import (HammersteinProblem, Kernel, apply_T, c3_bound_profile,
                           dominator_check, kernel_limits, kernel_modulus_check,
@@ -102,9 +102,29 @@ def _integral_part(g, space: Space, quad: QuadratureConfig, kinks=()) -> float:
         raise DomainError(f"integral part did not converge: {e}") from e
 
 
-def _combine(spec: FunctionalSpec, integral, sup) -> float:
+def _memoized(memo: dict | None, key: tuple | None, part: str, compute):
+    """``compute`` (a part as a function of its weight) read from ``memo``
+    on a hit and stored there on a miss; returned as is without a memo or
+    a key. A part that raises is not stored."""
+    if memo is None or key is None:
+        return compute
+
+    def part_of(w: Weight) -> float:
+        k = (part, weight_key(w)) + key
+        if k not in memo:
+            memo[k] = compute(w)
+        return memo[k]
+
+    return part_of
+
+
+def _combine(spec: FunctionalSpec, integral, sup, memo: dict | None = None,
+             key: tuple | None = None) -> float:
     """The functional from its parts: integral(integral_weight),
-    sup(sup_weight), or integral minus sup for a difference."""
+    sup(sup_weight), or integral minus sup for a difference. With a memo,
+    ``key`` names what the parts are taken of."""
+    integral = _memoized(memo, key, "integral", integral)
+    sup = _memoized(memo, key, "sup", sup)
     if spec.kind == "weighted-integral":
         return integral(spec.integral_weight)
     if spec.kind == "weighted-sup":
@@ -113,12 +133,15 @@ def _combine(spec: FunctionalSpec, integral, sup) -> float:
 
 
 def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
-                    quad: QuadratureConfig | None = None) -> float:
+                    quad: QuadratureConfig | None = None, *,
+                    memo: dict | None = None) -> float:
     """Value of the functional on a space element (quadrature-certified).
 
     At an infinite end the sup part takes the element's end sample times
     the certified limit of phi/sup_weight, and refuses when that ratio
-    diverges or has no certified limit.
+    diverges or has no certified limit. ``memo`` (a dict) keeps each part
+    by weight, quadrature, space and samples, so a repeated part is not
+    recomputed.
     """
     quad = quad or DEFAULT_QUAD
     sp = u.space
@@ -150,22 +173,33 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
 
         return sup_on_grid(fn_x, grid, ends)
 
-    return _combine(spec, integral, sup)
+    key = None if memo is None else ("element", quad, sp, row.tobytes())
+    return _combine(spec, integral, sup, memo, key)
+
+
+def _raw_key(quad: QuadratureConfig, space: Space, key, kinks) -> tuple | None:
+    return None if key is None else ("raw", quad, space, key, tuple(kinks))
+
+
+def _raw_integral(fn, space: Space, quad: QuadratureConfig, kinks):
+    """The integral part of a raw callable, as a function of its weight."""
+    return lambda w2: _integral_part(lambda t: float(fn(t)) / w2(t), space,
+                                     quad, kinks)
 
 
 def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                         space: Space, quad: QuadratureConfig | None = None,
-                        kinks: Sequence[float] = ()) -> float:
+                        kinks: Sequence[float] = (), *,
+                        memo: dict | None = None, key=None) -> float:
     """Functional applied to a raw callable (kernel slices and the like).
 
     At an infinite end the sup part takes the certified limit of
     |fn|/sup_weight, and refuses when it diverges or is undecided.
+    ``key`` (hashable) names the callable for ``memo``; a callable without
+    a key is never memoized.
     """
     quad = quad or DEFAULT_QUAD
     grid, cmap = space.grid, space.map
-
-    def integral(w2: Weight) -> float:
-        return _integral_part(lambda t: float(fn(t)) / w2(t), space, quad, kinks)
 
     def sup(w3: Weight) -> float:
         def h(t: float) -> float:
@@ -184,7 +218,8 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
 
         return sup_on_grid(fn_x, grid, ends)
 
-    return _combine(spec, integral, sup)
+    return _combine(spec, _raw_integral(fn, space, quad, kinks), sup, memo,
+                    _raw_key(quad, space, key, kinks))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +232,11 @@ def _kernel_slice(kernel: Kernel, s: float) -> tuple:
         return float(kernel.fn(t, s)) * float(kernel.eta(s))
 
     return fn, ((s,) if kernel.support == VOLTERRA else ())
+
+
+def _slice_key(kernel: Kernel, s: float) -> tuple:
+    """What the slice at s depends on, as a memo key."""
+    return (kernel.fn, kernel.eta, kernel.support, s)
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -253,18 +293,21 @@ def _profile_s_grid(space: Space, n: int) -> list:
 
 def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
                                quad: QuadratureConfig | None = None, *,
-                               space: Space, s_points: int = 256) -> ProfileIntegral:
+                               space: Space, s_points: int = 256,
+                               memo: dict | None = None) -> ProfileIntegral:
     """Tabulate s -> spec(k(.,s)eta(s)) on a log-spaced grid and integrate it.
 
     The integral re-evaluates the profile at the quadrature's own points, so
     its accuracy is the quadrature tolerance, not the table resolution.
+    Slice parts go through ``memo`` keyed by the slice's s.
     """
     quad = quad or DEFAULT_QUAD
     cmap = space.map
 
     def profile(s: float) -> float:
         fn, kinks = _kernel_slice(kernel, s)
-        return eval_functional_raw(spec, fn, space, quad, kinks=kinks)
+        return eval_functional_raw(spec, fn, space, quad, kinks=kinks,
+                                   memo=memo, key=_slice_key(kernel, s))
 
     s_vals = _profile_s_grid(space, s_points)
     vals = [profile(s) for s in s_vals]
@@ -409,7 +452,8 @@ def report_from_json(data: dict) -> CertificateReport:
 def _sample_cone_elements(space: Space, cone: FunctionalSpec,
                           quad: QuadratureConfig, n: int,
                           rng: np.random.Generator,
-                          require_cone: bool = True) -> list:
+                          require_cone: bool = True,
+                          memo: dict | None = None) -> list:
     """Random smooth nonnegative elements, filtered to the cone when asked."""
     out = []
     tries = 0
@@ -422,7 +466,7 @@ def _sample_cone_elements(space: Space, cone: FunctionalSpec,
         samples = np.zeros((space.order + 1, space.m))
         samples[0] = row
         u = WeightedFunction(space, samples)
-        if require_cone and eval_functional(cone, u, quad) < -POS_TOL:
+        if require_cone and eval_functional(cone, u, quad, memo=memo) < -POS_TOL:
             continue
         out.append(u)
     return out
@@ -541,8 +585,14 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     on ``samples`` random cone elements; the reference-element and bridge
     conditions by direct computation. Failures carry witnesses; nothing is
     raised for a failed hypothesis.
+
+    Each integral and sup part of a functional, on a kernel slice or an
+    element, is computed once per call and read back wherever it repeats
+    (the sampled property checks P1-P3 excepted); the values are those of
+    separate calls.
     """
     quad = quad or DEFAULT_QUAD
+    memo: dict = {}
     sp = problem.space
     grid, w, cmap = sp.grid, sp.weight, sp.map
     kern, nl, p = problem.kernel, problem.nonlinearity, problem.forcing
@@ -642,8 +692,8 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
                                                 float(p.samples[0, -1])]})
 
     # C5: cone functional nonnegative on slices and forcing
-    cone_prof = kernel_functional_integral(cone, kern, quad, space=sp)
-    alpha_p = eval_functional(cone, p, quad)
+    cone_prof = kernel_functional_integral(cone, kern, quad, space=sp, memo=memo)
+    alpha_p = eval_functional(cone, p, quad, memo=memo)
     c5_ok = cone_prof.positive and alpha_p >= -POS_TOL
     entries["C5"] = ConditionEntry(
         "C5", "kernel slices and forcing lie in the cone",
@@ -654,25 +704,17 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         detail="" if c5_ok else "cone functional negative on a slice or the forcing")
 
     # upper/lower kernel profiles (used by C7 and the index checks)
-    upper_prof = kernel_functional_integral(upper, kern, quad, space=sp)
-    lower_prof = kernel_functional_integral(lower, kern, quad, space=sp)
-    beta_p = eval_functional(upper, p, quad)
-    gamma_p = eval_functional(lower, p, quad)
+    upper_prof = kernel_functional_integral(upper, kern, quad, space=sp, memo=memo)
+    lower_prof = kernel_functional_integral(lower, kern, quad, space=sp, memo=memo)
+    beta_p = eval_functional(upper, p, quad, memo=memo)
+    gamma_p = eval_functional(lower, p, quad, memo=memo)
 
-    # sup-part profile of the cone functional, for the sampled inequalities;
-    # reuse the upper profile when the weights coincide
+    # sup-part profile of the cone functional, for the sampled inequalities
     cone_sup_prof = None
     if cone.kind in ("weighted-sup", "difference"):
-        same = (upper.kind == "weighted-sup"
-                and upper.sup_weight.label == cone.sup_weight.label
-                and upper.sup_weight.label != "custom"
-                and upper.sup_weight.params == cone.sup_weight.params)
-        if same:
-            cone_sup_prof = upper_prof
-        else:
-            cone_sup_prof = kernel_functional_integral(
-                FunctionalSpec("weighted-sup", sup_weight=cone.sup_weight),
-                kern, quad, space=sp)
+        cone_sup_prof = kernel_functional_integral(
+            FunctionalSpec("weighted-sup", sup_weight=cone.sup_weight),
+            kern, quad, space=sp, memo=memo)
     scalars.update({
         "cone_of_forcing": alpha_p,
         "upper_of_forcing": beta_p,
@@ -683,7 +725,7 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     })
 
     # sampled cone elements and their operator images
-    cone_samples = _sample_cone_elements(sp, cone, quad, samples, rng)
+    cone_samples = _sample_cone_elements(sp, cone, quad, samples, rng, memo=memo)
     images = [apply_T(problem, u, quad) for u in cone_samples]
     raw_evals = []
     for u in cone_samples:
@@ -698,7 +740,9 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         # quadrature; exact to quadrature tolerance
         def inner(s: float) -> float:
             fn, kinks = _kernel_slice(kern, s)
-            return _integral_part(lambda t: float(fn(t)) / w2(t), sp, relaxed, kinks)
+            key = _raw_key(relaxed, sp, _slice_key(kern, s), kinks)
+            return _memoized(memo, key, "integral",
+                             _raw_integral(fn, sp, relaxed, kinks))(w2)
 
         def g(s: float) -> float:
             return inner(s) * float(nl.fn(s, u_raw(s)))
@@ -733,7 +777,7 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     c6_checked = 0
     c6_tol = SAMPLE_INEQ_TOL if cone.kind == "weighted-integral" else SUP_TAB_TOL
     for u, Tu, u_raw in zip(cone_samples, images, raw_evals):
-        lhs = eval_functional(cone, Tu, quad)
+        lhs = eval_functional(cone, Tu, quad, memo=memo)
         val, _ = spec_rhs(cone, cone_sup_prof, u_raw)
         rhs = val + alpha_p
         c6_checked += 1
@@ -763,11 +807,12 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     add_worst = 0.0
     for u, v in zip(cone_samples, cone_samples[1:] + cone_samples[:1]):
         lam = float(rng.uniform(0.0, 3.0))
-        bu = eval_functional(upper, u, quad)
+        bu = eval_functional(upper, u, quad, memo=memo)
         hom_worst = max(hom_worst,
                         abs(eval_functional(upper, lam * u, quad) - lam * bu)
                         / max(1.0, abs(bu)))
-        gu, gv = eval_functional(lower, u, quad), eval_functional(lower, v, quad)
+        gu = eval_functional(lower, u, quad, memo=memo)
+        gv = eval_functional(lower, v, quad, memo=memo)
         guv = eval_functional(lower, u + v, quad)
         add_worst = max(add_worst, abs(guv - gu - gv) / max(1.0, abs(guv)))
     if hom_worst > 1e-8 or add_worst > 1e-8:
@@ -777,9 +822,9 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     for u, Tu, u_raw in zip(cone_samples, images, raw_evals):
         b_rhs_val, b_exact = spec_rhs(upper, upper_prof, u_raw)
         g_rhs_val, g_exact = spec_rhs(lower, lower_prof, u_raw)
-        b_lhs = eval_functional(upper, Tu, quad)
+        b_lhs = eval_functional(upper, Tu, quad, memo=memo)
         b_rhs = b_rhs_val + beta_p
-        g_lhs = eval_functional(lower, Tu, quad)
+        g_lhs = eval_functional(lower, Tu, quad, memo=memo)
         g_rhs = g_rhs_val + gamma_p
         tol_b = (SAMPLE_INEQ_TOL if b_exact else SUP_TAB_TOL) \
             * max(1.0, abs(b_lhs), abs(b_rhs))
@@ -813,8 +858,8 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         bridges["b"] = b_info
     ratios = []
     for u in cone_samples:
-        bu = eval_functional(upper, u, quad)
-        gu = eval_functional(lower, u, quad)
+        bu = eval_functional(upper, u, quad, memo=memo)
+        gu = eval_functional(lower, u, quad, memo=memo)
         if bu > 0.0:
             ratios.append(gu / bu)
     if ratios:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .compactline import CompactMap, Grid
 from .errors import DomainError
-from .weights import Weight, tail_limit
+from .weights import Weight, same_weight, tail_limit
 
 NORM_KINDS = ("phi", "order-n", "sup-tilde")
 
@@ -50,14 +50,8 @@ class Space:
 
 
 def spaces_compatible(a: Space, b: Space) -> bool:
-    if a is b:
-        return True
-    same = (a.grid.map == b.grid.map and a.grid.m == b.grid.m
-            and a.order == b.order and a.weight.label == b.weight.label
-            and a.weight.params == b.weight.params)
-    if same and a.weight.label == "custom":
-        same = a.weight.fn is b.weight.fn
-    return same
+    return a is b or (a.grid.map == b.grid.map and a.grid.m == b.grid.m
+                      and a.order == b.order and same_weight(a.weight, b.weight))
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,27 @@ def custom(fn: Callable[[float], float], derivs: tuple = (), label: str = "custo
     return Weight(fn=fn, label=label, params={}, derivs=derivs)
 
 
+_BUILDER_PARAMS = {"affine": ("b", "scale"), "exponential": ("c", "rate"),
+                   "power": ("q", "scale")}
+
+
+def weight_key(w: Weight) -> tuple:
+    """Hashable name of the function a weight evaluates.
+
+    A builder weight (``affine``, ``exponential``, ``power``) is named by its
+    label and params; any other weight only by its ``fn`` object, whatever
+    its label. Weights with equal keys are the same function.
+    """
+    names = _BUILDER_PARAMS.get(w.label)
+    if names is not None and sorted(w.params) == sorted(names):
+        return (w.label,) + tuple(w.params[n] for n in names)
+    return ("fn", w.fn)
+
+
+def same_weight(a: Weight, b: Weight) -> bool:
+    return weight_key(a) == weight_key(b)
+
+
 def check_weight(w: Weight, grid: Grid, fd_rel_tol: float = 1e-6) -> None:
     """Validate positivity at the finite nodes and, when derivative
     evaluators are present, their agreement with central differences."""

@@ -152,7 +152,7 @@ def test_full_line_refusals(full_space):
         _envelope_extreme(lambda t, rho: wobble(t), 1.0, full_space, "sup")
 
 
-def test_profile_integrals(problem_c2, system_c2, space):
+def test_profile_integrals(problem_c2, system_c2, space, report_c2):
     low = hl.kernel_functional_integral(system_c2.lower, problem_c2.kernel,
                                         space=space)
     up = hl.kernel_functional_integral(system_c2.upper, problem_c2.kernel,
@@ -164,6 +164,65 @@ def test_profile_integrals(problem_c2, system_c2, space):
     interp = low.interpolant(space.map)
     s0 = low.s_values[len(low.s_values) // 2]
     assert interp(s0) == pytest.approx(math.exp(-s0), abs=1e-6)
+    # the certifier's parts memo returns exactly what standalone calls compute
+    ctx = report_c2.context
+    for memoized, standalone in ((ctx.upper_profile, up), (ctx.lower_profile, low)):
+        assert memoized.values == standalone.values
+        assert memoized.integral == standalone.integral
+
+
+def _count_sup_searches(monkeypatch, *modules):
+    calls = []
+    for mod in modules:
+        real = mod.sup_on_grid
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "sup_on_grid", counted)
+    return calls
+
+
+def test_shared_memo_skips_repeated_slice_sups(problem_c2, system_c2, space,
+                                               monkeypatch):
+    import hammerline.cone as cone_mod
+
+    calls = _count_sup_searches(monkeypatch, cone_mod)
+    memo = {}
+    first = hl.kernel_functional_integral(system_c2.upper, problem_c2.kernel,
+                                          space=space, memo=memo)
+    searched = len(calls)
+    assert searched > 0
+    # an equal builder weight, not the same object, names the same parts
+    twin = hl.FunctionalSpec("weighted-sup", sup_weight=hl.exponential(c=1.0, rate=1.0))
+    second = hl.kernel_functional_integral(twin, problem_c2.kernel,
+                                           space=space, memo=memo)
+    assert len(calls) == searched
+    assert second.values == first.values
+    assert second.integral == first.integral
+
+
+def test_memo_never_stores_a_refused_part(problem_c2):
+    decay = hl.custom(lambda t: 1.0 / (1.0 + t) ** 2, label="inverse-square")
+    bad = hl.FunctionalSpec(kind="weighted-sup", sup_weight=decay)
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            hl.eval_functional(bad, problem_c2.forcing, memo=memo)
+    assert not any(key[0] == "sup" for key in memo)
+
+
+def test_certifier_sup_search_count(problem_c2, system_c2, monkeypatch):
+    # each slice and element sup part is searched once per certification:
+    # without the parts memo the certifier made 1,110 searches here, with it 688
+    import hammerline.cone as cone_mod
+    import hammerline.hammerstein as hammerstein_mod
+
+    calls = _count_sup_searches(monkeypatch, cone_mod, hammerstein_mod)
+    hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                              system_c2.lower, samples=6, seed=0)
+    assert len(calls) <= 688
 
 
 # -- certification report ---------------------------------------------------

@@ -111,6 +111,13 @@ def test_spaces_compatible_checks_weight_and_grid(space):
     assert not hl.spaces_compatible(space, make_space(m=17))
     other_weight = hl.Space(grid=space.grid, weight=hl.affine(b=2.0))
     assert not hl.spaces_compatible(space, other_weight)
+    # weights outside the builders are the same only when their fn is the
+    # same object, whatever their labels say
+    mine = hl.Space(grid=space.grid, weight=hl.custom(lambda t: 1.0 + t, label="mine"))
+    exp_mine = hl.Space(grid=space.grid, weight=hl.custom(math.exp, label="mine"))
+    assert not hl.spaces_compatible(mine, exp_mine)
+    relabeled = hl.Space(grid=space.grid, weight=hl.custom(math.exp, label="other"))
+    assert hl.spaces_compatible(exp_mine, relabeled)
 
 
 @given(data=st.data())

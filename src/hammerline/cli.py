@@ -141,7 +141,8 @@ def _cmd_solve(scn: Scenario, out: Path) -> None:
     summary = {"schema": 1, "kind": "solution-summary", "scenario": scn.name,
                "converged": sol.converged, "iterations": sol.iterations,
                "residual": sol.residual, "slope": sol.slope,
-               "relaxation": sol.relaxation, "trace": list(sol.trace)}
+               "relaxation": sol.relaxation, "quad_error": sol.quad_error,
+               "trace": list(sol.trace)}
     _write_json(out / "solution_summary.json", summary)
     (out / "solution.gnuplot").write_text(_plot_script("solution.csv"))
     print(f"converged: {sol.converged} after {sol.iterations} iteration(s), "

@@ -28,8 +28,9 @@ STATE_CAP = 1e12  # |u| or |u'| beyond this is treated as blow-up
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of a Picard run: the best iterate seen, its residual, and
-    the per-iteration update-norm trace (one entry per iteration)."""
+    """Outcome of a Picard run: the best iterate seen, its residual, the
+    per-iteration update-norm trace (one entry per iteration), and the
+    worst row error estimate the operator accepted during the run."""
 
     u: WeightedFunction
     iterations: int
@@ -38,6 +39,7 @@ class Solution:
     slope: float                    # weighted value at the +inf end
     trace: tuple
     relaxation: float               # final relaxation after any auto-halving
+    quad_error: float
     iterates: tuple | None = None
 
 
@@ -68,8 +70,10 @@ def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None
     best_u, best_res = u, math.inf
     growth = 0
     iterations = 0
+    quad_error = 0.0
     for _ in range(max_iters):
         Tu = apply_T(problem, u, quad)
+        quad_error = max(quad_error, problem.operator(quad).last_error)
         res = norm(Tu - u)
         if res < best_res:
             best_u, best_res = u, res
@@ -93,7 +97,7 @@ def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None
     slope = float(best_u.samples[0, -1])
     return Solution(u=best_u, iterations=iterations, residual=best_res,
                     converged=converged, slope=slope, trace=tuple(trace),
-                    relaxation=theta,
+                    relaxation=theta, quad_error=quad_error,
                     iterates=tuple(iterates) if keep_iterates else None)
 
 

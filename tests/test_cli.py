@@ -82,6 +82,7 @@ def test_solve_writes_deterministic_csv(tmp_path, capsys):
     summary = json.loads((out1 / "solution_summary.json").read_text())
     assert summary["converged"] is True
     assert summary["residual"] <= 1e-9
+    assert 0.0 < summary["quad_error"] <= 1e-10
     assert (out1 / "solution.gnuplot").exists()
     assert "converged: True" in capsys.readouterr().out
 

@@ -6,6 +6,7 @@ import pytest
 import hammerline as hl
 from hammerline.errors import DomainError
 
+from adaptive_oracle import adaptive_apply_T
 from conftest import grid_times, make_space
 
 TIGHT = hl.QuadratureConfig(tol=1e-12, rel_tol=1e-13)
@@ -251,3 +252,116 @@ def test_gravity_problem_guards_parameters(space):
     problem = hl.gravity_projectile_problem(space, g=1.0, R=1.0, v0=2.0)
     assert problem.nonlinearity.fn(0.0, 0.0) == -1.0
     assert math.isnan(problem.nonlinearity.fn(0.0, -1.0))
+
+
+# -- Nystrom operator against the adaptive oracle ------------------------------
+
+def gated_problem(m=41, max_subdivisions=None, declare_jump=False):
+    """Full-support kernel exp(-|t-s|) switched on at s = 0.7, a jump that
+    the kernel declares only when asked."""
+    space = make_space(m=m)
+    kernel = hl.Kernel(
+        fn=lambda t, s: math.exp(-abs(t - s)) if s > 0.7 else 0.0,
+        slice_endpoints=lambda s: (0.0, 0.0),
+        kink_locator=(lambda t: (0.7,)) if declare_jump else None,
+        name="gated")
+    nl = hl.Nonlinearity(fn=lambda t, y: math.exp(-t) / (1.0 + y * y),
+                         name="bump")
+    p = hl.lift(space, np.zeros(m))
+    return hl.HammersteinProblem(kernel, nl, p, space, name="gated")
+
+
+@pytest.mark.parametrize("m", [41, 81, 161])
+def test_nystrom_images_match_the_adaptive_oracle(m):
+    space = make_space(m=m)
+    for problem in (hl.boosted_projectile_problem(space, v0=1.0),
+                    hl.gravity_projectile_problem(space, g=1.0, R=1.0, v0=2.0)):
+        sol = hl.picard_solve(problem, max_iters=2, keep_iterates=True)
+        for u in sol.iterates:
+            img = hl.apply_T(problem, u).samples
+            assert np.max(np.abs(img - adaptive_apply_T(problem, u))) <= 1e-12
+
+
+def test_volterra_rows_stop_at_their_node():
+    # exp(-|t-s|) does not vanish for s > t: only the support cuts the rows
+    space = make_space(m=41)
+    kernel = hl.Kernel(fn=lambda t, s: math.exp(-abs(t - s)), support="volterra",
+                       slice_endpoints=lambda s: (0.0, 0.0),
+                       kink_locator=lambda t: (t,), name="two-sided")
+    nl = hl.Nonlinearity(fn=lambda t, y: math.exp(-t) * (1.0 + y * y),
+                         name="bump")
+    problem = hl.HammersteinProblem(kernel, nl, hl.lift(space, np.zeros(41)),
+                                    space)
+    u = hl.lift(space, np.linspace(0.0, 1.0, 41))
+    img = hl.apply_T(problem, u).samples
+    assert np.max(np.abs(img - adaptive_apply_T(problem, u))) <= 1e-12
+
+
+def test_undeclared_jump_is_refined_to_tolerance():
+    problem = gated_problem()
+    u = hl.lift(problem.space, np.linspace(0.0, 1.0, problem.space.m))
+    img = hl.apply_T(problem, u)
+    # the reference integrates with the jump as a breakpoint
+    ref = adaptive_apply_T(gated_problem(declare_jump=True), u)
+    assert np.max(np.abs(img.samples - ref)) <= hl.DEFAULT_QUAD.tol
+    op = problem.operator()
+    assert op.lo.size > problem.space.m - 1
+    assert op.last_error <= hl.DEFAULT_QUAD.tol
+
+
+def test_refinement_past_the_panel_limit_raises_tagged():
+    problem = gated_problem()
+    cfg = hl.QuadratureConfig(max_subdivisions=problem.space.m)
+    u = hl.lift(problem.space, np.linspace(0.0, 1.0, problem.space.m))
+    with pytest.raises(hl.QuadratureError, match="did not converge") as info:
+        hl.apply_T(problem, u, quad=cfg)
+    assert info.value.node in problem.space.grid.t
+    assert info.value.estimate > cfg.tol
+
+
+def test_gravity_below_the_surface_raises_nan(space):
+    problem = hl.gravity_projectile_problem(space, g=1.0, R=1.0, v0=2.0)
+    below = hl.lift(space, -2.0 * np.ones(space.m))
+    with pytest.raises(hl.QuadratureError, match="integration returned nan") as info:
+        hl.apply_T(problem, below)
+    assert info.value.node in space.grid.t
+
+
+def test_operator_is_built_once_per_problem_and_config(monkeypatch):
+    # host-independent cost guard: one discretisation per (problem, config),
+    # no kernel evaluation once it exists, one f evaluation per node and call
+    import dataclasses
+
+    import hammerline.hammerstein as hammerstein_mod
+
+    builds = []
+
+    class CountedOperator(hammerstein_mod.NystromOperator):
+        def __init__(self, *args):
+            builds.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(hammerstein_mod, "NystromOperator", CountedOperator)
+    calls = {"kernel": 0, "f": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    base = hl.gravity_projectile_problem(make_space(m=81), g=1.0, R=1.0, v0=2.0)
+    problem = hl.HammersteinProblem(
+        dataclasses.replace(base.kernel, fn=counted("kernel", base.kernel.fn)),
+        dataclasses.replace(base.nonlinearity,
+                            fn=counted("f", base.nonlinearity.fn)),
+        base.forcing, base.space, params=base.params)
+    sol = hl.picard_solve(problem, tol=1e-8, max_iters=300, relaxation=0.5)
+    assert len(builds) == 1
+    nodes = problem.operator().t.size
+    assert calls["f"] == sol.iterations * nodes
+    calls.update(kernel=0, f=0)
+    hl.apply_T(problem, sol.u)
+    assert calls == {"kernel": 0, "f": nodes}
+    hl.apply_T(problem, sol.u, quad=TIGHT)
+    assert builds == [hl.DEFAULT_QUAD, TIGHT]

@@ -39,6 +39,13 @@ def test_picard_solves_the_bundled_problem(problem_c2, solution_c2):
     assert sol.trace[-1] < 1e-10
 
 
+def test_solution_records_the_worst_accepted_quadrature_error(problem_c2,
+                                                              solution_c2):
+    assert 0.0 < solution_c2.quad_error <= hl.DEFAULT_QUAD.tol
+    inert = hl.picard_solve(inert_problem(problem_c2.space), tol=1e-12)
+    assert inert.quad_error == 0.0
+
+
 def test_converged_residual_replays_under_tighter_quadrature(problem_c2,
                                                              solution_c2):
     # the iterate is a fixed point of the default-quadrature operator, so a

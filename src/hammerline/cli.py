@@ -189,12 +189,12 @@ def _cmd_demo(scn: Scenario, out: Path) -> None:
     kern = problem.kernel
     for s_probe in (0.5, 1.0, 2.0):
         val = eval_functional_raw(
-            system.lower, lambda t: float(kern.fn(t, s_probe)), space, quad,
+            system.lower, lambda t: kern.fn(t, s_probe), space, quad,
             kinks=(s_probe,))
         row(f"lower functional of slice, s={s_probe:g}", val,
             math.exp(-s_probe))
     val = eval_functional_raw(system.upper,
-                              lambda t: float(kern.fn(t, 1.0)), space, quad)
+                              lambda t: kern.fn(t, 1.0), space, quad)
     row("upper functional of slice, s=1", val, math.exp(-2.0))
     row("lower kernel profile integral",
         report.scalars["lower_profile_integral"], 1.0)

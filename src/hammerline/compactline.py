@@ -79,8 +79,17 @@ class CompactMap:
         lo, hi = self.interval()
         return lo <= t <= hi
 
-    def from_compact(self, x: float) -> float:
-        """Map x in [-1, 1] to a point of the closed interval."""
+    def from_compact(self, x):
+        """Map x in [-1, 1] (a float or an array) to the closed interval."""
+        if isinstance(x, np.ndarray):
+            reach = np.abs(x).max(initial=0.0)
+            if not reach <= 1.0:
+                raise DomainError("compact coordinates outside [-1, 1]")
+            if reach < 1.0:
+                return self._from_open(x)
+            # an end divides by an exact zero and lands on an infinity
+            with np.errstate(divide="ignore"):
+                return self._from_open(x)
         if not -1.0 <= x <= 1.0:
             raise DomainError(f"compact coordinate {x!r} outside [-1, 1]")
         if self.kind == FULL_LINE:
@@ -91,6 +100,11 @@ class CompactMap:
             return self.L * x / math.sqrt((1.0 - x) * (1.0 + x))
         if x == 1.0:
             return INF
+        return self.a + self.L * (1.0 + x) / (1.0 - x)
+
+    def _from_open(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == FULL_LINE:
+            return self.L * x / np.sqrt((1.0 - x) * (1.0 + x))
         return self.a + self.L * (1.0 + x) / (1.0 - x)
 
     def to_compact(self, t: float) -> float:
@@ -108,13 +122,15 @@ class CompactMap:
         d = t - self.a
         return (d - self.L) / (d + self.L)
 
-    def jacobian(self, x: float) -> float:
-        """dt/dx at interior x; diverges toward the infinite ends."""
-        if not -1.0 < x < 1.0:
+    def jacobian(self, x):
+        """dt/dx at interior x (a float or an array); diverges toward the
+        infinite ends."""
+        array = isinstance(x, np.ndarray)
+        if not (np.abs(x).max(initial=0.0) < 1.0 if array else -1.0 < x < 1.0):
             raise DomainError("jacobian defined on the open interval (-1, 1)")
         if self.kind == FULL_LINE:
             s = (1.0 - x) * (1.0 + x)
-            return self.L / (s * math.sqrt(s))
+            return self.L / (s * (np.sqrt(s) if array else math.sqrt(s)))
         return 2.0 * self.L / (1.0 - x) ** 2
 
 
@@ -149,7 +165,7 @@ class Grid:
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.t)
 
-    def interpolate(self, values: np.ndarray, xq: float) -> float:
+    def interpolate(self, values: np.ndarray, xq):
         return barycentric_interpolate(self.x, self.bary_w, values, xq)
 
     def interpolant(self, values: np.ndarray):
@@ -182,12 +198,24 @@ def build_grid(cmap: CompactMap, spec: GridSpec) -> Grid:
 
 
 def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
-                            values: np.ndarray, xq: float) -> float:
-    """Barycentric interpolation at a single query point xq in [-1, 1].
+                            values: np.ndarray, xq):
+    """Barycentric interpolation at a query point xq in [-1, 1], or at every
+    point of an array of them.
 
     Exact at the nodes and for polynomials of degree < m on Chebyshev-Lobatto
-    nodes with the standard alternating weights.
+    nodes with the standard alternating weights. A point of an array gets
+    the value a float query gives, whatever the other points.
     """
+    if isinstance(xq, np.ndarray):
+        if not np.abs(xq).max(initial=0.0) <= 1.0:
+            raise DomainError("queries outside [-1, 1]")
+        d = xq.reshape(-1, 1) - x_nodes
+        row, col = np.nonzero(d == 0.0)
+        d[row, col] = 1.0
+        c = weights / d
+        out = np.einsum("ij,j->i", c, values) / c.sum(axis=1)
+        out[row] = values[col]
+        return out.reshape(xq.shape)
     if not -1.0 <= xq <= 1.0:
         raise DomainError(f"query {xq!r} outside [-1, 1]")
     d = xq - x_nodes
@@ -195,7 +223,21 @@ def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
     if hit.size:
         return float(values[hit[0]])
     c = weights / d
-    return float(np.dot(c, values) / np.sum(c))
+    return float(np.einsum("j,j->", c, values) / np.sum(c))
+
+
+def barycentric_matrix(x_nodes: np.ndarray, weights: np.ndarray,
+                       xq: np.ndarray) -> np.ndarray:
+    """Interpolation matrix, query by node: row k times the node values is
+    the interpolant at xq[k]. A query on a node gets that node's exact row."""
+    b = xq[:, None] - x_nodes
+    row, col = np.nonzero(b == 0.0)
+    b[row, col] = 1.0
+    np.divide(weights, b, out=b)
+    b /= b.sum(axis=1, keepdims=True)
+    b[row] = 0.0
+    b[row, col] = 1.0
+    return b
 
 
 def refining_tail_x(k_lo: int = 1, k_hi: int = 12):

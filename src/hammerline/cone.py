@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compactline import Grid
+from .elementwise import elementwise, filled
 from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, inf_on_grid,
                          integrate_interval, sup_on_grid)
@@ -167,7 +168,7 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
                     "sup weight toward the endpoint")
             ends[x] = abs(float(row[0 if x < 0 else -1])) * abs(ratio)
 
-        def fn_x(x: float) -> float:
+        def fn_x(x):
             t = cmap.from_compact(x)
             return abs(interp(x)) * phi(t) / w3(t)
 
@@ -193,17 +194,20 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                         memo: dict | None = None, key=None) -> float:
     """Functional applied to a raw callable (kernel slices and the like).
 
-    At an infinite end the sup part takes the certified limit of
-    |fn|/sup_weight, and refuses when it diverges or is undecided.
-    ``key`` (hashable) names the callable for ``memo``; a callable without
-    a key is never memoized.
+    ``fn`` takes a float or an array; a float-only one is wrapped for the
+    sup search (see ``elementwise``). At an infinite end the sup part takes
+    the certified limit of |fn|/sup_weight, and refuses when it diverges or
+    is undecided. ``key`` (hashable) names the callable for ``memo``; a
+    callable without a key is never memoized.
     """
     quad = quad or DEFAULT_QUAD
     grid, cmap = space.grid, space.map
 
     def sup(w3: Weight) -> float:
+        fn_t = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
+
         def h(t: float) -> float:
-            return abs(float(fn(t))) / w3(t)
+            return abs(float(fn_t(t))) / w3(t)
 
         ends = {}
         for x in cmap.infinite_ends():
@@ -212,9 +216,9 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                 raise DomainError("sup part unbounded for this slice")
             ends[x] = abs(lim)
 
-        def fn_x(x: float) -> float:   # h inlined: one call less per evaluation
+        def fn_x(x):   # h inlined: one call less per evaluation
             t = cmap.from_compact(x)
-            return abs(float(fn(t))) / w3(t)
+            return abs(fn_t(t)) / w3(t)
 
         return sup_on_grid(fn_x, grid, ends)
 
@@ -228,8 +232,10 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
 def _kernel_slice(kernel: Kernel, s: float) -> tuple:
     """The slice t -> k(t,s)eta(s) and its kinks (the diagonal of a
     Volterra kernel)."""
-    def fn(t: float) -> float:
-        return float(kernel.fn(t, s)) * float(kernel.eta(s))
+    eta = kernel.eta(s)
+
+    def fn(t):
+        return kernel.fn(t, s) * eta
 
     return fn, ((s,) if kernel.support == VOLTERRA else ())
 
@@ -913,8 +919,9 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
 # ---------------------------------------------------------------------------
 # index conditions
 
-DEFAULT_UPPER_ENVELOPE = lambda t, rho: rho      # noqa: E731 - asserts f^rho <= 1
-DEFAULT_LOWER_ENVELOPE = lambda t, rho: 0.0      # noqa: E731
+# the upper default asserts f^rho <= 1
+DEFAULT_UPPER_ENVELOPE = lambda t, rho: filled(rho, t)        # noqa: E731
+DEFAULT_LOWER_ENVELOPE = lambda t, rho: filled(0.0, t, rho)   # noqa: E731
 
 
 @dataclass(frozen=True)
@@ -943,9 +950,10 @@ def _resolve_envelope(report: CertificateReport, which: str, envelope):
 
 def _envelope_extreme(env, rho: float, space: Space, mode: str) -> float:
     grid, cmap = space.grid, space.map
+    env = elementwise(env, 2)
 
-    def fn_x(x: float) -> float:
-        return float(env(cmap.from_compact(x), rho)) / rho
+    def fn_x(x):
+        return env(cmap.from_compact(x), rho) / rho
 
     ends = {x: _tail_value(lambda t: float(env(t, rho)) / rho, cmap, x,
                            "envelope endpoint behavior undecided")

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .compactline import CompactMap, Grid
+from .compactline import CompactMap, Grid, barycentric_matrix
+from .elementwise import elementwise, exp, filled, positive_part
 from .errors import DomainError, QuadratureError
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval, sup_on_grid
 from .weights import Weight, tail_limit
@@ -23,6 +24,10 @@ from .weighted_space import Space, WeightedFunction, from_tilde, spaces_compatib
 
 VOLTERRA = "volterra"
 FULL = "full"
+
+
+def _unit_density(s):
+    return np.ones(s.shape) if isinstance(s, np.ndarray) else 1.0
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,14 @@ class Kernel:
     j = 1, 2, ... and gates derivative-row support; ``modulus_weight`` is
     the comparison function the translation-equicontinuity check runs
     against; ``kink_locator`` lists interior s-kinks of t -> k(t,s).
+
+    ``fn``, ``eta``, ``tilde_slice``, ``slice_endpoints`` and ``dt_slices``
+    take floats or arrays (see ``elementwise``); float-only ones are wrapped
+    at construction.
     """
 
     fn: Callable[[float, float], float]
-    eta: Callable[[float], float] = lambda s: 1.0
+    eta: Callable[[float], float] = _unit_density
     support: str = FULL
     name: str = "custom"
     tilde_slice: Callable[[float, float], float] | None = None
@@ -50,6 +59,12 @@ class Kernel:
     def __post_init__(self):
         if self.support not in (VOLTERRA, FULL):
             raise DomainError(f"unknown kernel support {self.support!r}")
+        for name, nargs in (("fn", 2), ("eta", 1), ("tilde_slice", 2)):
+            object.__setattr__(self, name, elementwise(getattr(self, name), nargs))
+        object.__setattr__(self, "slice_endpoints",
+                           elementwise(self.slice_endpoints, outputs=2))
+        object.__setattr__(self, "dt_slices",
+                           tuple(elementwise(d, 2) for d in self.dt_slices))
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,8 @@ class Nonlinearity:
     |y| <= r; when absent and ``monotone_in_y`` is set, the bound
     f(t, r*phi(t)) is used. ``upper_envelope`` / ``lower_envelope`` are the
     radius envelopes F(t, rho), G(t, rho) consumed by the index checks.
+    ``fn`` and the envelopes take floats or arrays (see ``elementwise``);
+    float-only ones are wrapped at construction.
     """
 
     fn: Callable[[float, float], float]
@@ -68,6 +85,10 @@ class Nonlinearity:
     monotone_in_y: bool = False
     upper_envelope: Callable[[float, float], float] | None = None
     lower_envelope: Callable[[float, float], float] | None = None
+
+    def __post_init__(self):
+        for name in ("fn", "upper_envelope", "lower_envelope"):
+            object.__setattr__(self, name, elementwise(getattr(self, name), 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,22 +116,33 @@ class HammersteinProblem:
 # ---------------------------------------------------------------------------
 # slice helpers
 
-def slice_tilde(kernel: Kernel, weight: Weight, t: float, s: float) -> float:
-    """Rescaled kernel slice k(t,s)eta(s)/phi(t) at a finite t."""
+def slice_tilde(kernel: Kernel, weight: Weight, t, s):
+    """Rescaled kernel slice k(t,s)eta(s)/phi(t) at a finite t (floats or
+    arrays)."""
     if kernel.tilde_slice is not None:
-        return float(kernel.tilde_slice(t, s))
-    return float(kernel.fn(t, s)) * float(kernel.eta(s)) / weight(t)
+        v = kernel.tilde_slice(t, s)
+    else:
+        v = kernel.fn(t, s) * kernel.eta(s) / weight(t)
+    return v if isinstance(v, np.ndarray) else float(v)
 
 
-def slice_endpoint_values(kernel: Kernel, weight: Weight, s: float,
+def slice_endpoint_values(kernel: Kernel, weight: Weight, s,
                           cmap: CompactMap) -> tuple:
-    """Endpoint values (left, right) of the rescaled slice t -> slice(t,s).
+    """Endpoint values (left, right) of the rescaled slice t -> slice(t,s),
+    two floats, or two arrays for an array of s.
 
     The left value is a direct evaluation when the interval starts at a
     finite point, a tail extrapolation otherwise; divergence raises."""
     if kernel.slice_endpoints is not None:
         lo, hi = kernel.slice_endpoints(s)
+        if isinstance(s, np.ndarray):
+            return lo, hi
         return float(lo), float(hi)
+    if isinstance(s, np.ndarray):
+        pairs = [slice_endpoint_values(kernel, weight, v, cmap)
+                 for v in s.ravel().tolist()]
+        return tuple(np.array([p[k] for p in pairs]).reshape(s.shape)
+                     for k in (0, 1))
     lo_end, _ = cmap.interval()
     if math.isfinite(lo_end):
         lo = slice_tilde(kernel, weight, lo_end, s)
@@ -137,7 +169,7 @@ def kernel_limits(kernel: Kernel, phi: Weight, s: float, *,
         if not math.isfinite(z):
             raise DomainError(f"slice at s={s} unbounded toward the {name} end")
 
-    def fn_x(x: float) -> float:
+    def fn_x(x):
         return abs(slice_tilde(kernel, phi, cmap.from_compact(x), s))
 
     ends = {x: abs(z_lo) if x < 0 else abs(z_hi) for x in cmap.infinite_ends()}
@@ -202,7 +234,7 @@ class NystromOperator:
         # a row at node i uses the panels ending at or before row_end[i]
         self.row_end = np.where(volterra, grid.x, math.inf)
         self.div = np.ones((sp.order + 1, sp.m))
-        self.div[0, finite] = [sp.weight(t) for t in grid.t[finite]]
+        self.div[0, finite] = sp.weight(grid.t[finite])
         # a kink on a node is cut at the node's own x: to_compact(t_i) misses
         # x_i in the last bit for about 40% of the nodes, which would leave
         # sliver panels
@@ -224,48 +256,33 @@ class NystromOperator:
         grid, cmap, w = sp.grid, sp.map, sp.weight
         x = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _PANEL_X
         xs = x.ravel()
-        ts = [cmap.from_compact(v) for v in xs.tolist()]
-        jac = np.array([cmap.jacobian(v) for v in xs.tolist()])
-        eta_jac = np.array([float(kern.eta(s)) for s in ts]) * jac
-        # filled and scaled one row at a time, each row only over the panels
-        # it uses: the zeros of a Volterra row stay untouched allocation
+        ts = cmap.from_compact(xs)
+        jac = cmap.jacobian(xs)
+        eta_jac = kern.eta(ts) * jac
+        ends = None
+        # filled one row at a time, with one kernel call per row over the
+        # panels it uses: the zeros of a Volterra row stay untouched
         g = np.zeros((sp.order + 1, sp.m, xs.size))
         for i, ti in enumerate(grid.t.tolist()):
             if math.isinf(ti):
-                side = 0 if ti < 0 else 1
-                g[0, i] = [slice_endpoint_values(kern, w, s, cmap)[side]
-                           for s in ts]
-                g[0, i] *= jac
+                if ends is None:
+                    ends = slice_endpoint_values(kern, w, ts, cmap)
+                g[0, i] = ends[0 if ti < 0 else 1] * jac
                 continue
             n = _PANEL_X.size * int(np.count_nonzero(hi <= self.row_end[i]))
-            g[0, i, :n] = [kern.fn(ti, s) for s in ts[:n]]
-            g[0, i, :n] *= eta_jac[:n]
+            g[0, i, :n] = kern.fn(ti, ts[:n]) * eta_jac[:n]
             for j, dslice in enumerate(kern.dt_slices[:sp.order], start=1):
-                g[j, i, :n] = [dslice(ti, s) for s in ts[:n]]
-                g[j, i, :n] *= jac[:n]
-
-        # barycentric weights over distances, normalised, in one array; a
-        # query on a grid node takes that node's exact row
-        near = np.minimum(np.searchsorted(grid.x, xs), sp.m - 1)
-        on_node = np.flatnonzero(grid.x[near] == xs)
-        b = xs[:, None] - grid.x
-        b[on_node, near[on_node]] = 1.0
-        np.divide(grid.bary_w, b, out=b)
-        b /= b.sum(axis=1, keepdims=True)
-        b[on_node] = 0.0
-        b[on_node, near[on_node]] = 1.0
-
+                g[j, i, :n] = dslice(ti, ts[:n]) * jac[:n]
+        b = barycentric_matrix(grid.x, grid.bary_w, xs)
         shape = x.shape
-        w_at = np.array([w(s) for s in ts]).reshape(shape)
-        return (np.array(ts).reshape(shape), w_at,
+        return (ts.reshape(shape), w(ts).reshape(shape),
                 g.reshape((-1,) + shape), b.reshape(shape + (sp.m,)))
 
     def _f_at(self, t, w_at, b, v) -> np.ndarray:
-        """f(s, u(s)) at the nodes of the given panels, u from samples v."""
-        f = self.problem.nonlinearity.fn
+        """f(s, u(s)) at the nodes of the given panels, u from samples v,
+        in one call of f."""
         y = (b.reshape(-1, v.size) @ v) * w_at.ravel()
-        vals = map(f, t.ravel().tolist(), y.tolist())
-        return np.fromiter(vals, float, count=y.size).reshape(t.shape)
+        return self.problem.nonlinearity.fn(t.ravel(), y).reshape(t.shape)
 
     def _node_of_row(self, r: int) -> float:
         return float(self.problem.space.grid.t[r % self.problem.space.m])
@@ -556,12 +573,17 @@ def second_order_ivp_kernel(v0: float, space: Space) -> tuple:
         raise DomainError(
             "linear forcing has no finite rescaled endpoint for this weight") from e
 
-    def k(t: float, s: float) -> float:
-        return max(t - s, 0.0)
+    def k(t, s):
+        return positive_part(t - s)
 
     dt_slices: tuple = ()
     if w.derivs:
-        def d1(t: float, s: float) -> float:
+        dw = w.derivs[0]
+
+        def d1(t, s):
+            if isinstance(t, np.ndarray) or isinstance(s, np.ndarray):
+                wt = w(t)
+                return np.where(t > s, (wt - (t - s) * dw(t)) / (wt * wt), 0.0)
             if t <= s:
                 return 0.0
             wt = w(t)
@@ -573,8 +595,9 @@ def second_order_ivp_kernel(v0: float, space: Space) -> tuple:
         fn=k,
         support=VOLTERRA,
         name="second-order-ivp",
-        tilde_slice=lambda t, s: max(t - s, 0.0) / w(t),
-        slice_endpoints=lambda s: (max(a - s, 0.0) / w(a), slope_ratio),
+        tilde_slice=lambda t, s: positive_part(t - s) / w(t),
+        slice_endpoints=lambda s: (positive_part(a - s) / w(a),
+                                   filled(slope_ratio, s)),
         dt_slices=dt_slices,
         modulus_weight=lambda s: 1.0 + abs(s),
         kink_locator=lambda t: (t,) if t > a else (),
@@ -601,15 +624,15 @@ def boosted_projectile_problem(space: Space, v0: float = 1.0) -> HammersteinProb
     """
     kernel, p = second_order_ivp_kernel(v0, space)
 
-    def f(t: float, y: float) -> float:
-        return max(y, 0.0) * math.exp(-t)
+    def f(t, y):
+        return positive_part(y) * exp(-t)
 
     nl = Nonlinearity(
         fn=f,
         name="boosted-projectile",
         monotone_in_y=True,
-        upper_envelope=lambda t, rho: rho,
-        lower_envelope=lambda t, rho: 0.0,
+        upper_envelope=lambda t, rho: filled(rho, t),
+        lower_envelope=lambda t, rho: filled(0.0, t, rho),
     )
     return HammersteinProblem(kernel, nl, p, space, name="boosted-projectile",
                               params={"v0": v0})
@@ -627,7 +650,11 @@ def gravity_projectile_problem(space: Space, g: float = 1.0, R: float = 1.0,
         raise DomainError("g and R must be positive")
     kernel, p = second_order_ivp_kernel(v0, space)
 
-    def f(t: float, y: float) -> float:
+    def f(t, y):
+        if isinstance(t, np.ndarray) or isinstance(y, np.ndarray):
+            y = np.broadcast_arrays(t, y)[1]
+            with np.errstate(divide="ignore"):
+                return np.where(y <= -R, np.nan, -g * R * R / (y + R) ** 2)
         if y <= -R:
             return math.nan
         return -g * R * R / (y + R) ** 2

@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from .compactline import CompactMap, Grid
-from .errors import QuadratureError
+from .elementwise import elementwise
+from .errors import DomainError, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -82,57 +84,103 @@ def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
-                       xtol: float = 1e-8, prescan: int = 4) -> tuple:
-    """Approximate max of fn on [lo, hi]: coarse prescan, then golden search
-    around the best prescan cell. Returns (argmax, max)."""
-    xs = [lo + (hi - lo) * i / (prescan + 1) for i in range(prescan + 2)]
-    vals = [fn(x) for x in xs]
-    i = max(range(len(vals)), key=lambda j: vals[j])
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    best = max((vals[i], xs[i]), (fc, c), (fd, d))
-    return best[1], best[0]
+def _values(fn, x: np.ndarray) -> np.ndarray:
+    """fn at every point of the 1-d array x, in one call; a nan is refused."""
+    v = np.asarray(fn(x), dtype=float)
+    if v.shape != x.shape:
+        raise DomainError(f"sup search: fn_x returned shape {v.shape} "
+                          f"for {x.size} points")
+    if math.isnan(np.maximum.reduce(v)):
+        first = float(x[np.isnan(v)][0])
+        raise DomainError(f"sup search: fn_x is nan at x={first!r}")
+    return v
 
 
-def sup_on_grid(fn_x: Callable[[float], float], grid: Grid,
+def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
+                       prescan: int = 4) -> tuple:
+    """Approximate max of fn on every bracket [lo[k], hi[k]]: a coarse
+    prescan, then a golden search around the best prescan cell.
+
+    The brackets run in lockstep: each step calls fn once, on an array
+    with one point per bracket still wider than ``xtol``, and each bracket
+    visits the points a search of it alone would visit. Returns the
+    arrays (argmax, max); a tie goes to the larger x.
+    """
+    lo = np.atleast_1d(np.asarray(lo, float))
+    hi = np.atleast_1d(np.asarray(hi, float))
+    rows = np.arange(lo.size)
+    xs = lo[:, None] + (hi - lo)[:, None] * np.arange(prescan + 2) / (prescan + 1)
+    # an overflow to inf is a value: floating-point warnings stay quiet
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = _values(fn, xs.ravel()).reshape(xs.shape)
+        i = np.argmax(vals, axis=1)
+        a = xs[rows, np.maximum(i - 1, 0)]
+        b = xs[rows, np.minimum(i + 1, prescan + 1)]
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc, fd = np.split(_values(fn, np.concatenate((c, d))), 2)
+        # the final (c, fc, d, fd) of every bracket; the live ones are searched
+        out = [c.copy(), fc.copy(), d.copy(), fd.copy()]
+        live = (b - a) > xtol
+        idx = rows[live]
+        a, b, c, d, fc, fd = (v[live] for v in (a, b, c, d, fc, fd))
+        while idx.size:
+            # fc >= fd keeps [a, d] and probes a new c, else [c, b] and a new d
+            left = fc >= fd
+            a = np.where(left, a, c)
+            b = np.where(left, d, b)
+            width = b - a
+            h = _INVPHI * width
+            x = np.where(left, b - h, a + h)
+            fx = _values(fn, x)
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+            live = width > xtol
+            if np.count_nonzero(live) < live.size:
+                for o, v in zip(out, (c, fc, d, fd)):
+                    o[idx] = v
+                idx = idx[live]
+                a, b, c, d, fc, fd = (v[live] for v in (a, b, c, d, fc, fd))
+    c, fc, d, fd = out
+    cand_v = np.stack((vals[rows, i], fc, fd), axis=1)
+    cand_x = np.stack((xs[rows, i], c, d), axis=1)
+    best = cand_v.max(axis=1)
+    arg = np.where(cand_v == best[:, None], cand_x, -np.inf).max(axis=1)
+    return arg, best
+
+
+def sup_on_grid(fn_x: Callable, grid: Grid,
                 end_vals: Mapping[float, float] | None = None,
                 xtol: float = 1e-8, edge: float = 1e-12) -> float:
     """Sup of fn_x over [-1, 1]: node values, endpoint values, and a golden
     refinement inside every bracket (endpoint brackets clipped inward).
 
-    ``end_vals`` holds the values at the infinite ends, keyed by their
-    compact coordinate -1.0 / 1.0; fn_x is never called at those points.
+    fn_x takes an array of compact coordinates and returns an array of the
+    same shape (a float-only fn_x is wrapped, see ``elementwise``); one call
+    covers every node, then one every bracket's next point (see
+    ``golden_section_max``). A nan value raises DomainError. ``end_vals``
+    holds the values at the infinite ends, keyed by their compact
+    coordinate -1.0 / 1.0; fn_x is never called at those points.
     """
     end_vals = end_vals or {}
     xs = grid.x
-    best = max(end_vals[x] if x in end_vals else fn_x(x) for x in xs)
-    for a, b in zip(xs, xs[1:]):
-        a = max(a, -1.0 + edge)
-        b = min(b, 1.0 - edge)
-        if b <= a:
-            continue
-        _, v = golden_section_max(fn_x, a, b, xtol=xtol)
-        if v > best:
-            best = v
-    return float(best)
+    fn_x = elementwise(fn_x, at=xs[1:3])
+    at_end = np.array([x in end_vals for x in xs.tolist()])
+    lo = np.maximum(xs[:-1], -1.0 + edge)
+    hi = np.minimum(xs[1:], 1.0 - edge)
+    open_ = hi > lo
+    vals = [end_vals[x] for x in xs[at_end].tolist()]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals += _values(fn_x, xs[~at_end]).tolist()
+    if open_.any():
+        _, best = golden_section_max(fn_x, lo[open_], hi[open_], xtol=xtol)
+        vals.append(best.max())
+    return float(max(vals))
 
 
-def inf_on_grid(fn_x: Callable[[float], float], grid: Grid,
+def inf_on_grid(fn_x: Callable, grid: Grid,
                 end_vals: Mapping[float, float] | None = None,
                 xtol: float = 1e-8) -> float:
-    """Inf of fn_x over [-1, 1], with the end convention of sup_on_grid."""
+    """Inf of fn_x over [-1, 1], with the conventions of sup_on_grid."""
     neg_ends = {x: -v for x, v in (end_vals or {}).items()}
     return -sup_on_grid(lambda x: -fn_x(x), grid, neg_ends, xtol=xtol)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import jsonschema
 
 from .compactline import FULL_LINE, HALF_LINE, CompactMap, GridSpec, build_grid
+from .elementwise import filled
 from .errors import ScenarioError
 from .quadrature import QuadratureConfig
 from .weights import Weight, affine, exponential, power
@@ -274,9 +275,9 @@ def build_envelope(spec: dict | None):
         return None
     if spec["kind"] == "proportional":
         coeff = float(spec.get("coefficient", 1.0))
-        return lambda t, rho: coeff * rho
+        return lambda t, rho: filled(coeff * rho, t)
     value = float(spec.get("value", 0.0))
-    return lambda t, rho: value
+    return lambda t, rho: filled(value, t, rho)
 
 
 def build_quad(scn: Scenario) -> QuadratureConfig:

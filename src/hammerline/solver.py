@@ -48,14 +48,14 @@ def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None
                  relaxation: float = 1.0, *,
                  quad: QuadratureConfig | None = None,
                  keep_iterates: bool = False) -> Solution:
-    """Iterate u <- (1-theta)u + theta*Tu until the update norm drops
-    below tol.
+    """Iterate u <- (1-theta)u + theta*Tu until the residual ||Tu - u||
+    of an iterate is at most tol.
 
     Starts from the forcing term when no u0 is given. When the update norm
     grows for 3 consecutive iterations the relaxation is halved. Returns
     the iterate with the smallest observed residual whether or not the
-    tolerance was reached; ``converged`` additionally requires that
-    residual to be at most tol.
+    tolerance was reached; ``converged`` says whether that residual is at
+    most tol.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -91,9 +91,9 @@ def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None
         u = u_next
         if keep_iterates:
             iterates.append(u)
-        if upd < tol:
+        if res <= tol:
             break
-    converged = bool(trace and trace[-1] < tol and best_res <= tol)
+    converged = bool(best_res <= tol)
     slope = float(best_u.samples[0, -1])
     return Solution(u=best_u, iterations=iterations, residual=best_res,
                     converged=converged, slope=slope, trace=tuple(trace),

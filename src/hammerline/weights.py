@@ -11,15 +11,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .compactline import CompactMap, Grid, refining_tail_x
+from .elementwise import elementwise, exp, filled, scalar_fn
 from .errors import DomainError
-
-
-def _safe_exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -27,7 +23,9 @@ class Weight:
     """Positive weight with an optional stack of derivative evaluators.
 
     ``fn`` must accept any point of the interval closure; evaluation at an
-    infinite endpoint may return ``inf`` (the weight diverges there).
+    infinite endpoint may return ``inf`` (the weight diverges there). ``fn``
+    and the derivative evaluators take a float or an array (see
+    ``elementwise``); float-only ones are wrapped at construction.
     """
 
     fn: Callable[[float], float]
@@ -35,8 +33,13 @@ class Weight:
     params: dict = field(default_factory=dict)
     derivs: tuple = ()
 
-    def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+    def __post_init__(self):
+        object.__setattr__(self, "fn", elementwise(self.fn))
+        object.__setattr__(self, "derivs", tuple(elementwise(d) for d in self.derivs))
+
+    def __call__(self, t):
+        v = self.fn(t)
+        return v if isinstance(v, np.ndarray) else float(v)
 
     def derivative(self, t: float, order: int = 1) -> float:
         if order < 1 or order > len(self.derivs):
@@ -50,17 +53,17 @@ def affine(b: float = 1.0, scale: float = 1.0) -> Weight:
         fn=lambda t: scale * (t + b),
         label="affine",
         params={"b": b, "scale": scale},
-        derivs=(lambda t: scale,),
+        derivs=(lambda t: filled(scale, t),),
     )
 
 
 def exponential(c: float = 1.0, rate: float = 1.0) -> Weight:
     """c * exp(rate * t)."""
     return Weight(
-        fn=lambda t: c * _safe_exp(rate * t),
+        fn=lambda t: c * exp(rate * t),
         label="exponential",
         params={"c": c, "rate": rate},
-        derivs=(lambda t: c * rate * _safe_exp(rate * t),),
+        derivs=(lambda t: c * rate * exp(rate * t),),
     )
 
 
@@ -92,7 +95,7 @@ def weight_key(w: Weight) -> tuple:
     names = _BUILDER_PARAMS.get(w.label)
     if names is not None and sorted(w.params) == sorted(names):
         return (w.label,) + tuple(w.params[n] for n in names)
-    return ("fn", w.fn)
+    return ("fn", scalar_fn(w.fn))
 
 
 def same_weight(a: Weight, b: Weight) -> bool:

@@ -89,6 +89,24 @@ def test_picard_parameter_validation(problem_c2):
         hl.picard_solve(problem_c2, max_iters=0)
 
 
+def test_picard_stops_on_the_residual():
+    # gravity at m=81 with relaxation 0.5: the relaxed update 0.5*||Tu - u||
+    # fell below tol one iteration before the residual did, and stopping on
+    # it left a residual of 1.65e-8 > tol, reported as not converged
+    from conftest import make_space
+
+    problem = hl.gravity_projectile_problem(make_space(m=81), g=1.0, R=1.0, v0=2.0)
+    tol = 1e-8
+    sol = hl.picard_solve(problem, tol=tol, max_iters=300, relaxation=0.5,
+                          keep_iterates=True)
+    assert sol.converged
+    assert sol.residual <= tol
+    assert sol.iterations == len(sol.trace) == 31
+    assert sol.u is sol.iterates[-2]
+    assert sol.trace[-2] < tol < hl.residual_norm(problem, sol.iterates[-3])
+    assert sol.residual == pytest.approx(8.78e-9, rel=1e-3)
+
+
 def test_single_iteration_budget_is_honest(problem_c2):
     sol = hl.picard_solve(problem_c2, tol=1e-14, max_iters=1)
     assert sol.iterations == 1

@@ -102,6 +102,25 @@ class CompactMap:
             return INF
         return self.a + self.L * (1.0 + x) / (1.0 - x)
 
+    def to_angle(self, x):
+        """The angles of compact coordinates x (an array), see from_angle."""
+        if self.kind == FULL_LINE:
+            return np.arcsin(np.arcsin(x) * (2.0 / np.pi))
+        return np.arcsin(x)
+
+    def from_angle(self, theta: np.ndarray) -> tuple:
+        """(t, x, dt/dtheta) at angles theta in (-pi/2, pi/2): x = sin(theta)
+        on a half-line, sin(pi/2 sin(theta)) on the full line, so t grows like
+        the angle's distance to an infinite end to the power -2. t and
+        dt/dtheta keep their relative accuracy toward the ends."""
+        s, c = np.sin(theta), np.cos(theta)
+        if self.kind == FULL_LINE:
+            g = (0.5 * np.pi) * c * c / (1.0 + np.abs(s))   # x = +-cos(g)
+            return (np.copysign(self.L / np.tan(g), s), np.copysign(np.cos(g), s),
+                    (0.5 * np.pi) * self.L * c / np.sin(g) ** 2)
+        r = np.tan(0.25 * np.pi + 0.5 * theta)     # (1 + x) / (1 - x) = r^2
+        return self.a + self.L * r * r, s, self.L * r * (1.0 + r * r)
+
     def _from_open(self, x: np.ndarray) -> np.ndarray:
         if self.kind == FULL_LINE:
             return self.L * x / np.sqrt((1.0 - x) * (1.0 + x))

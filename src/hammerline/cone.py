@@ -20,15 +20,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compactline import Grid
-from .elementwise import elementwise, filled
+from .elementwise import elementwise, filled, pointwise
 from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, inf_on_grid,
-                         integrate_interval, sup_on_grid)
+                         integrate_compact, integrate_interval, sup_on_grid)
 from .weights import Weight, tail_trend, weight_key
 from .weighted_space import Space, WeightedFunction, norm
-from .hammerstein import (HammersteinProblem, Kernel, apply_T, c3_bound_profile,
-                          dominator_check, kernel_limits, kernel_modulus_check,
-                          slice_endpoint_values, slice_tilde, VOLTERRA)
+from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
+                          c3_bound_profile, dominator_check, kernel_limits,
+                          kernel_modulus_check)
 
 POS_TOL = 1e-12          # admitted negativity slack for "nonnegative"
 SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities computed exactly
@@ -93,12 +93,14 @@ def _tail_value(fn, cmap, side: float, undecided: str) -> float:
 
 
 def _integral_part(g, space: Space, quad: QuadratureConfig, kinks=()) -> float:
-    """Integral of g over the interval, refused when a tail is not integrable."""
+    """Integral of g(t, x) over the interval (see ``integrate_compact``),
+    refused when a tail is not integrable."""
     cmap = space.map
     for side in cmap.infinite_ends():
-        _certify_integrable_tail(lambda t: abs(g(t)), cmap, side)
+        _certify_integrable_tail(lambda t: abs(g(t, cmap.to_compact(t))), cmap, side)
     try:
-        return integrate_interval(g, cmap, quad, breakpoints=kinks)
+        return integrate_compact(
+            g, cmap, quad, [-1.0, *(cmap.to_compact(k) for k in kinks), 1.0])
     except QuadratureError as e:
         raise DomainError(f"integral part did not converge: {e}") from e
 
@@ -151,8 +153,7 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
     interp = grid.interpolant(row)
 
     def integral(w2: Weight) -> float:
-        return _integral_part(
-            lambda t: interp(cmap.to_compact(t)) * phi(t) / w2(t), sp, quad)
+        return _integral_part(lambda t, x: interp(x) * phi(t) / w2(t), sp, quad)
 
     def sup(w3: Weight) -> float:
         ends = {}
@@ -184,8 +185,8 @@ def _raw_key(quad: QuadratureConfig, space: Space, key, kinks) -> tuple | None:
 
 def _raw_integral(fn, space: Space, quad: QuadratureConfig, kinks):
     """The integral part of a raw callable, as a function of its weight."""
-    return lambda w2: _integral_part(lambda t: float(fn(t)) / w2(t), space,
-                                     quad, kinks)
+    return lambda w2: _integral_part(lambda t, x: fn(t) / w2(t), space, quad,
+                                     kinks)
 
 
 def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
@@ -194,20 +195,19 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                         memo: dict | None = None, key=None) -> float:
     """Functional applied to a raw callable (kernel slices and the like).
 
-    ``fn`` takes a float or an array; a float-only one is wrapped for the
-    sup search (see ``elementwise``). At an infinite end the sup part takes
-    the certified limit of |fn|/sup_weight, and refuses when it diverges or
-    is undecided. ``key`` (hashable) names the callable for ``memo``; a
-    callable without a key is never memoized.
+    ``fn`` takes a float or an array; a float-only one is wrapped (see
+    ``elementwise``). At an infinite end the sup part takes the certified
+    limit of |fn|/sup_weight, and refuses when it diverges or is undecided.
+    ``key`` (hashable) names the callable for ``memo``; a callable without a
+    key is never memoized.
     """
     quad = quad or DEFAULT_QUAD
     grid, cmap = space.grid, space.map
+    fn = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
 
     def sup(w3: Weight) -> float:
-        fn_t = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
-
-        def h(t: float) -> float:
-            return abs(float(fn_t(t))) / w3(t)
+        def h(t):
+            return abs(fn(t)) / w3(t)
 
         ends = {}
         for x in cmap.infinite_ends():
@@ -216,11 +216,7 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                 raise DomainError("sup part unbounded for this slice")
             ends[x] = abs(lim)
 
-        def fn_x(x):   # h inlined: one call less per evaluation
-            t = cmap.from_compact(x)
-            return abs(fn_t(t)) / w3(t)
-
-        return sup_on_grid(fn_x, grid, ends)
+        return sup_on_grid(lambda x: h(cmap.from_compact(x)), grid, ends)
 
     return _combine(spec, _raw_integral(fn, space, quad, kinks), sup, memo,
                     _raw_key(quad, space, key, kinks))
@@ -244,20 +240,6 @@ def _slice_key(kernel: Kernel, s: float) -> tuple:
     """What the slice at s depends on, as a memo key."""
     return (kernel.fn, kernel.eta, kernel.support, s)
 
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-
-
-def _gauss_segments(g, xs) -> float:
-    """Composite 8-point Gauss quadrature over consecutive segments."""
-    total = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * math.fsum(
-            wgt * g(mid + half * xx) for xx, wgt in zip(_GAUSS_X, _GAUSS_W))
-    return total
 
 @dataclass(frozen=True)
 class ProfileIntegral:
@@ -317,7 +299,7 @@ def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
 
     s_vals = _profile_s_grid(space, s_points)
     vals = [profile(s) for s in s_vals]
-    integral = integrate_interval(profile, cmap, quad)
+    integral = integrate_interval(pointwise(profile), cmap, quad)
     min_i = min(range(len(vals)), key=lambda i: vals[i])
     positive = (vals[min_i] >= -POS_TOL) and (max(vals) > 0.0)
     return ProfileIntegral(
@@ -613,9 +595,8 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     for t in _probe_ts(grid):
         hi = t if kern.support == VOLTERRA else None
         try:
-            val = integrate_interval(
-                lambda s: abs(float(kern.fn(t, s)) * float(kern.eta(s))),
-                cmap, quad, hi=hi, node=t)
+            val = integrate_interval(lambda s: abs(kern.fn(t, s) * kern.eta(s)),
+                                     cmap, quad, hi=hi, node=t)
             probe_integrals[f"t={t:.6g}"] = val
         except QuadratureError as e:
             c1_ok = False
@@ -733,15 +714,11 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     # sampled cone elements and their operator images
     cone_samples = _sample_cone_elements(sp, cone, quad, samples, rng, memo=memo)
     images = [apply_T(problem, u, quad) for u in cone_samples]
-    raw_evals = []
-    for u in cone_samples:
-        interp = grid.interpolant(u.samples[0])
-        raw_evals.append(lambda s, _i=interp: _i(cmap.to_compact(s)) * w(s))
 
     relaxed = QuadratureConfig(tol=1e-9, rel_tol=1e-10,
                                max_subdivisions=quad.max_subdivisions)
 
-    def exact_integral_rhs(w2: Weight, u_raw) -> float:
+    def exact_integral_rhs(w2: Weight, u: WeightedFunction) -> float:
         # Fubini route: fresh inner slice integrals under an adaptive outer
         # quadrature; exact to quadrature tolerance
         def inner(s: float) -> float:
@@ -750,42 +727,37 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
             return _memoized(memo, key, "integral",
                              _raw_integral(fn, sp, relaxed, kinks))(w2)
 
+        interp = grid.interpolant(u.samples[0])
+
         def g(s: float) -> float:
-            return inner(s) * float(nl.fn(s, u_raw(s)))
+            return inner(s) * float(nl.fn(s, interp(cmap.to_compact(s)) * w(s)))
 
-        return integrate_interval(g, cmap, relaxed)
+        return integrate_interval(pointwise(g), cmap, relaxed)
 
-    def tab_sup_rhs(prof: ProfileIntegral, u_raw) -> float:
-        # composite Gauss on the tabulated sup-part profile: exact for the
-        # piecewise-linear factor; accuracy limited by the table resolution
-        xs = np.asarray(prof.x_values)
-        vs = np.asarray(prof.values)
-        segs = np.unique(np.concatenate((xs, [-1.0, 1.0])))
+    def tab_sup_rhs(prof: ProfileIntegral, u: WeightedFunction) -> float:
+        # the sup-part profile, linear between its table points (the cuts)
+        xs, vs = np.asarray(prof.x_values), np.asarray(prof.values)
+        interp = grid.interpolant(u.samples[0])
+        return integrate_compact(
+            lambda t, x: np.interp(x, xs, vs) * nl.fn(t, interp(x) * w(t)),
+            cmap, quad, [-1.0, *xs, 1.0])
 
-        def g(x: float) -> float:
-            t = cmap.from_compact(x)
-            if not math.isfinite(t):
-                return 0.0
-            val = float(np.interp(x, xs, vs)) * float(nl.fn(t, u_raw(t)))
-            return val * cmap.jacobian(x)
+    def spec_rhs(spec: FunctionalSpec, sup_prof, u) -> float:
+        """Inner integral of spec(slice)*f(s, u(s))."""
+        return _combine(spec, lambda w2: exact_integral_rhs(w2, u),
+                        lambda _w3: tab_sup_rhs(sup_prof, u))
 
-        return _gauss_segments(g, segs)
-
-    def spec_rhs(spec: FunctionalSpec, sup_prof, u_raw) -> tuple:
-        """Inner integral of spec(slice)*f(s, u(s)); returns (value, exact)."""
-        value = _combine(spec, lambda w2: exact_integral_rhs(w2, u_raw),
-                         lambda _w3: tab_sup_rhs(sup_prof, u_raw))
-        return value, spec.kind == "weighted-integral"
+    def ineq_tol(spec: FunctionalSpec) -> float:   # a sup part reads the table
+        return SAMPLE_INEQ_TOL if spec.kind == "weighted-integral" else SUP_TAB_TOL
 
     # C6: cone functional of images dominates the slice estimate
     c6_ok = True
     c6_witness = None
     c6_checked = 0
-    c6_tol = SAMPLE_INEQ_TOL if cone.kind == "weighted-integral" else SUP_TAB_TOL
-    for u, Tu, u_raw in zip(cone_samples, images, raw_evals):
+    c6_tol = ineq_tol(cone)
+    for u, Tu in zip(cone_samples, images):
         lhs = eval_functional(cone, Tu, quad, memo=memo)
-        val, _ = spec_rhs(cone, cone_sup_prof, u_raw)
-        rhs = val + alpha_p
+        rhs = spec_rhs(cone, cone_sup_prof, u) + alpha_p
         c6_checked += 1
         slack = lhs - rhs
         if slack < -c6_tol * max(1.0, abs(lhs), abs(rhs)):
@@ -825,17 +797,13 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         c7_ok = False
         c7_detail.append("homogeneity/additivity violated on samples")
     op_worst = None
-    for u, Tu, u_raw in zip(cone_samples, images, raw_evals):
-        b_rhs_val, b_exact = spec_rhs(upper, upper_prof, u_raw)
-        g_rhs_val, g_exact = spec_rhs(lower, lower_prof, u_raw)
+    for u, Tu in zip(cone_samples, images):
+        b_rhs = spec_rhs(upper, upper_prof, u) + beta_p
+        g_rhs = spec_rhs(lower, lower_prof, u) + gamma_p
         b_lhs = eval_functional(upper, Tu, quad, memo=memo)
-        b_rhs = b_rhs_val + beta_p
         g_lhs = eval_functional(lower, Tu, quad, memo=memo)
-        g_rhs = g_rhs_val + gamma_p
-        tol_b = (SAMPLE_INEQ_TOL if b_exact else SUP_TAB_TOL) \
-            * max(1.0, abs(b_lhs), abs(b_rhs))
-        tol_g = (SAMPLE_INEQ_TOL if g_exact else SUP_TAB_TOL) \
-            * max(1.0, abs(g_lhs), abs(g_rhs))
+        tol_b = ineq_tol(upper) * max(1.0, abs(b_lhs), abs(b_rhs))
+        tol_g = ineq_tol(lower) * max(1.0, abs(g_lhs), abs(g_rhs))
         if b_lhs > b_rhs + tol_b or g_lhs < g_rhs - tol_g:
             c7_ok = False
             op_worst = {"upper_lhs": b_lhs, "upper_rhs": b_rhs,

@@ -4,10 +4,11 @@ Every callable of a problem (kernel, density, weight, nonlinearity,
 envelopes, raw slices, sup-search integrands) takes floats or numpy arrays
 and returns the broadcast shape of its arguments: a float for floats, an
 array for arrays. The bundled builders are written that way, with a plain
-``math`` path for floats, since scipy ``quad`` calls them one point at a
-time. A callable written for floats only is wrapped once by
-``elementwise``, which calls it point by point on arrays and directly on
-floats, so it gives the values of the scalar calls.
+``math`` path for floats, since the regularity probes
+(``dominator_check``, ``kernel_modulus_check``) and the ``tail_limit``
+probes call them one point at a time. A callable written for floats only
+is wrapped once by ``elementwise``, which calls it point by point on
+arrays and directly on floats, so it gives the values of the scalar calls.
 """
 
 from __future__ import annotations
@@ -70,16 +71,21 @@ def elementwise(fn: Callable | None, nargs: int = 1, *, outputs: int = 1,
     array (``at``, default (0.5, 2.0)) and the others its first entry; fn
     maps arrays when every probe returns arrays of that shape (a tuple of
     ``outputs`` of them); an exception in a probe makes it float-only, and
-    warnings in a probe are silenced. The wrapper passes floats straight
-    through and keeps the original callable as ``scalar_fn``.
+    warnings in a probe are silenced. The wrapper is ``pointwise(fn)``.
     """
     if fn is None or hasattr(fn, "scalar_fn"):
         return fn
     at = _PROBE if at is None else np.asarray(at, dtype=float)
     if _maps_arrays(fn, nargs, outputs, at):
         return fn
+    return pointwise(fn, outputs=outputs)
 
-    def pointwise(*args):
+
+def pointwise(fn: Callable, *, outputs: int = 1) -> Callable:
+    """fn wrapped to be called once per point of its (broadcast) array
+    arguments, and directly on floats; the wrapper keeps it as ``scalar_fn``."""
+
+    def wrapper(*args):
         if not _is_array(*args):
             return fn(*args)
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
@@ -90,8 +96,8 @@ def elementwise(fn: Callable | None, nargs: int = 1, *, outputs: int = 1,
             return tuple(np.empty(shape) for _ in range(outputs))
         return tuple(np.array(col, dtype=float).reshape(shape) for col in zip(*vals))
 
-    pointwise.scalar_fn = fn
-    return pointwise
+    wrapper.scalar_fn = fn
+    return wrapper
 
 
 def scalar_fn(fn: Callable) -> Callable:

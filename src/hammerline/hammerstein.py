@@ -16,10 +16,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .compactline import CompactMap, Grid, barycentric_matrix
-from .elementwise import elementwise, exp, filled, positive_part
+from .elementwise import elementwise, exp, filled, pointwise, positive_part
 from .errors import DomainError, QuadratureError
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval, sup_on_grid
-from .weights import Weight, tail_limit
+from .quadrature import (DEFAULT_QUAD, RULE_W, QuadratureConfig,
+                         integrate_interval, integrate_panels, panel_nodes, splice,
+                         sup_on_grid)
+from .weights import Weight, tail_limit, tail_trend
 from .weighted_space import Space, WeightedFunction, from_tilde, spaces_compatible
 
 VOLTERRA = "volterra"
@@ -139,10 +141,8 @@ def slice_endpoint_values(kernel: Kernel, weight: Weight, s,
             return lo, hi
         return float(lo), float(hi)
     if isinstance(s, np.ndarray):
-        pairs = [slice_endpoint_values(kernel, weight, v, cmap)
-                 for v in s.ravel().tolist()]
-        return tuple(np.array([p[k] for p in pairs]).reshape(s.shape)
-                     for k in (0, 1))
+        return pointwise(lambda v: slice_endpoint_values(kernel, weight, v, cmap),
+                         outputs=2)(s)
     lo_end, _ = cmap.interval()
     if math.isfinite(lo_end):
         lo = slice_tilde(kernel, weight, lo_end, s)
@@ -179,32 +179,6 @@ def kernel_limits(kernel: Kernel, phi: Weight, s: float, *,
 # ---------------------------------------------------------------------------
 # operator evaluation
 
-# Gauss-Legendre rule on both halves of a panel (the value) and on the whole
-# panel (the comparison behind the error estimate); the columns of a panel
-# are its left-half, right-half and whole-panel nodes, on the reference [-1, 1].
-# With 12 points the bundled problems' estimates stay about 30 times under
-# the default tolerance; with 10 they came within 2.5 times of it.
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
-_PANEL_X = np.concatenate(((_GAUSS_X - 1.0) / 2.0, (_GAUSS_X + 1.0) / 2.0,
-                           _GAUSS_X))
-_HALVES_W = np.concatenate((_GAUSS_W / 2.0, _GAUSS_W / 2.0,
-                            np.zeros_like(_GAUSS_W)))
-_DIFF_W = _HALVES_W - np.concatenate((np.zeros(2 * _GAUSS_W.size), _GAUSS_W))
-
-
-def _splice(old: np.ndarray, new: np.ndarray, keep: np.ndarray,
-            fresh: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Array indexed by panel along ``axis``, with the kept old panels and
-    the fresh ones."""
-    shape = list(old.shape)
-    shape[axis] = fresh.size
-    out = np.empty(shape)
-    lead = (slice(None),) * axis
-    out[lead + (~fresh,)] = old[lead + (keep,)]
-    out[lead + (fresh,)] = new
-    return out
-
-
 class NystromOperator:
     """The integral operator of a problem, discretised for one quadrature
     config (Nystrom method, Atkinson 1997, ch. 4).
@@ -215,11 +189,11 @@ class NystromOperator:
     k(t_i,s) eta(s) dt/dx for a finite node, z(s) dt/dx for an infinite
     one, d^j/dt^j slice times dt/dx in derivative row j) and the barycentric
     matrix ``B`` (quadrature node by grid node, a node's exact row where a
-    query hits it), both indexed by panel and node within the panel. An application evaluates f once per
-    quadrature node between two matrix-vector products. A row whose error
-    estimate exceeds max(tol, rel_tol * |value|) splits its worst panels,
-    and the operator keeps them; splitting past ``max_subdivisions`` panels
-    raises QuadratureError.
+    query hits it), both indexed by panel first and node within the panel.
+    An application evaluates f once per quadrature node, between B and G. A
+    row whose estimate exceeds max(tol, rel_tol * |value|) splits its worst
+    panel, and the operator keeps the split: the rule, the refinement and
+    its refusals are ``quadrature.integrate_panels``.
     """
 
     def __init__(self, problem: HammersteinProblem, cfg: QuadratureConfig):
@@ -251,10 +225,10 @@ class NystromOperator:
 
     def _panels(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """Node times, weight values, G and B blocks of the ascending panels
-        [lo, hi]; the panel is the second axis of G, the first of the rest."""
+        [lo, hi], each indexed by panel first."""
         sp, kern = self.problem.space, self.problem.kernel
         grid, cmap, w = sp.grid, sp.map, sp.weight
-        x = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _PANEL_X
+        x, _ = panel_nodes(lo, hi)
         xs = x.ravel()
         ts = cmap.from_compact(xs)
         jac = cmap.jacobian(xs)
@@ -269,87 +243,50 @@ class NystromOperator:
                     ends = slice_endpoint_values(kern, w, ts, cmap)
                 g[0, i] = ends[0 if ti < 0 else 1] * jac
                 continue
-            n = _PANEL_X.size * int(np.count_nonzero(hi <= self.row_end[i]))
+            n = x.shape[1] * int(np.count_nonzero(hi <= self.row_end[i]))
             g[0, i, :n] = kern.fn(ti, ts[:n]) * eta_jac[:n]
             for j, dslice in enumerate(kern.dt_slices[:sp.order], start=1):
                 g[j, i, :n] = dslice(ti, ts[:n]) * jac[:n]
         b = barycentric_matrix(grid.x, grid.bary_w, xs)
         shape = x.shape
         return (ts.reshape(shape), w(ts).reshape(shape),
-                g.reshape((-1,) + shape), b.reshape(shape + (sp.m,)))
-
-    def _f_at(self, t, w_at, b, v) -> np.ndarray:
-        """f(s, u(s)) at the nodes of the given panels, u from samples v,
-        in one call of f."""
-        y = (b.reshape(-1, v.size) @ v) * w_at.ravel()
-        return self.problem.nonlinearity.fn(t.ravel(), y).reshape(t.shape)
+                np.ascontiguousarray(g.reshape((-1,) + shape).transpose(1, 0, 2)),
+                b.reshape(shape + (sp.m,)))
 
     def _node_of_row(self, r: int) -> float:
         return float(self.problem.space.grid.t[r % self.problem.space.m])
 
     def apply(self, u: WeightedFunction) -> WeightedFunction:
         """Image of u, refining the panels until every row estimate passes."""
-        sp, cfg = self.problem.space, self.cfg
+        sp = self.problem.space
         if not spaces_compatible(u.space, sp):
             raise DomainError("operand does not live in the problem space")
         v = u.samples[0]
-        fv = self._f_at(self.t, self.w_at, self.B, v)
-        while True:
-            nan_panels = np.flatnonzero(np.isnan(fv).any(axis=1))
+
+        def parts(lo, hi, keep, fresh):
+            t, w_at, g, b = self.t, self.w_at, self.G, self.B
+            if keep.size:    # a refinement: the fresh panels are built and kept
+                t, w_at, g, b = self._panels(lo[fresh], hi[fresh])
+                self.t, self.w_at, self.G, self.B = (
+                    splice(old, new, keep, fresh) for old, new in
+                    ((self.t, t), (self.w_at, w_at), (self.G, g), (self.B, b)))
+                self.lo, self.hi = lo, hi
+            # f(s, u(s)) at the nodes of the fresh panels, in one call of f
+            y = (b.reshape(-1, v.size) @ v) * w_at.ravel()
+            f = self.problem.nonlinearity.fn(t.ravel(), y).reshape(t.shape)
+            nan_panels = np.flatnonzero(np.isnan(f).any(axis=1))
             if nan_panels.size:
-                i = np.argmax(self.row_end >= self.hi[nan_panels[0]])
+                i = np.argmax(self.row_end >= hi[fresh][nan_panels[0]])
                 raise QuadratureError("integration returned nan",
-                                      node=self._node_of_row(i),
-                                      estimate=math.nan)
-            half = 0.5 * (self.hi - self.lo)[:, None]
-            raw = self.G.reshape(-1, fv.size) @ (half * _HALVES_W * fv).ravel()
-            err = np.abs(np.einsum("rpk,pk->rp", self.G, half * _DIFF_W * fv))
-            est = err.sum(axis=1)
-            tol = np.maximum(cfg.tol, cfg.rel_tol * np.abs(raw))
-            over = est > tol
-            if not over.any():
-                break
-            fv = self._refine(err, est, tol, over, fv, v)
+                                      node=self._node_of_row(i), estimate=math.nan)
+            half = 0.5 * (hi - lo)[fresh, None, None]
+            return g @ (half * f[:, :, None] * RULE_W)
+
+        raw, est = integrate_panels(parts, self.lo, self.hi, self.cfg,
+                                    self._node_of_row)
         self.last_error = float(est.max())
         rows = raw.reshape(self.div.shape) / self.div + self.problem.forcing.samples
         return WeightedFunction(sp, rows)
-
-    def _refine(self, err, est, tol, over, fv, v) -> np.ndarray:
-        """Split the worst panels of every row over tolerance until what is
-        left of its estimate is at most half its tolerance; returns f at the
-        nodes of the refined panels."""
-        split = np.zeros(self.lo.size, bool)
-        for r in np.flatnonzero(over):
-            worst = np.argsort(err[r])[::-1]
-            rest = est[r] - np.cumsum(err[r][worst])
-            split[worst[:np.argmax(rest <= 0.5 * tol[r]) + 1]] = True
-        mid = 0.5 * (self.lo + self.hi)
-        counts = 1 + split
-        why = None
-        if counts.sum() > self.cfg.max_subdivisions:
-            why = (f"{counts.sum()} panels would pass the limit of "
-                   f"{self.cfg.max_subdivisions}")
-        elif np.any(split & ~((self.lo < mid) & (mid < self.hi))):
-            why = "a panel is too narrow to split"
-        if why is not None:
-            r = int(np.argmax(np.where(over, est, -1.0)))
-            raise QuadratureError(f"integration did not converge: {why}",
-                                  node=self._node_of_row(r),
-                                  estimate=float(est[r]))
-        start = np.cumsum(counts) - counts
-        lo, hi = np.repeat(self.lo, counts), np.repeat(self.hi, counts)
-        hi[start[split]] = mid[split]
-        lo[start[split] + 1] = mid[split]
-        fresh = np.repeat(split, counts)
-        keep = ~split
-        t, w_at, g, b = self._panels(lo[fresh], hi[fresh])
-        fv = _splice(fv, self._f_at(t, w_at, b, v), keep, fresh)
-        self.t, self.w_at, self.B = (
-            _splice(old, new, keep, fresh) for old, new in
-            ((self.t, t), (self.w_at, w_at), (self.B, b)))
-        self.G = _splice(self.G, g, keep, fresh, axis=1)
-        self.lo, self.hi = lo, hi
-        return fv
 
 
 def apply_T(problem: HammersteinProblem, u: WeightedFunction,
@@ -430,9 +367,9 @@ def kernel_modulus_check(kernel: Kernel, phi: Weight, omega: Callable[[float], f
 def resolve_dominator(nl: Nonlinearity, phi: Weight):
     """Radius -> pointwise bound of f(t, y*phi(t)) over |y| <= r, or None."""
     if nl.dominator is not None:
-        return lambda r: nl.dominator(r, phi)
+        return lambda r: elementwise(nl.dominator(r, phi))
     if nl.monotone_in_y:
-        return lambda r: (lambda t: float(nl.fn(t, r * phi(t))))
+        return lambda r: (lambda t: nl.fn(t, r * phi(t)))
     return None
 
 
@@ -491,7 +428,9 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
     |k(t,s)eta(s)| * phi_r(s) ds over the kernel support; at an infinite
     node it is the integral of |z(s)| * phi_r(s). Scalars collect the
     integrals of omega*phi_r, |z_lo|*phi_r, |z_hi|*phi_r, and sup|slice|*phi_r
-    that certify integrable tails. A divergent integral yields a fail report.
+    that certify integrable tails. A divergent integral yields a fail report,
+    and so does a sup|slice|*phi_r tail without a certified |s|^-3/2 bound:
+    a sup search resolves a slice only so far out.
     """
     quad = quad or DEFAULT_QUAD
     sp = problem.space
@@ -502,45 +441,37 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
         raise DomainError("bound profile needs a dominator (see dominator_check)")
     phi_r = dom(r)
 
-    def abs_weighted(t: float, s: float) -> float:
-        return abs(float(kern.fn(t, s)) * float(kern.eta(s))) * float(phi_r(s))
+    def z_integral(side: int, node: float | None = None) -> float:
+        return integrate_interval(
+            lambda s: abs(slice_endpoint_values(kern, w, s, cmap)[side]) * phi_r(s),
+            cmap, quad, node=node)
 
     values = []
     try:
         for ti in grid.t:
             if math.isinf(ti):
-                side = 0 if ti < 0 else 1
-
-                def z_dom(s: float, _side=side) -> float:
-                    z = slice_endpoint_values(kern, w, s, cmap)[_side]
-                    return abs(z) * float(phi_r(s))
-
-                values.append(integrate_interval(z_dom, cmap, quad, node=ti))
-            else:
-                kinks = tuple(kern.kink_locator(ti)) if kern.kink_locator else ()
-                hi = ti if kern.support == VOLTERRA else None
-                raw = integrate_interval(lambda s: abs_weighted(ti, s), cmap, quad,
-                                         hi=hi, breakpoints=kinks, node=ti)
-                values.append(raw / w(ti))
+                values.append(z_integral(0 if ti < 0 else 1, ti))
+                continue
+            kinks = tuple(kern.kink_locator(ti)) if kern.kink_locator else ()
+            raw = integrate_interval(
+                lambda s: abs(kern.fn(ti, s) * kern.eta(s)) * phi_r(s), cmap, quad,
+                hi=ti if kern.support == VOLTERRA else None, breakpoints=kinks, node=ti)
+            values.append(raw / w(ti))
         scalars = {}
         if kern.modulus_weight is not None:
             scalars["modulus_dominator_integral"] = integrate_interval(
-                lambda s: float(kern.modulus_weight(s)) * float(phi_r(s)), cmap, quad)
-        z_cache: dict = {}
-
-        def z_at(s: float) -> tuple:
-            if s not in z_cache:
-                z_cache[s] = slice_endpoint_values(kern, w, s, cmap)
-            return z_cache[s]
-
-        scalars["abs_z_lo_integral"] = integrate_interval(
-            lambda s: abs(z_at(s)[0]) * float(phi_r(s)), cmap, quad)
-        scalars["abs_z_hi_integral"] = integrate_interval(
-            lambda s: abs(z_at(s)[1]) * float(phi_r(s)), cmap, quad)
+                lambda s: kern.modulus_weight(s) * phi_r(s), cmap, quad)
+        scalars["abs_z_lo_integral"] = z_integral(0)
+        scalars["abs_z_hi_integral"] = z_integral(1)
         if include_sup_integral:
+            def sup_slice(s: float) -> float:
+                return kernel_limits(kern, w, s, grid=grid).sup * float(phi_r(s))
+
+            if any(tail_trend(lambda s: abs(sup_slice(s)) * abs(s) ** 1.5, cmap,
+                              side)[0] != "limit" for side in cmap.infinite_ends()):
+                raise DomainError("sup|slice| * phi_r has no certified integrable tail")
             scalars["sup_slice_integral"] = integrate_interval(
-                lambda s: kernel_limits(kern, w, s, grid=grid).sup * float(phi_r(s)),
-                cmap, quad)
+                pointwise(sup_slice), cmap, quad)
     except (QuadratureError, DomainError) as e:
         return BoundProfile(False, r, tuple(values), math.inf, {}, failure=str(e))
 

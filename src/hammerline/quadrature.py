@@ -1,9 +1,11 @@
-"""Adaptive quadrature over the compactified interval, plus sup search.
+"""One adaptive panel quadrature for every integral, plus sup search.
 
-Integrals with an infinite bound are evaluated in the compact coordinate
-with the map jacobian folded into the integrand; finite ranges integrate
-directly in the original variable. Sup searches combine grid values with
-golden-section refinement inside each bracket.
+Every integral, the rows of the Nystrom operator included, sums a
+Gauss-Kronrod 10/21 rule over panels and bisects the worst panel until its
+estimate passes. Integrals over the interval run in the angle of
+``CompactMap.from_angle``, with the map's jacobian folded into the
+integrand. Sup searches combine grid values with golden-section refinement
+inside each bracket.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .compactline import CompactMap, Grid
 from .elementwise import elementwise
@@ -22,28 +23,109 @@ from .errors import DomainError, QuadratureError
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    tol: float = 1e-10          # absolute tolerance handed to the integrator
+    tol: float = 1e-10          # absolute tolerance of an integral
     rel_tol: float = 1e-11
-    max_subdivisions: int = 2000
+    max_subdivisions: int = 2000   # panels an integral may use
 
 
 DEFAULT_QUAD = QuadratureConfig()
 
 
-def _run_quad(fn, lo, hi, cfg: QuadratureConfig, points, node):
-    kwargs = dict(epsabs=cfg.tol, epsrel=cfg.rel_tol,
-                  limit=cfg.max_subdivisions, full_output=1)
-    pts = sorted(p for p in points if lo < p < hi)
-    if pts:
-        kwargs["points"] = pts
-    out = quad(fn, lo, hi, **kwargs)
-    val, abserr = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(f"integration did not converge: {out[3]}",
-                              node=node, estimate=abserr)
-    if math.isnan(val):
-        raise QuadratureError("integration returned nan", node=node, estimate=abserr)
-    return float(val)
+def _gauss_kronrod() -> tuple:
+    """Nodes on [-1, 1]; weight columns Kronrod (a panel's value) and Kronrod
+    minus Gauss (its estimate, in absolute value). The Kronrod nodes between
+    the Gauss ones are QUADPACK's qk21 (Piessens et al., 1983)."""
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    kx = np.array([0.99565716302580808, 0.93015749135570823, 0.78081772658641690,
+                   0.56275713466860468, 0.29439286270146020])
+    x = np.sort(np.concatenate((gx, kx, -kx, [0.0])))
+    # the Kronrod weights integrate the Legendre polynomials of degree <= 20
+    wk = np.linalg.solve(np.polynomial.legendre.legvander(x, 20).T, 2.0 * np.eye(21)[0])
+    wg = np.where(np.isin(x, gx), np.interp(x, gx, gw), 0.0)
+    return x, np.stack((wk, wk - wg), axis=1)
+
+
+RULE_X, RULE_W = _gauss_kronrod()
+
+
+def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The rule's nodes on the panels [lo, hi] (a row each), half widths."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * RULE_X, half
+
+
+def splice(old: np.ndarray, new: np.ndarray, keep: np.ndarray,
+           fresh: np.ndarray) -> np.ndarray:
+    """Array by panel (first axis): the kept old panels, the fresh ones."""
+    out = np.empty((fresh.size,) + old.shape[1:])
+    out[~fresh] = old[keep]
+    out[fresh] = new
+    return out
+
+
+def integrate_panels(parts: Callable, lo: np.ndarray, hi: np.ndarray,
+                     cfg: QuadratureConfig, node_of: Callable[[int], float]) -> tuple:
+    """Integrals over the panels [lo, hi]; returns their values and estimates.
+
+    Once a round, parts(lo, hi, keep, fresh) gives the sums of the rule's
+    weight columns (last axis) on each fresh panel (first axis) for each
+    integral; ``keep`` marks the panels of the last round that stay. While
+    an integral's estimate exceeds max(tol, rel_tol * |value|), its worst
+    panel is bisected. Past ``cfg.max_subdivisions`` panels, or when a panel
+    to split is within 100 ulps of its midpoint, QuadratureError is raised
+    with the node (``node_of(integral)``) and estimate of the worst one.
+    """
+    keep, fresh = np.zeros(0, bool), np.ones(lo.size, bool)
+    while True:
+        new = parts(lo, hi, keep, fresh)
+        sums = splice(sums, new, keep, fresh) if keep.size else new
+        value, err = sums[..., 0].sum(axis=0), np.abs(sums[..., 1])
+        est = err.sum(axis=0)
+        over = ~(est <= np.maximum(cfg.tol, cfg.rel_tol * np.abs(value)))
+        if not over.any():
+            return value, est
+        split = np.zeros(lo.size, bool)
+        split[np.argmax(err[:, over], axis=0)] = True
+        n = lo.size + split.sum()
+        narrow = split & (hi - lo <= 200.0 * np.finfo(float).eps * np.maximum(-lo, hi))
+        if n > cfg.max_subdivisions or narrow.any():
+            why = (f"{n} panels would pass the limit of {cfg.max_subdivisions}"
+                   if n > cfg.max_subdivisions else "a panel is too narrow to split")
+            r = int(np.argmax(np.where(over, est, -1.0)))
+            raise QuadratureError(f"integration did not converge: {why}",
+                                  node=node_of(r), estimate=float(est[r]))
+        at = np.flatnonzero(split)
+        mid = 0.5 * (lo[at] + hi[at])
+        lo, hi = np.insert(lo, at + 1, mid), np.insert(hi, at, mid)
+        keep, fresh = ~split, np.repeat(split, 1 + split)
+
+
+def integrate_compact(fn: Callable, cmap: CompactMap, cfg: QuadratureConfig | None,
+                      edges: Sequence[float], node: float | None = None) -> float:
+    """Integral of fn from the least to the greatest of the compact
+    coordinates ``edges``, with panels starting between consecutive ones.
+
+    fn(t, x) is an integrand of t that is also given the compact coordinate
+    x of t, for 1-d arrays of both, called once a round. The integral runs in
+    the angle of ``CompactMap.from_angle``, where a tail as slow as |t|^-3/2
+    is bounded. A nan value raises QuadratureError; refusals carry ``node``.
+    """
+    edges = np.unique(cmap.to_angle(np.asarray(edges, dtype=float)))
+
+    def parts(lo, hi, keep, fresh):
+        theta, half = panel_nodes(lo[fresh], hi[fresh])
+        t, x, jac = cmap.from_angle(theta.ravel())
+        # an overflow to inf is a value, refined or refused like any other
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            f = (np.asarray(fn(t, x), dtype=float) * jac).reshape(theta.shape)
+            if np.isnan(f).any():
+                raise QuadratureError("integration returned nan", node=node,
+                                      estimate=math.nan)
+            return (half[:, None] * (f @ RULE_W))[:, None]
+
+    values, _ = integrate_panels(parts, edges[:-1], edges[1:], cfg or DEFAULT_QUAD,
+                                 lambda r: node)
+    return float(values[0])
 
 
 def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
@@ -53,29 +135,22 @@ def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
                        node: float | None = None) -> float:
     """Integral of fn(t) over [lo, hi] (defaults: the full interval).
 
-    Known kink locations go in ``breakpoints`` (original coordinates).
-    ``node`` tags any QuadratureError with the operator node being built.
+    fn takes a float or an array (a float-only fn is wrapped, see
+    ``elementwise``). Known kink locations go in ``breakpoints`` (original
+    coordinates). ``node`` tags any QuadratureError with the operator node
+    being built.
     """
-    cfg = cfg or DEFAULT_QUAD
     a, b = cmap.interval()
     lo = a if lo is None else lo
     hi = b if hi is None else hi
     if not lo < hi:
         return 0.0
-    if math.isfinite(lo) and math.isfinite(hi):
-        return _run_quad(fn, lo, hi, cfg, breakpoints, node)
-
-    def g(x: float) -> float:
-        if x <= -1.0 or x >= 1.0:
-            return 0.0
-        v = fn(cmap.from_compact(x))
-        if v == 0.0:
-            return 0.0
-        return v * cmap.jacobian(x)
-
     xlo, xhi = cmap.to_compact(lo), cmap.to_compact(hi)
-    pts = [cmap.to_compact(p) for p in breakpoints if math.isfinite(p)]
-    return _run_quad(g, xlo, xhi, cfg, pts, node)
+    # a float-only fn is told by a probe at two points inside [lo, hi]
+    at = cmap.from_compact(np.array([3.0 * xlo + xhi, xlo + 3.0 * xhi]) / 4.0)
+    fn = elementwise(fn, at=at)
+    cuts = [cmap.to_compact(p) for p in breakpoints if lo < p < hi]
+    return integrate_compact(lambda t, x: fn(t), cmap, cfg, [xlo, *cuts, xhi], node)
 
 
 # ---------------------------------------------------------------------------

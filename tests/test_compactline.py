@@ -88,6 +88,24 @@ def test_jacobian_matches_finite_differences(cmap):
         assert abs(jac - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("cmap", MAPS)
+def test_angle_map_is_the_compact_map(cmap):
+    # from_angle gives the point t of x(theta), dt/dtheta, and to_angle
+    # inverts x(theta); t keeps its relative accuracy toward an infinite end,
+    # where from_compact(x) loses about eps / (1 - |x|) of it
+    theta = np.linspace(-1.5, 1.5, 13)
+    t, x, dt = cmap.from_angle(theta)
+    assert np.allclose(cmap.to_angle(x), theta, rtol=0.0, atol=1e-13)
+    gap = np.abs(t - cmap.from_compact(x))
+    assert np.all(gap <= 1e-15 * np.abs(t) / (1.0 - np.abs(x)) + 1e-13)
+    h = 1e-6
+    fd = (cmap.from_angle(theta + h)[0] - cmap.from_angle(theta - h)[0]) / (2.0 * h)
+    assert np.allclose(dt, fd, rtol=1e-8, atol=0.0)
+    # 1e-9 from the end x rounds to 1, while t stays finite
+    t_end, x_end, _ = cmap.from_angle(np.array([np.pi / 2 - 1e-9]))
+    assert x_end[0] == 1.0 and 1e15 < t_end[0] < np.inf
+
+
 def test_jacobian_rejects_endpoints():
     with pytest.raises(DomainError):
         HALF.jacobian(1.0)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import hammerline as hl
@@ -9,14 +13,33 @@ HALF = hl.CompactMap.half_line(a=0.0, L=1.0)
 FULL = hl.CompactMap.full_line(L=1.0)
 
 
+def _counted(fn, sizes):
+    def counted(t):
+        sizes.append(np.size(t))
+        return fn(t)
+    return counted
+
+
 def test_exponential_decay_integrates_to_one():
     val = hl.integrate_interval(lambda t: math.exp(-t), HALF)
     assert val == pytest.approx(1.0, abs=1e-10)
+    # an array integrand is called once per refinement round (and once by
+    # the probe); the slowest tail the certifier admits, |t|^-3/2, is a
+    # bounded integrand in the angle and needs no deep refinement
+    for fn, exact, most_calls in ((lambda t: np.exp(-t), 1.0, 8),
+                                  (lambda t: (1.0 + t) ** -1.5, 2.0, 4)):
+        sizes = []
+        val = hl.integrate_interval(_counted(fn, sizes), HALF)
+        assert val == pytest.approx(exact, abs=1e-10)
+        assert len(sizes) <= most_calls and sum(sizes) <= 21 * most_calls
 
 
 def test_full_line_lorentzian_integrates_to_pi():
     val = hl.integrate_interval(lambda t: 1.0 / (1.0 + t * t), FULL)
     assert val == pytest.approx(math.pi, abs=1e-9)
+    # both tails as slow as |t|^-3/2
+    val = hl.integrate_interval(lambda t: (1.0 + abs(t)) ** -1.5, FULL)
+    assert val == pytest.approx(4.0, abs=1e-10)
 
 
 def test_finite_window_is_plain_quadrature():
@@ -40,18 +63,38 @@ def test_breakpoints_resolve_kinks():
 def test_divergent_integral_raises():
     with pytest.raises(QuadratureError):
         hl.integrate_interval(lambda t: 1.0 / (1.0 + t), HALF)
+    # an infinite value is refined like any other, then refused
+    with pytest.raises(QuadratureError, match="did not converge"):
+        hl.integrate_interval(lambda t: np.where(t > 2.0, np.inf, 1.0), HALF)
 
 
 def test_quadrature_error_carries_node_tag():
     with pytest.raises(QuadratureError) as exc:
         hl.integrate_interval(lambda t: 1.0 / (1.0 + t), HALF, node=7.5)
     assert exc.value.node == 7.5
+    # the divergence is refused fast: the stalled end panel is split until
+    # it is too narrow, and no other panel is split on its account
+    sizes = []
+    with pytest.raises(QuadratureError, match="too narrow") as exc:
+        hl.integrate_interval(_counted(lambda t: 1.0 / (1.0 + t), sizes), HALF,
+                              node=7.5)
+    assert exc.value.node == 7.5
+    assert sum(sizes) <= 2000
 
 
 def test_tighter_config_is_accepted():
     cfg = hl.QuadratureConfig(tol=1e-12, rel_tol=1e-13)
     val = hl.integrate_interval(lambda t: t * math.exp(-t), HALF, cfg)
     assert val == pytest.approx(1.0, abs=1e-11)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is the test oracle only: importing the package must not load it
+    code = "import sys, hammerline; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hl.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_golden_section_max_concave():

@@ -126,20 +126,24 @@ class CompactMap:
             return self.L * x / np.sqrt((1.0 - x) * (1.0 + x))
         return self.a + self.L * (1.0 + x) / (1.0 - x)
 
-    def to_compact(self, t: float) -> float:
-        """Inverse map; accepts the infinite endpoints."""
-        if not self.contains(t):
-            raise DomainError(f"point {t!r} outside the interval {self.interval()}")
-        if self.kind == FULL_LINE:
-            if t == -INF:
-                return -1.0
-            if t == INF:
-                return 1.0
-            return t / math.hypot(self.L, t)
-        if t == INF:
-            return 1.0
-        d = t - self.a
-        return (d - self.L) / (d + self.L)
+    def to_compact(self, t):
+        """Inverse map of a float or an array; accepts the infinite
+        endpoints. A float gets the value it has as a point of an array."""
+        v = np.asarray(t, dtype=float)
+        lo, hi = self.interval()
+        inside = (lo <= v) & (v <= hi)
+        if not inside.all():
+            bad = t if v.ndim == 0 else float(v[~inside][0])
+            raise DomainError(f"point {bad!r} outside the interval {self.interval()}")
+        # an infinite end gives inf / inf, then its exact coordinate
+        with np.errstate(invalid="ignore"):
+            if self.kind == FULL_LINE:
+                x = v / np.hypot(self.L, v)
+            else:
+                d = v - self.a
+                x = (d - self.L) / (d + self.L)
+        x = np.where(np.isinf(v), np.sign(v), x)
+        return x if isinstance(t, np.ndarray) else float(x)
 
     def jacobian(self, x):
         """dt/dx at interior x (a float or an array); diverges toward the

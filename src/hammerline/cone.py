@@ -20,11 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compactline import Grid
-from .elementwise import elementwise, filled, pointwise
+from .elementwise import elementwise, filled
 from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, inf_on_grid,
                          integrate_compact, integrate_interval, sup_on_grid)
-from .weights import Weight, tail_trend, weight_key
+from .weights import (Weight, classify_tail, tail_points, tail_trend, tail_values,
+                      weight_key)
 from .weighted_space import Space, WeightedFunction, norm
 from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
                           c3_bound_profile, dominator_check, kernel_limits,
@@ -75,14 +76,6 @@ class ConeSystem:
 # ---------------------------------------------------------------------------
 # functional evaluation
 
-def _certify_integrable_tail(fn, cmap, side: float) -> None:
-    kind, val = tail_trend(lambda t: fn(t) * abs(t) ** 1.5, cmap, side)
-    if kind == "diverges":
-        raise DomainError(
-            "integral part diverges: integrand decays slower than |t|^-3/2 "
-            f"toward {'+' if side > 0 else '-'}inf")
-
-
 def _tail_value(fn, cmap, side: float, undecided: str) -> float:
     """Certified value of fn at an infinite end: its limit, or +-inf for a
     certified divergence; undecided behavior raises ``undecided``."""
@@ -92,42 +85,56 @@ def _tail_value(fn, cmap, side: float, undecided: str) -> float:
     return val
 
 
-def _integral_part(g, space: Space, quad: QuadratureConfig, kinks=()) -> float:
-    """Integral of g(t, x) over the interval (see ``integrate_compact``),
-    refused when a tail is not integrable."""
+def _integral_parts(g, space: Space, quad: QuadratureConfig, cuts: np.ndarray) -> np.ndarray:
+    """Integrals of g(t, x, row) over the interval, one per row of the
+    compact coordinates ``cuts`` (shape (rows, k), panel edges inside the
+    interval), refused when a tail decays slower than |t|^-3/2."""
     cmap = space.map
+    col = np.arange(cuts.shape[0])[:, None]
     for side in cmap.infinite_ends():
-        _certify_integrable_tail(lambda t: abs(g(t, cmap.to_compact(t))), cmap, side)
+        ts = tail_points(cmap, side)
+        vals = tail_values(lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** 1.5,
+                           ts, (col.size, ts.size))
+        if (classify_tail(ts, vals)[0] == "diverges").any():
+            raise DomainError(
+                "integral part diverges: integrand decays slower than |t|^-3/2 "
+                f"toward {'+' if side > 0 else '-'}inf")
+    ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
     try:
-        return integrate_compact(
-            g, cmap, quad, [-1.0, *(cmap.to_compact(k) for k in kinks), 1.0])
+        return integrate_compact(g, cmap, quad, np.concatenate((ends, cuts), axis=1))
     except QuadratureError as e:
         raise DomainError(f"integral part did not converge: {e}") from e
 
 
-def _memoized(memo: dict | None, key: tuple | None, part: str, compute):
-    """``compute`` (a part as a function of its weight) read from ``memo``
-    on a hit and stored there on a miss; returned as is without a memo or
-    a key. A part that raises is not stored."""
-    if memo is None or key is None:
-        return compute
-
-    def part_of(w: Weight) -> float:
-        k = (part, weight_key(w)) + key
-        if k not in memo:
-            memo[k] = compute(w)
-        return memo[k]
+def _memoized(memo: dict | None, keys: list | None, part: str, compute, n: int):
+    """``compute`` (a part as a function of its weight and of the rows, an
+    index array, of a batch of n) for every row, each read from ``memo`` on
+    a hit and computed once, for all the misses at once, on a miss; without
+    a memo or keys (one per row) every row is computed. A part that raises
+    is not stored."""
+    def part_of(w: Weight) -> np.ndarray:
+        if memo is None or keys is None:
+            return compute(w, np.arange(n))
+        named = [(part, weight_key(w)) + k for k in keys]
+        todo: dict = {}
+        for i, k in enumerate(named):
+            if k not in memo:
+                todo.setdefault(k, i)
+        if todo:
+            memo.update(zip(todo, compute(w, np.fromiter(todo.values(), int)).tolist()))
+        return np.array([memo[k] for k in named])
 
     return part_of
 
 
 def _combine(spec: FunctionalSpec, integral, sup, memo: dict | None = None,
-             key: tuple | None = None) -> float:
-    """The functional from its parts: integral(integral_weight),
-    sup(sup_weight), or integral minus sup for a difference. With a memo,
-    ``key`` names what the parts are taken of."""
-    integral = _memoized(memo, key, "integral", integral)
-    sup = _memoized(memo, key, "sup", sup)
+             keys: list | None = None, n: int = 1) -> np.ndarray:
+    """The functional of the rows of a batch of n from their parts:
+    integral(integral_weight), sup(sup_weight), or integral minus sup for a
+    difference. With a memo, ``keys`` name what each row's parts are taken
+    of."""
+    integral = _memoized(memo, keys, "integral", integral, n)
+    sup = _memoized(memo, keys, "sup", sup, n)
     if spec.kind == "weighted-integral":
         return integral(spec.integral_weight)
     if spec.kind == "weighted-sup":
@@ -152,10 +159,11 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
     row = u.samples[0]
     interp = grid.interpolant(row)
 
-    def integral(w2: Weight) -> float:
-        return _integral_part(lambda t, x: interp(x) * phi(t) / w2(t), sp, quad)
+    def integral(w2: Weight, rows) -> np.ndarray:
+        return _integral_parts(lambda t, x, r: interp(x) * phi(t) / w2(t), sp, quad,
+                               np.empty((1, 0)))
 
-    def sup(w3: Weight) -> float:
+    def sup(w3: Weight, rows) -> np.ndarray:
         ends = {}
         for x in cmap.infinite_ends():
             ratio = _tail_value(lambda t: phi(t) / w3(t), cmap, x,
@@ -173,20 +181,56 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
             t = cmap.from_compact(x)
             return abs(interp(x)) * phi(t) / w3(t)
 
-        return sup_on_grid(fn_x, grid, ends)
+        return np.array([sup_on_grid(fn_x, grid, ends)])
 
-    key = None if memo is None else ("element", quad, sp, row.tobytes())
-    return _combine(spec, integral, sup, memo, key)
-
-
-def _raw_key(quad: QuadratureConfig, space: Space, key, kinks) -> tuple | None:
-    return None if key is None else ("raw", quad, space, key, tuple(kinks))
+    keys = None if memo is None else [("element", quad, sp, row.tobytes())]
+    return float(_combine(spec, integral, sup, memo, keys)[0])
 
 
-def _raw_integral(fn, space: Space, quad: QuadratureConfig, kinks):
-    """The integral part of a raw callable, as a function of its weight."""
-    return lambda w2: _integral_part(lambda t, x: fn(t) / w2(t), space, quad,
-                                     kinks)
+def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> tuple:
+    """The integral and sup parts of a batch of raw callables, t -> fn(t, r)
+    for every row r of ``kinks`` (their kink locations, shape (rows, k)),
+    as functions of the weight and of the rows to compute.
+
+    At an infinite end the sup part takes the certified limit of
+    |fn|/sup_weight, and refuses when it diverges or is undecided; of
+    several refused rows, the first one's refusal is raised. The sup search
+    cuts each row's brackets at its kinks.
+    """
+    grid, cmap = space.grid, space.map
+    cuts = cmap.to_compact(kinks)
+
+    def integral(w2: Weight, rows: np.ndarray) -> np.ndarray:
+        return _integral_parts(lambda t, x, r: fn(t, rows[r]) / w2(t), space, quad,
+                               cuts[rows])
+
+    def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
+        col = np.arange(rows.size)[:, None]
+
+        def h(t, r):
+            return np.abs(fn(t, rows[r])) / w3(t)
+
+        ends, refusals = {}, []
+        for x in cmap.infinite_ends():
+            ts = tail_points(cmap, x)
+            kind, lim = classify_tail(ts, tail_values(lambda t: h(t, col), ts,
+                                                      (rows.size, ts.size)))
+            refusals.append(np.where(kind == "unknown", "sup part endpoint behavior undecided",
+                                     np.where(np.isinf(lim), "sup part unbounded for this slice",
+                                              "")))
+            ends[x] = np.abs(lim)
+        refused = np.stack(refusals, axis=1)
+        if (refused != "").any():
+            first = refused[np.argmax((refused != "").any(axis=1))]
+            raise DomainError(str(first[first != ""][0]))
+        return sup_on_grid(lambda x: h(cmap.from_compact(x), col), grid, ends,
+                           cuts[rows])
+
+    return integral, sup
+
+
+def _raw_key(quad: QuadratureConfig, space: Space, key, kinks) -> tuple:
+    return ("raw", quad, space, key, tuple(kinks))
 
 
 def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
@@ -199,46 +243,32 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
     ``elementwise``). At an infinite end the sup part takes the certified
     limit of |fn|/sup_weight, and refuses when it diverges or is undecided.
     ``key`` (hashable) names the callable for ``memo``; a callable without a
-    key is never memoized.
+    key is never memoized. It is a batch of one of the slice functionals
+    (see ``kernel_functional_integral``).
     """
     quad = quad or DEFAULT_QUAD
-    grid, cmap = space.grid, space.map
+    grid = space.grid
     fn = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
-
-    def sup(w3: Weight) -> float:
-        def h(t):
-            return abs(fn(t)) / w3(t)
-
-        ends = {}
-        for x in cmap.infinite_ends():
-            lim = _tail_value(h, cmap, x, "sup part endpoint behavior undecided")
-            if math.isinf(lim):
-                raise DomainError("sup part unbounded for this slice")
-            ends[x] = abs(lim)
-
-        return sup_on_grid(lambda x: h(cmap.from_compact(x)), grid, ends)
-
-    return _combine(spec, _raw_integral(fn, space, quad, kinks), sup, memo,
-                    _raw_key(quad, space, key, kinks))
+    integral, sup = _raw_parts(lambda t, r: fn(t), space, quad,
+                               np.array(kinks, dtype=float).reshape(1, -1))
+    keys = None if key is None else [_raw_key(quad, space, key, kinks)]
+    return float(_combine(spec, integral, sup, memo, keys)[0])
 
 
 # ---------------------------------------------------------------------------
 # kernel profiles
 
-def _kernel_slice(kernel: Kernel, s: float) -> tuple:
-    """The slice t -> k(t,s)eta(s) and its kinks (the diagonal of a
-    Volterra kernel)."""
+def _kernel_slices(kernel: Kernel, s: np.ndarray, space: Space,
+                   quad: QuadratureConfig) -> tuple:
+    """The parts of the slices t -> k(t,s)eta(s) at every point of the 1-d
+    array s (see ``_raw_parts``) and each slice's memo key. Each slice is
+    cut at its diagonal t = s, the kink of a Volterra kernel and the peak
+    of a Green's function."""
     eta = kernel.eta(s)
-
-    def fn(t):
-        return kernel.fn(t, s) * eta
-
-    return fn, ((s,) if kernel.support == VOLTERRA else ())
-
-
-def _slice_key(kernel: Kernel, s: float) -> tuple:
-    """What the slice at s depends on, as a memo key."""
-    return (kernel.fn, kernel.eta, kernel.support, s)
+    keys = [_raw_key(quad, space, (kernel.fn, kernel.eta, kernel.support, v), (v,))
+            for v in s.tolist()]
+    return _raw_parts(lambda t, r: kernel.fn(t, s[r]) * eta[r], space, quad,
+                      s[:, None]) + (keys,)
 
 
 @dataclass(frozen=True)
@@ -286,27 +316,28 @@ def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
     """Tabulate s -> spec(k(.,s)eta(s)) on a log-spaced grid and integrate it.
 
     The integral re-evaluates the profile at the quadrature's own points, so
-    its accuracy is the quadrature tolerance, not the table resolution.
-    Slice parts go through ``memo`` keyed by the slice's s.
+    its accuracy is the quadrature tolerance, not the table resolution. The
+    table is one batch of slices, and so is each refinement round of the
+    integral (see ``_raw_parts``). Slice parts go through ``memo`` keyed by
+    the slice's s.
     """
     quad = quad or DEFAULT_QUAD
     cmap = space.map
 
-    def profile(s: float) -> float:
-        fn, kinks = _kernel_slice(kernel, s)
-        return eval_functional_raw(spec, fn, space, quad, kinks=kinks,
-                                   memo=memo, key=_slice_key(kernel, s))
+    def profile(s: np.ndarray) -> np.ndarray:
+        integral, sup, keys = _kernel_slices(kernel, s, space, quad)
+        return _combine(spec, integral, sup, memo, keys, s.size)
 
-    s_vals = _profile_s_grid(space, s_points)
-    vals = [profile(s) for s in s_vals]
-    integral = integrate_interval(pointwise(profile), cmap, quad)
-    min_i = min(range(len(vals)), key=lambda i: vals[i])
-    positive = (vals[min_i] >= -POS_TOL) and (max(vals) > 0.0)
+    s_vals = np.array(_profile_s_grid(space, s_points))
+    vals = profile(s_vals)
+    integral = integrate_compact(lambda s, x, row: profile(s), cmap, quad, [-1.0, 1.0])
+    min_i = int(np.argmin(vals))
+    positive = bool(vals[min_i] >= -POS_TOL) and bool(vals.max() > 0.0)
     return ProfileIntegral(
-        s_values=tuple(s_vals), values=tuple(vals),
-        x_values=tuple(cmap.to_compact(s) for s in s_vals),
+        s_values=tuple(s_vals.tolist()), values=tuple(vals.tolist()),
+        x_values=tuple(cmap.to_compact(s_vals).tolist()),
         integral=integral, positive=positive,
-        min_value=vals[min_i], witness_s=s_vals[min_i])
+        min_value=float(vals[min_i]), witness_s=float(s_vals[min_i]))
 
 
 # ---------------------------------------------------------------------------
@@ -720,32 +751,29 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
 
     def exact_integral_rhs(w2: Weight, u: WeightedFunction) -> float:
         # Fubini route: fresh inner slice integrals under an adaptive outer
-        # quadrature; exact to quadrature tolerance
-        def inner(s: float) -> float:
-            fn, kinks = _kernel_slice(kern, s)
-            key = _raw_key(relaxed, sp, _slice_key(kern, s), kinks)
-            return _memoized(memo, key, "integral",
-                             _raw_integral(fn, sp, relaxed, kinks))(w2)
-
+        # quadrature, a batch of slices each round; exact to quadrature
+        # tolerance
         interp = grid.interpolant(u.samples[0])
 
-        def g(s: float) -> float:
-            return inner(s) * float(nl.fn(s, interp(cmap.to_compact(s)) * w(s)))
+        def g(s, x, row):
+            integral, _, keys = _kernel_slices(kern, s, sp, relaxed)
+            inner = _memoized(memo, keys, "integral", integral, s.size)(w2)
+            return inner * nl.fn(s, interp(x) * w(s))
 
-        return integrate_interval(pointwise(g), cmap, relaxed)
+        return integrate_compact(g, cmap, relaxed, [-1.0, 1.0])
 
     def tab_sup_rhs(prof: ProfileIntegral, u: WeightedFunction) -> float:
         # the sup-part profile, linear between its table points (the cuts)
         xs, vs = np.asarray(prof.x_values), np.asarray(prof.values)
         interp = grid.interpolant(u.samples[0])
         return integrate_compact(
-            lambda t, x: np.interp(x, xs, vs) * nl.fn(t, interp(x) * w(t)),
+            lambda t, x, row: np.interp(x, xs, vs) * nl.fn(t, interp(x) * w(t)),
             cmap, quad, [-1.0, *xs, 1.0])
 
     def spec_rhs(spec: FunctionalSpec, sup_prof, u) -> float:
         """Inner integral of spec(slice)*f(s, u(s))."""
-        return _combine(spec, lambda w2: exact_integral_rhs(w2, u),
-                        lambda _w3: tab_sup_rhs(sup_prof, u))
+        return _combine(spec, lambda w2, _rows: exact_integral_rhs(w2, u),
+                        lambda _w3, _rows: tab_sup_rhs(sup_prof, u))
 
     def ineq_tol(spec: FunctionalSpec) -> float:   # a sup part reads the table
         return SAMPLE_INEQ_TOL if spec.kind == "weighted-integral" else SUP_TAB_TOL

@@ -33,7 +33,7 @@ def _maps_arrays(fn: Callable, nargs: int, outputs: int, at: np.ndarray) -> bool
     """Whether fn returns arrays of the probe's shape when any one argument
     is the probe array and the others are floats."""
     for i in range(nargs):
-        args = [float(at[0])] * nargs
+        args = [float(at.flat[0])] * nargs
         args[i] = at
         try:
             with warnings.catch_warnings(), np.errstate(all="ignore"):
@@ -67,8 +67,8 @@ def elementwise(fn: Callable | None, nargs: int = 1, *, outputs: int = 1,
     """``fn`` itself when it already maps arrays, else a wrapper that calls it
     once per point of its (broadcast) array arguments.
 
-    The probe calls fn once per argument, with that argument a 2-element
-    array (``at``, default (0.5, 2.0)) and the others its first entry; fn
+    The probe calls fn once per argument, with that argument an array of
+    points (``at``, default (0.5, 2.0)) and the others its first entry; fn
     maps arrays when every probe returns arrays of that shape (a tuple of
     ``outputs`` of them); an exception in a probe makes it float-only, and
     warnings in a probe are silenced. The wrapper is ``pointwise(fn)``.

@@ -16,12 +16,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .compactline import CompactMap, Grid, barycentric_matrix
-from .elementwise import elementwise, exp, filled, pointwise, positive_part
-from .errors import DomainError, QuadratureError
-from .quadrature import (DEFAULT_QUAD, RULE_W, QuadratureConfig,
+from .elementwise import elementwise, exp, filled, positive_part
+from .errors import DomainError, QuadratureError, TailLimitError
+from .quadrature import (DEFAULT_QUAD, RULE_W, QuadratureConfig, integrate_compact,
                          integrate_interval, integrate_panels, panel_nodes, splice,
                          sup_on_grid)
-from .weights import Weight, tail_limit, tail_trend
+from .weights import (Weight, classify_tail, tail_limit, tail_points,
+                      tail_values)
 from .weighted_space import Space, WeightedFunction, from_tilde, spaces_compatible
 
 VOLTERRA = "volterra"
@@ -134,22 +135,32 @@ def slice_endpoint_values(kernel: Kernel, weight: Weight, s,
     two floats, or two arrays for an array of s.
 
     The left value is a direct evaluation when the interval starts at a
-    finite point, a tail extrapolation otherwise; divergence raises."""
+    finite point, a tail extrapolation otherwise; a tail without a certified
+    limit raises TailLimitError."""
     if kernel.slice_endpoints is not None:
         lo, hi = kernel.slice_endpoints(s)
         if isinstance(s, np.ndarray):
             return lo, hi
         return float(lo), float(hi)
-    if isinstance(s, np.ndarray):
-        return pointwise(lambda v: slice_endpoint_values(kernel, weight, v, cmap),
-                         outputs=2)(s)
+    s_col = np.asarray(s, dtype=float)[..., None]
+
+    def limit(side: int):
+        ts = tail_points(cmap, side)
+        vals = tail_values(lambda t: slice_tilde(kernel, weight, t, s_col), ts,
+                           s_col.shape[:-1] + ts.shape)
+        kind, value = classify_tail(ts, vals)
+        if (kind != "limit").any():
+            raise TailLimitError(
+                f"no finite limit toward {'+inf' if side > 0 else '-inf'} "
+                f"(trend: {kind.flat[np.argmax(kind != 'limit')]})")
+        return value if isinstance(s, np.ndarray) else float(value)
+
     lo_end, _ = cmap.interval()
     if math.isfinite(lo_end):
         lo = slice_tilde(kernel, weight, lo_end, s)
     else:
-        lo = tail_limit(lambda t: slice_tilde(kernel, weight, t, s), cmap, -1)
-    hi = tail_limit(lambda t: slice_tilde(kernel, weight, t, s), cmap, +1)
-    return lo, hi
+        lo = limit(-1)
+    return lo, limit(+1)
 
 
 class KernelLimits(NamedTuple):
@@ -161,19 +172,26 @@ class KernelLimits(NamedTuple):
     sup: float
 
 
-def kernel_limits(kernel: Kernel, phi: Weight, s: float, *,
-                  grid: Grid) -> KernelLimits:
+def kernel_limits(kernel: Kernel, phi: Weight, s, *, grid: Grid) -> KernelLimits:
+    """Endpoint values and sup of the rescaled slices at s (a float, or an
+    array of s searched in one batch, with array fields). The sup search
+    cuts each slice's brackets at its diagonal t = s (the kink of a Volterra
+    kernel, the peak of a Green's function)."""
     cmap = grid.map
     z_lo, z_hi = slice_endpoint_values(kernel, phi, s, cmap)
-    for name, z in (("left", z_lo), ("right", z_hi)):
-        if not math.isfinite(z):
-            raise DomainError(f"slice at s={s} unbounded toward the {name} end")
+    bad = ~(np.isfinite(z_lo) & np.isfinite(z_hi))
+    if bad.any():
+        r = int(np.argmax(bad))
+        name = "left" if not np.isfinite(np.ravel(z_lo)[r]) else "right"
+        raise DomainError(f"slice at s={np.ravel(s)[r].item()} unbounded toward "
+                          f"the {name} end")
+    s_col = np.asarray(s, dtype=float)[..., None]
 
     def fn_x(x):
-        return abs(slice_tilde(kernel, phi, cmap.from_compact(x), s))
+        return np.abs(slice_tilde(kernel, phi, cmap.from_compact(x), s_col))
 
-    ends = {x: abs(z_lo) if x < 0 else abs(z_hi) for x in cmap.infinite_ends()}
-    return KernelLimits(z_lo, z_hi, sup_on_grid(fn_x, grid, ends))
+    ends = {x: np.abs(z_lo) if x < 0 else np.abs(z_hi) for x in cmap.infinite_ends()}
+    return KernelLimits(z_lo, z_hi, sup_on_grid(fn_x, grid, ends, cmap.to_compact(s_col)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +281,7 @@ class NystromOperator:
             raise DomainError("operand does not live in the problem space")
         v = u.samples[0]
 
-        def parts(lo, hi, keep, fresh):
+        def parts(lo, hi, owner, keep, fresh):
             t, w_at, g, b = self.t, self.w_at, self.G, self.B
             if keep.size:    # a refinement: the fresh panels are built and kept
                 t, w_at, g, b = self._panels(lo[fresh], hi[fresh])
@@ -282,8 +300,9 @@ class NystromOperator:
             half = 0.5 * (hi - lo)[fresh, None, None]
             return g @ (half * f[:, :, None] * RULE_W)
 
-        raw, est = integrate_panels(parts, self.lo, self.hi, self.cfg,
-                                    self._node_of_row)
+        # the rows are the integrals of one owner: they share the panels
+        raw, est = integrate_panels(parts, self.lo, self.hi, np.zeros(self.lo.size, int),
+                                    self.cfg, self._node_of_row)
         self.last_error = float(est.max())
         rows = raw.reshape(self.div.shape) / self.div + self.problem.forcing.samples
         return WeightedFunction(sp, rows)
@@ -464,14 +483,18 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
         scalars["abs_z_lo_integral"] = z_integral(0)
         scalars["abs_z_hi_integral"] = z_integral(1)
         if include_sup_integral:
-            def sup_slice(s: float) -> float:
-                return kernel_limits(kern, w, s, grid=grid).sup * float(phi_r(s))
+            def sup_slice(s: np.ndarray) -> np.ndarray:
+                return kernel_limits(kern, w, s, grid=grid).sup * phi_r(s)
 
-            if any(tail_trend(lambda s: abs(sup_slice(s)) * abs(s) ** 1.5, cmap,
-                              side)[0] != "limit" for side in cmap.infinite_ends()):
-                raise DomainError("sup|slice| * phi_r has no certified integrable tail")
-            scalars["sup_slice_integral"] = integrate_interval(
-                pointwise(sup_slice), cmap, quad)
+            for side in cmap.infinite_ends():
+                ts = tail_points(cmap, side)
+                vals = tail_values(lambda s: np.abs(sup_slice(s)) * np.abs(s) ** 1.5,
+                                   ts, ts.shape)
+                if classify_tail(ts, vals)[0] != "limit":
+                    raise DomainError(
+                        "sup|slice| * phi_r has no certified integrable tail")
+            scalars["sup_slice_integral"] = integrate_compact(
+                lambda s, x, row: sup_slice(s), cmap, quad, [-1.0, 1.0])
     except (QuadratureError, DomainError) as e:
         return BoundProfile(False, r, tuple(values), math.inf, {}, failure=str(e))
 

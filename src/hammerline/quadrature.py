@@ -63,69 +63,118 @@ def splice(old: np.ndarray, new: np.ndarray, keep: np.ndarray,
     return out
 
 
-def integrate_panels(parts: Callable, lo: np.ndarray, hi: np.ndarray,
-                     cfg: QuadratureConfig, node_of: Callable[[int], float]) -> tuple:
-    """Integrals over the panels [lo, hi]; returns their values and estimates.
+def _owner_sums(a: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The sums of a (panel by integral) over each owner's panels, added
+    in panel order: the owners are padded with zero panels to a common
+    count (one owner needs no padding)."""
+    if starts.size == 1:
+        return a.sum(axis=0)[None]
+    at = np.arange(owner.size) - starts[owner]
+    padded = np.zeros((at.max() + 1, starts.size) + a.shape[1:])
+    padded[at, owner] = a
+    return padded.sum(axis=0)
 
-    Once a round, parts(lo, hi, keep, fresh) gives the sums of the rule's
-    weight columns (last axis) on each fresh panel (first axis) for each
-    integral; ``keep`` marks the panels of the last round that stay. While
-    an integral's estimate exceeds max(tol, rel_tol * |value|), its worst
-    panel is bisected. Past ``cfg.max_subdivisions`` panels, or when a panel
-    to split is within 100 ulps of its midpoint, QuadratureError is raised
-    with the node (``node_of(integral)``) and estimate of the worst one.
+
+def _worst_panels(err: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The worst panel of every integral (column) of every owner, as
+    ``np.argmax`` picks it among the owner's panels: the first nan, else
+    the first largest estimate."""
+    if starts.size == 1:
+        return np.argmax(err, axis=0)[None]
+    nan = np.isnan(err)
+    key = np.where(nan, math.inf, err)
+    top = np.maximum.reduceat(key, starts, axis=0)
+    has_nan = np.logical_or.reduceat(nan, starts, axis=0)
+    hit = np.where(has_nan[owner], nan, key == top[owner])
+    back = err.shape[0] - np.arange(err.shape[0])[:, None]
+    return err.shape[0] - np.maximum.reduceat(np.where(hit, back, 0), starts, axis=0)
+
+
+def integrate_panels(parts: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray,
+                     cfg: QuadratureConfig, node_of: Callable[[int], float]) -> tuple:
+    """Integrals over the panels [lo, hi]; returns their values and
+    estimates, an (owner, integral) array each.
+
+    Panel p belongs to owner ``owner[p]`` (ascending, every owner from 0
+    on holds a panel); the integrals of an owner share its panels (the
+    operator's rows are the integrals of one owner). Once a round,
+    parts(lo, hi, owner, keep, fresh) gives the sums of the rule's weight
+    columns (last axis) on each fresh panel (first axis) for each integral
+    of its owner; ``keep`` marks the panels of the last round that stay.
+    While an integral's estimate exceeds max(tol, rel_tol * |value|), the
+    worst panel of its owner is bisected. When an owner would pass
+    ``cfg.max_subdivisions`` panels, or a panel to split is within 100 ulps
+    of its midpoint, QuadratureError is raised with the node
+    (``node_of(owner * integrals + integral)``) and estimate of the worst
+    integral of such an owner.
     """
     keep, fresh = np.zeros(0, bool), np.ones(lo.size, bool)
     while True:
-        new = parts(lo, hi, keep, fresh)
+        new = parts(lo, hi, owner, keep, fresh)
         sums = splice(sums, new, keep, fresh) if keep.size else new
-        value, err = sums[..., 0].sum(axis=0), np.abs(sums[..., 1])
-        est = err.sum(axis=0)
+        first = np.ones(owner.size, bool)   # the first panel of each owner
+        np.not_equal(owner[1:], owner[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        err = np.abs(sums[..., 1])
+        value, est = _owner_sums(sums[..., 0], starts, owner), _owner_sums(err, starts, owner)
         over = ~(est <= np.maximum(cfg.tol, cfg.rel_tol * np.abs(value)))
         if not over.any():
             return value, est
         split = np.zeros(lo.size, bool)
-        split[np.argmax(err[:, over], axis=0)] = True
-        n = lo.size + split.sum()
+        split[_worst_panels(err, starts, owner)[over]] = True
+        n = np.add.reduceat(1 + split, starts)
         narrow = split & (hi - lo <= 200.0 * np.finfo(float).eps * np.maximum(-lo, hi))
-        if n > cfg.max_subdivisions or narrow.any():
-            why = (f"{n} panels would pass the limit of {cfg.max_subdivisions}"
-                   if n > cfg.max_subdivisions else "a panel is too narrow to split")
-            r = int(np.argmax(np.where(over, est, -1.0)))
+        refused = (n > cfg.max_subdivisions) | np.logical_or.reduceat(narrow, starts)
+        if refused.any():
+            r = int(np.argmax(np.where(over & refused[:, None], est, -1.0)))
+            g = r // est.shape[1]
+            why = (f"{n[g]} panels would pass the limit of {cfg.max_subdivisions}"
+                   if n[g] > cfg.max_subdivisions else "a panel is too narrow to split")
             raise QuadratureError(f"integration did not converge: {why}",
-                                  node=node_of(r), estimate=float(est[r]))
+                                  node=node_of(r), estimate=float(est.flat[r]))
         at = np.flatnonzero(split)
         mid = 0.5 * (lo[at] + hi[at])
         lo, hi = np.insert(lo, at + 1, mid), np.insert(hi, at, mid)
+        owner = np.insert(owner, at + 1, owner[at])
         keep, fresh = ~split, np.repeat(split, 1 + split)
 
 
 def integrate_compact(fn: Callable, cmap: CompactMap, cfg: QuadratureConfig | None,
-                      edges: Sequence[float], node: float | None = None) -> float:
-    """Integral of fn from the least to the greatest of the compact
-    coordinates ``edges``, with panels starting between consecutive ones.
+                      edges, node: float | None = None):
+    """Integrals of fn, one per row of the compact coordinates ``edges``
+    (shape batch + (k,)): from the least to the greatest of the row, with
+    panels starting between consecutive ones. A float for one row of
+    edges, an array of the batch's shape otherwise.
 
-    fn(t, x) is an integrand of t that is also given the compact coordinate
-    x of t, for 1-d arrays of both, called once a round. The integral runs in
-    the angle of ``CompactMap.from_angle``, where a tail as slow as |t|^-3/2
-    is bounded. A nan value raises QuadratureError; refusals carry ``node``.
+    fn(t, x, row) is the integrand of t, also given the compact coordinate
+    x of t and the row (in the flattened batch) whose integral it belongs
+    to, for 1-d arrays of all three, called once a round for every row.
+    Each row keeps its own panels, refined as if it were integrated alone.
+    The integrals run in the angle of ``CompactMap.from_angle``, where a
+    tail as slow as |t|^-3/2 is bounded. A nan value raises
+    QuadratureError; refusals carry ``node``.
     """
-    edges = np.unique(cmap.to_angle(np.asarray(edges, dtype=float)))
+    edges = np.asarray(edges, dtype=float)
+    angles = np.sort(cmap.to_angle(edges.reshape(-1, edges.shape[-1])), axis=1)
+    cut = np.diff(angles, axis=1) > 0.0
+    owner = np.nonzero(cut)[0]
 
-    def parts(lo, hi, keep, fresh):
+    def parts(lo, hi, owner, keep, fresh):
         theta, half = panel_nodes(lo[fresh], hi[fresh])
         t, x, jac = cmap.from_angle(theta.ravel())
+        row = np.repeat(owner[fresh], RULE_X.size)
         # an overflow to inf is a value, refined or refused like any other
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            f = (np.asarray(fn(t, x), dtype=float) * jac).reshape(theta.shape)
+            f = (np.asarray(fn(t, x, row), dtype=float) * jac).reshape(theta.shape)
             if np.isnan(f).any():
                 raise QuadratureError("integration returned nan", node=node,
                                       estimate=math.nan)
             return (half[:, None] * (f @ RULE_W))[:, None]
 
-    values, _ = integrate_panels(parts, edges[:-1], edges[1:], cfg or DEFAULT_QUAD,
-                                 lambda r: node)
-    return float(values[0])
+    values, _ = integrate_panels(parts, angles[:, :-1][cut], angles[:, 1:][cut], owner,
+                                 cfg or DEFAULT_QUAD, lambda r: node)
+    values = values[:, 0].reshape(edges.shape[:-1])
+    return values if values.ndim else float(values)
 
 
 def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
@@ -150,7 +199,7 @@ def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
     at = cmap.from_compact(np.array([3.0 * xlo + xhi, xlo + 3.0 * xhi]) / 4.0)
     fn = elementwise(fn, at=at)
     cuts = [cmap.to_compact(p) for p in breakpoints if lo < p < hi]
-    return integrate_compact(lambda t, x: fn(t), cmap, cfg, [xlo, *cuts, xhi], node)
+    return integrate_compact(lambda t, x, row: fn(t), cmap, cfg, [xlo, *cuts, xhi], node)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +209,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _values(fn, x: np.ndarray) -> np.ndarray:
-    """fn at every point of the 1-d array x, in one call; a nan is refused."""
+    """fn at every point of the array x, in one call; a nan is refused."""
     v = np.asarray(fn(x), dtype=float)
     if v.shape != x.shape:
         raise DomainError(f"sup search: fn_x returned shape {v.shape} "
                           f"for {x.size} points")
-    if math.isnan(np.maximum.reduce(v)):
+    if math.isnan(v.max(initial=-math.inf)):
         first = float(x[np.isnan(v)][0])
         raise DomainError(f"sup search: fn_x is nan at x={first!r}")
     return v
@@ -173,84 +222,97 @@ def _values(fn, x: np.ndarray) -> np.ndarray:
 
 def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
                        prescan: int = 4) -> tuple:
-    """Approximate max of fn on every bracket [lo[k], hi[k]]: a coarse
-    prescan, then a golden search around the best prescan cell.
+    """Approximate max of fn on every bracket [lo[..., k], hi[..., k]]: a
+    coarse prescan, then a golden search around the best prescan cell.
 
-    The brackets run in lockstep: each step calls fn once, on an array
-    with one point per bracket still wider than ``xtol``, and each bracket
-    visits the points a search of it alone would visit. Returns the
-    arrays (argmax, max); a tie goes to the larger x.
+    lo and hi have the shape batch + (K,): the K brackets of each function
+    of a batch (``()`` for one function). fn takes an array of the shape
+    batch + (n,) and gives each function's values at the points of its row.
+    The brackets of all functions run in lockstep: each step calls fn once,
+    with one point per bracket; a bracket narrower than ``xtol`` re-reads a
+    point it has visited, so each bracket visits the points a search of it
+    alone would visit. Returns the arrays (argmax, max) of the shape of lo;
+    a tie goes to the larger x.
     """
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
-    rows = np.arange(lo.size)
-    xs = lo[:, None] + (hi - lo)[:, None] * np.arange(prescan + 2) / (prescan + 1)
+    batch = lo.shape[:-1]
+    xs = lo[..., None] + (hi - lo)[..., None] * np.arange(prescan + 2) / (prescan + 1)
     # an overflow to inf is a value: floating-point warnings stay quiet
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = _values(fn, xs.ravel()).reshape(xs.shape)
+        vals = _values(fn, xs.reshape(batch + (-1,))).reshape(-1, prescan + 2)
+        xs = xs.reshape(vals.shape)
+        rows = np.arange(lo.size)
         i = np.argmax(vals, axis=1)
-        a = xs[rows, np.maximum(i - 1, 0)]
-        b = xs[rows, np.minimum(i + 1, prescan + 1)]
+        a = xs[rows, np.maximum(i - 1, 0)].reshape(lo.shape)
+        b = xs[rows, np.minimum(i + 1, prescan + 1)].reshape(lo.shape)
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc, fd = np.split(_values(fn, np.concatenate((c, d))), 2)
-        # the final (c, fc, d, fd) of every bracket; the live ones are searched
+        fc, fd = np.split(_values(fn, np.concatenate((c, d), axis=-1)), 2, axis=-1)
+        # the final (c, fc, d, fd) of every bracket, kept when it stops; a
+        # stopped bracket probes its c, so its c and d stay visited points
         out = [c.copy(), fc.copy(), d.copy(), fd.copy()]
         live = (b - a) > xtol
-        idx = rows[live]
-        a, b, c, d, fc, fd = (v[live] for v in (a, b, c, d, fc, fd))
-        while idx.size:
+        while live.any():
             # fc >= fd keeps [a, d] and probes a new c, else [c, b] and a new d
             left = fc >= fd
             a = np.where(left, a, c)
             b = np.where(left, d, b)
             width = b - a
             h = _INVPHI * width
-            x = np.where(left, b - h, a + h)
+            x = np.where(live, np.where(left, b - h, a + h), c)
             fx = _values(fn, x)
             c, d = np.where(left, x, d), np.where(left, c, x)
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-            live = width > xtol
-            if np.count_nonzero(live) < live.size:
+            stop = live & ~(width > xtol)
+            if stop.any():
                 for o, v in zip(out, (c, fc, d, fd)):
-                    o[idx] = v
-                idx = idx[live]
-                a, b, c, d, fc, fd = (v[live] for v in (a, b, c, d, fc, fd))
+                    np.copyto(o, v, where=stop)
+                live &= ~stop
     c, fc, d, fd = out
-    cand_v = np.stack((vals[rows, i], fc, fd), axis=1)
-    cand_x = np.stack((xs[rows, i], c, d), axis=1)
-    best = cand_v.max(axis=1)
-    arg = np.where(cand_v == best[:, None], cand_x, -np.inf).max(axis=1)
+    cand_v = np.stack((vals[rows, i].reshape(lo.shape), fc, fd), axis=-1)
+    cand_x = np.stack((xs[rows, i].reshape(lo.shape), c, d), axis=-1)
+    best = cand_v.max(axis=-1)
+    arg = np.where(cand_v == best[..., None], cand_x, -np.inf).max(axis=-1)
     return arg, best
 
 
 def sup_on_grid(fn_x: Callable, grid: Grid,
-                end_vals: Mapping[float, float] | None = None,
-                xtol: float = 1e-8, edge: float = 1e-12) -> float:
+                end_vals: Mapping[float, float] | None = None, kinks=(),
+                xtol: float = 1e-8, edge: float = 1e-12):
     """Sup of fn_x over [-1, 1]: node values, endpoint values, and a golden
-    refinement inside every bracket (endpoint brackets clipped inward).
+    refinement inside every bracket between nodes and ``kinks`` (endpoint
+    brackets clipped inward).
 
-    fn_x takes an array of compact coordinates and returns an array of the
-    same shape (a float-only fn_x is wrapped, see ``elementwise``); one call
-    covers every node, then one every bracket's next point (see
+    ``kinks`` holds compact coordinates of shape batch + (k,): ``(k,)`` for
+    one function, a row each for a batch of functions (k may be 0); the sup
+    is a float for one function and an array of the batch's shape for a
+    batch. fn_x takes an array of compact coordinates of the shape
+    batch + (n,) and returns each function's values at the points of its
+    row (a float-only fn_x is wrapped, see ``elementwise``); one call covers
+    every node, then one every bracket's next point (see
     ``golden_section_max``). A nan value raises DomainError. ``end_vals``
-    holds the values at the infinite ends, keyed by their compact
-    coordinate -1.0 / 1.0; fn_x is never called at those points.
+    holds the values at the infinite ends (a float, or one per function),
+    keyed by their compact coordinate -1.0 / 1.0; fn_x is never called at
+    those points.
     """
     end_vals = end_vals or {}
+    kinks = np.asarray(kinks, dtype=float)
+    batch = kinks.shape[:-1]
     xs = grid.x
-    fn_x = elementwise(fn_x, at=xs[1:3])
+    fn_x = elementwise(fn_x, at=np.broadcast_to(xs[1:3], batch + (2,)))
     at_end = np.array([x in end_vals for x in xs.tolist()])
-    lo = np.maximum(xs[:-1], -1.0 + edge)
-    hi = np.minimum(xs[1:], 1.0 - edge)
-    open_ = hi > lo
-    vals = [end_vals[x] for x in xs[at_end].tolist()]
+    edges = np.concatenate((np.broadcast_to(np.clip(xs, -1.0 + edge, 1.0 - edge),
+                                            batch + xs.shape),
+                            np.clip(kinks, -1.0 + edge, 1.0 - edge)), axis=-1)
+    edges.sort(axis=-1)
+    vals = [np.broadcast_to(end_vals[x], batch)[..., None] for x in xs[at_end].tolist()]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals += _values(fn_x, xs[~at_end]).tolist()
-    if open_.any():
-        _, best = golden_section_max(fn_x, lo[open_], hi[open_], xtol=xtol)
-        vals.append(best.max())
-    return float(max(vals))
+        vals.append(_values(fn_x, np.broadcast_to(xs[~at_end], batch + (xs.size - at_end.sum(),))))
+    _, best = golden_section_max(fn_x, edges[..., :-1], edges[..., 1:], xtol=xtol)
+    vals.append(best)
+    sup = np.concatenate(vals, axis=-1).max(axis=-1)
+    return sup if batch else float(sup)
 
 
 def inf_on_grid(fn_x: Callable, grid: Grid,

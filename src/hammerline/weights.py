@@ -123,55 +123,76 @@ def check_weight(w: Weight, grid: Grid, fd_rel_tol: float = 1e-6) -> None:
 # ---------------------------------------------------------------------------
 # tail behavior
 
+def tail_points(cmap: CompactMap, side: int = +1, k_hi: int = 12) -> np.ndarray:
+    """The points of the refining tail grid toward the end ``side``."""
+    return cmap.from_compact(side * np.array(refining_tail_x(4, k_hi)))
+
+
+def tail_values(fn: Callable, ts: np.ndarray, shape: tuple) -> np.ndarray:
+    """fn(ts) as an array of ``shape``, a batch of rows of values at the
+    tail points ts; an evaluation that raises gives nan, the unknown."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(np.asarray(fn(ts), dtype=float), shape)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return np.full(shape, math.nan)
+
+
+_KINDS = np.array(["unknown", "limit", "diverges"])
+
+
+def classify_tail(ts: np.ndarray, vals: np.ndarray, agree_rel: float = 1e-9) -> tuple:
+    """The ``tail_trend`` verdicts of rows of values (last axis) at the tail
+    points ts, in one pass: arrays (kind, value) of the rows' shape, with
+    value nan where the kind is "unknown"."""
+    vals = np.asarray(vals, dtype=float)
+    last = vals[..., -1]
+    with np.errstate(all="ignore"):
+        prev, succ = vals[..., :-1], vals[..., 1:]
+        # Richardson: r(t) = A + B/t + o(1/t); pairwise elimination of B
+        rich = (succ * ts[1:] - prev * ts[:-1]) / (ts[1:] - ts[:-1])
+        tails = np.stack((rich[..., -3:], vals[..., -3:]))
+        scale = np.abs(tails).max(axis=-1, keepdims=True)
+        settled = (np.abs(np.diff(tails, axis=-1)) <= agree_rel * scale + 1e-300).all(axis=-1)
+        # the rules from the weakest up, each overriding the ones before:
+        # certified monotone escape, settled raw values (they may settle
+        # even when extrapolation is noisy), settled extrapolation, and a
+        # non-finite value, a certified escape only when |v| never falls and
+        # the last value is infinite; a nan is never decided
+        code = np.zeros(last.shape, int)
+        value = np.full(last.shape, math.nan)
+        up = (succ >= prev).all(axis=-1) & (last > 1e12)
+        down = (succ <= prev).all(axis=-1) & (last < -1e12)
+        for hit, kind, v in ((up | down, 2, np.where(up, math.inf, -math.inf)),
+                             (settled[1], 1, last), (settled[0], 1, rich[..., -1])):
+            code = np.where(hit, kind, code)
+            value = np.where(hit, v, value)
+        infinite = ~np.isfinite(vals).all(axis=-1)
+        grows = ((np.abs(succ) >= np.abs(prev)) | ~np.isfinite(succ)).all(axis=-1)
+        escape = grows & ~np.isfinite(last)
+        code = np.where(infinite, np.where(escape, 2, 0), code)
+        value = np.where(infinite, np.where(escape, last, math.nan), value)
+        nan = np.isnan(vals).any(axis=-1)
+        code = np.where(nan, 0, code)
+        value = np.where(nan, math.nan, value)
+    return _KINDS[code.ravel()].reshape(code.shape), value
+
+
 def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1,
                agree_rel: float = 1e-9, k_hi: int = 12):
     """Classify the endpoint behavior of fn along the refining tail grid.
 
-    Returns one of
+    fn is called one point at a time. Returns one of
       ("limit", L)      the values settle (after one Richardson elimination
                         of the 1/t term) to the finite value L,
       ("diverges", s)   certified monotone escape, s = +-inf,
       ("unknown", None) no decision (oscillation, evaluation failure).
     """
-    xs = refining_tail_x(4, k_hi)
-    ts, vals = [], []
-    for x in xs:
-        t = cmap.from_compact(side * x)
-        try:
-            v = float(fn(t))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return ("unknown", None)
-        if math.isnan(v):
-            return ("unknown", None)
-        ts.append(t)
-        vals.append(v)
-    finite = [v for v in vals if math.isfinite(v)]
-    if len(finite) < len(vals):
-        tail = vals[-3:]
-        if all(not math.isfinite(v) or abs(v) >= abs(u)
-               for u, v in zip(vals, vals[1:])) and not math.isfinite(tail[-1]):
-            return ("diverges", math.copysign(math.inf, tail[-1]))
-        return ("unknown", None)
-    # Richardson: r(t) = A + B/t + o(1/t); pairwise elimination of B
-    rich = []
-    for (t1, v1), (t2, v2) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        rich.append((v2 * t2 - v1 * t1) / (t2 - t1))
-    last = rich[-3:]
-    scale = max(abs(v) for v in last)
-    if all(abs(a - b) <= agree_rel * scale + 1e-300 for a, b in zip(last, last[1:])):
-        return ("limit", last[-1])
-    # raw values may settle even when extrapolation is noisy
-    lastv = vals[-3:]
-    scale = max(abs(v) for v in lastv)
-    if all(abs(a - b) <= agree_rel * scale + 1e-300 for a, b in zip(lastv, lastv[1:])):
-        return ("limit", lastv[-1])
-    mono_up = all(b >= a for a, b in zip(vals, vals[1:]))
-    mono_dn = all(b <= a for a, b in zip(vals, vals[1:]))
-    if mono_up and vals[-1] > 1e12:
-        return ("diverges", math.inf)
-    if mono_dn and vals[-1] < -1e12:
-        return ("diverges", -math.inf)
-    return ("unknown", None)
+    ts = tail_points(cmap, side, k_hi)
+    vals = tail_values(lambda t: [float(fn(v)) for v in t.tolist()], ts, ts.shape)
+    kind, value = classify_tail(ts, vals, agree_rel)
+    kind = str(kind)
+    return (kind, None if kind == "unknown" else float(value))
 
 
 def tail_limit(fn: Callable[[float], float], cmap: CompactMap, side: int = +1,

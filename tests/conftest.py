@@ -99,6 +99,13 @@ def solution_c2(problem_c2):
     return hl.picard_solve(problem_c2, tol=1e-10, max_iters=100)
 
 
+def kernel_slice(kernel, s):
+    """The slice t -> k(t,s)eta(s) at a float s and its kink, the diagonal,
+    as one raw callable for ``eval_functional_raw``."""
+    eta = kernel.eta(s)
+    return (lambda t: kernel.fn(t, s) * eta), (s,)
+
+
 def grid_times(space):
     """Finite node times of a space's grid."""
     t = space.grid.t

@@ -106,6 +106,23 @@ def test_angle_map_is_the_compact_map(cmap):
     assert x_end[0] == 1.0 and 1e15 < t_end[0] < np.inf
 
 
+@pytest.mark.parametrize("cmap", MAPS)
+def test_to_compact_of_an_array_is_the_float_map_bit_for_bit(cmap):
+    lo, hi = cmap.interval()
+    rng = np.random.default_rng(5)
+    inner = np.concatenate((rng.standard_normal(400) * 10.0 ** rng.uniform(-8, 14, 400),
+                            [0.0, 1e300, -1e300, 2.0, -1.0]))
+    t = np.concatenate(([lo, hi], inner[(inner > lo) & (inner < hi)]))
+    x = cmap.to_compact(t)
+    assert isinstance(x, np.ndarray) and x.shape == t.shape
+    assert x.tolist() == [cmap.to_compact(v) for v in t.tolist()]
+    assert x[0] == -1.0 and x[1] == 1.0
+    assert cmap.to_compact(t.reshape(1, -1)).tolist() == [x.tolist()]
+    below = np.array([0.5, lo - 1.0]) if math.isfinite(lo) else np.array([np.nan])
+    with pytest.raises(DomainError, match="outside the interval"):
+        cmap.to_compact(below)
+
+
 def test_jacobian_rejects_endpoints():
     with pytest.raises(DomainError):
         HALF.jacobian(1.0)

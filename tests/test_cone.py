@@ -172,33 +172,39 @@ def test_profile_integrals(problem_c2, system_c2, space, report_c2):
 
 
 def _count_sup_searches(monkeypatch, *modules):
-    calls = []
+    """The rows of every sup search, one entry a search: a search over a
+    batch of slices counts one row per slice (a row of its ``kinks``)."""
+    import inspect
+
+    rows = []
     for mod in modules:
         real = mod.sup_on_grid
+        signature = inspect.signature(real)
 
         def counted(*args, _real=real, **kwargs):
-            calls.append(1)
+            kinks = signature.bind(*args, **kwargs).arguments.get("kinks", ())
+            rows.append(math.prod(np.shape(kinks)[:-1]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(mod, "sup_on_grid", counted)
-    return calls
+    return rows
 
 
 def test_shared_memo_skips_repeated_slice_sups(problem_c2, system_c2, space,
                                                monkeypatch):
     import hammerline.cone as cone_mod
 
-    calls = _count_sup_searches(monkeypatch, cone_mod)
+    rows = _count_sup_searches(monkeypatch, cone_mod)
     memo = {}
     first = hl.kernel_functional_integral(system_c2.upper, problem_c2.kernel,
                                           space=space, memo=memo)
-    searched = len(calls)
-    assert searched > 0
+    searched = sum(rows)
+    assert searched > 256
     # an equal builder weight, not the same object, names the same parts
     twin = hl.FunctionalSpec("weighted-sup", sup_weight=hl.exponential(c=1.0, rate=1.0))
     second = hl.kernel_functional_integral(twin, problem_c2.kernel,
                                            space=space, memo=memo)
-    assert len(calls) == searched
+    assert sum(rows) == searched
     assert second.values == first.values
     assert second.integral == first.integral
 
@@ -214,15 +220,104 @@ def test_memo_never_stores_a_refused_part(problem_c2):
 
 
 def test_certifier_sup_search_count(problem_c2, system_c2, monkeypatch):
-    # each slice and element sup part is searched once per certification:
-    # without the parts memo the certifier made 1,110 searches here, with it 688
+    # each slice and element sup part is searched once per certification,
+    # counted by rows (a batch of slices is one search of many rows): without
+    # the parts memo the certifier searched 1,110 rows here, with it 688
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
 
-    calls = _count_sup_searches(monkeypatch, cone_mod, hammerstein_mod)
+    rows = _count_sup_searches(monkeypatch, cone_mod, hammerstein_mod)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=6, seed=0)
-    assert len(calls) <= 688
+    assert sum(rows) <= 688
+
+
+def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
+    # the table and each refinement round of the profile integral are one
+    # batch of slices: the cone profile made 205 array calls of kernel.fn
+    # here; evaluated one s at a time, its 403 slices made about 16,000
+    import dataclasses
+
+    calls = []
+
+    def counted(t, s):
+        calls.append(np.size(s))
+        return problem_c2.kernel.fn(t, s)
+
+    kernel = dataclasses.replace(problem_c2.kernel, fn=counted)
+    calls.clear()   # the construction's float-or-array probe does not count
+    prof = hl.kernel_functional_integral(system_c2.cone, kernel, space=space)
+    assert prof.integral == pytest.approx(0.5 - 1.0 / E, abs=1e-8)
+    assert len(calls) <= 240
+    assert max(calls) >= 256   # a call covers every slice of the table
+
+
+# -- batched slice functionals against a loop over s -----------------------
+
+def _green_setup():
+    """The full-line kernel e^-|t-s|/2 on the space with weight 1 + |t|, a
+    sup functional against e^|t| (the profile is e^-|s|/2) and an integral
+    functional against cosh t (by Fubini, the profile integrates to pi)."""
+    from hammerline.elementwise import exp
+
+    cmap = hl.CompactMap.full_line(L=1.0)
+    grid = hl.build_grid(cmap, hl.GridSpec(m=41))
+    space = hl.Space(grid=grid, weight=hl.custom(lambda t: 1.0 + abs(t), label="1+|t|"))
+    kernel = hl.Kernel(fn=lambda t, s: 0.5 * np.exp(-np.abs(t - s)), support="full",
+                       name="green")
+    grow = hl.custom(lambda t: exp(abs(t)), label="e^|t|")
+    cosh = hl.custom(lambda t: 0.5 * (exp(t) + exp(-t)), label="cosh")
+    return (space, kernel, hl.FunctionalSpec("weighted-sup", sup_weight=grow),
+            hl.FunctionalSpec("weighted-integral", integral_weight=cosh))
+
+
+@pytest.mark.parametrize("name", ["c2", "green"])
+def test_batched_profiles_equal_a_loop_of_slice_functionals(name, problem_c2,
+                                                            system_c2, space):
+    # the table is one batch of slices; a loop of scalar calls gives the
+    # same sups bit for bit, and integrals up to their order of summation
+    from conftest import kernel_slice
+
+    if name == "c2":
+        kernel, sup_spec, integral_spec = problem_c2.kernel, system_c2.upper, system_c2.lower
+        closed = {"weighted-sup": 1.0 / E, "weighted-integral": 1.0}
+    else:
+        space, kernel, sup_spec, integral_spec = _green_setup()
+        closed = {"weighted-sup": 1.0, "weighted-integral": math.pi}
+    for spec in (sup_spec, integral_spec):
+        prof = hl.kernel_functional_integral(spec, kernel, space=space, s_points=97)
+        assert prof.integral == pytest.approx(closed[spec.kind], abs=1e-8)
+        assert prof.positive
+        loop = []
+        for s in prof.s_values:
+            fn, kinks = kernel_slice(kernel, s)
+            loop.append(hl.eval_functional_raw(spec, fn, space, kinks=kinks))
+        batch, loop = np.array(prof.values), np.array(loop)
+        if spec.kind == "weighted-sup":
+            assert np.array_equal(batch, loop)
+        else:
+            assert np.all(np.abs(batch - loop) <= 1e-15 * np.abs(loop))
+
+
+def test_batched_profile_refuses_as_the_loop_does(space):
+    # one slice grows like t^2, so its ratio to the sup weight t + 1 diverges
+    from hammerline.cone import _profile_s_grid
+    from conftest import kernel_slice
+
+    s_vals = _profile_s_grid(space, 256)
+    bad_s = s_vals[100]
+    kernel = hl.Kernel(fn=lambda t, s: np.maximum(t - s, 0.0) * np.where(s == bad_s, t, 1.0),
+                       support="volterra", name="one-bad-slice")
+    spec = hl.FunctionalSpec("weighted-sup", sup_weight=hl.affine(b=1.0))
+    with pytest.raises(DomainError) as batch:
+        hl.kernel_functional_integral(spec, kernel, space=space)
+    with pytest.raises(DomainError) as loop:
+        for s in s_vals:
+            fn, kinks = kernel_slice(kernel, s)
+            hl.eval_functional_raw(spec, fn, space, kinks=kinks)
+    assert str(batch.value) == str(loop.value) == "sup part unbounded for this slice"
+    fn, kinks = kernel_slice(kernel, s_vals[99])
+    assert hl.eval_functional_raw(spec, fn, space, kinks=kinks) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- certification report ---------------------------------------------------

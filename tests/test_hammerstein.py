@@ -92,6 +92,22 @@ def test_parabola_setup_fails_the_image_bound_honestly():
     assert values_only.ok
 
 
+def test_parabola_slice_sups_find_the_peak_beside_the_diagonal():
+    # the slice (t-s)+/(t+1)^2 peaks at t = 2s+1 with 1/(4(s+1)); past
+    # s = 1e4 the peak lies inside the last grid bracket and is narrower than
+    # its prescan, which sees only the zero plateau t < s unless the bracket
+    # is cut at the diagonal
+    problem = constant_forcing_problem()
+    space = problem.space
+    s = np.array([1e3, 1e5, 1e8, 1e12])
+    for v in s:
+        lim = hl.kernel_limits(problem.kernel, space.weight, float(v), grid=space.grid)
+        assert lim.sup * 4.0 * (v + 1.0) == pytest.approx(1.0, rel=0.02)
+    batch = hl.kernel_limits(problem.kernel, space.weight, s, grid=space.grid)
+    assert batch.sup.shape == s.shape
+    assert np.all(np.abs(batch.sup * 4.0 * (s + 1.0) - 1.0) <= 0.02)
+
+
 def test_derivative_row_matches_hand_derivative():
     problem = constant_forcing_problem(order=1)
     m = problem.space.m
@@ -134,6 +150,22 @@ def test_kernel_limits_of_bundled_kernel(problem_c2, space):
     zero = hl.Kernel(fn=lambda t, s: 0.0)
     lim0 = hl.kernel_limits(zero, space.weight, 1.0, grid=space.grid)
     assert lim0.z_lo == lim0.z_hi == lim0.sup == 0.0
+
+
+def test_kernel_limits_of_a_batch_are_the_scalar_ones(problem_c2, space):
+    # a batch of s is one sup search; each row equals its own scalar call,
+    # and a kernel without closed-form endpoints classifies its tails in one
+    # pass over the batch
+    plain = hl.Kernel(fn=lambda t, s: np.maximum(t - s, 0.0), support="volterra")
+    s = np.array([0.0, 0.3, 2.0, 40.0])
+    for kernel in (problem_c2.kernel, plain):
+        batch = hl.kernel_limits(kernel, space.weight, s, grid=space.grid)
+        for i, v in enumerate(s.tolist()):
+            one = hl.kernel_limits(kernel, space.weight, v, grid=space.grid)
+            assert (batch.z_lo[i], batch.z_hi[i], batch.sup[i]) == tuple(one)
+    with pytest.raises(DomainError, match="no finite limit toward \\+inf"):
+        hl.slice_endpoint_values(hl.Kernel(fn=lambda t, s: t * t), space.weight, s,
+                                 space.map)
 
 
 def test_slice_endpoint_values_match_closed_form(problem_c2, space):

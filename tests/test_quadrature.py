@@ -82,6 +82,42 @@ def test_quadrature_error_carries_node_tag():
     assert sum(sizes) <= 2000
 
 
+def test_a_batch_of_integrals_keeps_each_row_as_alone():
+    # integrals of |t - k| e^(-a t) over [0, inf), a row each, cut at k: each
+    # row keeps its own panels, so it gets its value alone (up to the order
+    # of summation), in one integrand call per round for all rows
+    from hammerline.quadrature import integrate_compact
+
+    a = np.array([0.5, 1.0, 3.0, 10.0])
+    k = np.array([0.0, 5.0, 0.3, 40.0])
+
+    def fn(t, x, row):
+        calls.append(row.size)
+        return np.abs(t - k[row]) * np.exp(-a[row] * t)
+
+    calls = []
+    edges = np.stack((np.full(4, -1.0), HALF.to_compact(k), np.ones(4)), axis=1)
+    batch = integrate_compact(fn, HALF, None, edges)
+    rounds = len(calls)
+    assert batch.shape == (4,)
+    exact = (k - 1.0 / a + 2.0 * np.exp(-a * k) / a) / a
+    assert batch == pytest.approx(exact, rel=1e-10)
+    alone = []
+    for r in range(4):
+        calls.clear()
+        one = integrate_compact(lambda t, x, row: fn(t, x, np.full(t.size, r)), HALF, None,
+                                edges[r])
+        alone.append(len(calls))
+        assert isinstance(one, float)
+        assert abs(one - batch[r]) <= 1e-15 * abs(one)
+    assert rounds == max(alone)
+    # a row that diverges refuses the batch
+    bad = np.where(np.arange(4) == 2, 0.0, a)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        integrate_compact(lambda t, x, row: np.exp(-bad[row] * t) + 0.0 * t, HALF, None,
+                          edges)
+
+
 def test_tighter_config_is_accepted():
     cfg = hl.QuadratureConfig(tol=1e-12, rel_tol=1e-13)
     val = hl.integrate_interval(lambda t: t * math.exp(-t), HALF, cfg)

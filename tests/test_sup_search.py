@@ -9,7 +9,7 @@ import pytest
 import hammerline as hl
 from hammerline.errors import DomainError
 
-from conftest import make_space, make_system
+from conftest import kernel_slice, make_space, make_system
 from golden_oracle import one_point_at_a_time, scalar_golden_section_max, sup_brackets
 
 HALF = hl.CompactMap.half_line(a=0.0, L=1.0)
@@ -29,8 +29,6 @@ def _patch_sup_searches(monkeypatch, wrap):
 
 def _searched_callables(monkeypatch, problem, system):
     """The fn_x of slice, element and kernel_limits sups of a problem."""
-    from hammerline.cone import _kernel_slice
-
     seen = []
 
     def wrap(real):
@@ -42,7 +40,7 @@ def _searched_callables(monkeypatch, problem, system):
     _patch_sup_searches(monkeypatch, wrap)
     space, kern = problem.space, problem.kernel
     for s in (0.3, 2.0):
-        fn, kinks = _kernel_slice(kern, s)
+        fn, kinks = kernel_slice(kern, s)
         hl.eval_functional_raw(system.upper, fn, space, kinks=kinks)
         hl.kernel_limits(kern, space.weight, s, grid=space.grid)
     hl.eval_functional(system.cone, problem.forcing)
@@ -73,6 +71,38 @@ def test_lockstep_brackets_equal_the_scalar_oracle(name, monkeypatch):
         _assert_matches_oracle(fn_x, grid)
 
 
+def test_a_batch_of_functions_visits_each_bracket_as_a_search_alone():
+    # rows of slices (t-s)+ e^-t of the c2 kernel at several s, with their
+    # diagonal as a bracket edge: each row's search equals that row alone and
+    # the scalar oracle bit for bit, whatever the other rows
+    grid = hl.build_grid(HALF, hl.GridSpec(m=41))
+    s = np.array([0.0, 0.5, 3.0, 40.0, 1e3])
+
+    def slice_at(v):
+        return lambda x: np.maximum(HALF.from_compact(x) - v, 0.0) * np.exp(
+            -HALF.from_compact(x))
+
+    def rows(x):
+        return slice_at(s[:, None])(x)
+
+    edge = 1.0 - 1e-12
+    edges = np.sort(np.concatenate((np.broadcast_to(np.clip(grid.x, -edge, edge), (5, 41)),
+                                    HALF.to_compact(s)[:, None]), axis=1), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    arg, best = hl.golden_section_max(rows, lo, hi)
+    assert arg.shape == best.shape == lo.shape
+    with np.errstate(all="ignore"):
+        for r, v in enumerate(s.tolist()):
+            alone = hl.golden_section_max(slice_at(v), lo[r], hi[r])
+            assert np.array_equal(alone[0], arg[r]) and np.array_equal(alone[1], best[r])
+            one = one_point_at_a_time(slice_at(v))
+            for k in range(0, lo.shape[1], 5):
+                assert scalar_golden_section_max(one, lo[r, k], hi[r, k]) == (arg[r, k],
+                                                                               best[r, k])
+    sups = hl.sup_on_grid(rows, grid, {1.0: 0.0}, HALF.to_compact(s)[:, None])
+    assert sups == pytest.approx(np.exp(-(s + 1.0)), rel=1e-12, abs=0.0)
+
+
 def test_lockstep_brackets_equal_the_scalar_oracle_on_kinks():
     grid = hl.build_grid(HALF, hl.GridSpec(m=41))
     def kinked(x):
@@ -86,7 +116,7 @@ def test_each_sup_search_makes_at_most_40_calls(problem_c2, system_c2, monkeypat
     # host-independent cost guard at m=41: one call for the nodes, one for
     # the prescan of every bracket, one per lockstep golden step (and one
     # probe of fn_x); the scalar search made about 1,500 calls
-    from hammerline.cone import _envelope_extreme, _kernel_slice
+    from hammerline.cone import _envelope_extreme
 
     per_sup = []
 
@@ -108,7 +138,7 @@ def test_each_sup_search_makes_at_most_40_calls(problem_c2, system_c2, monkeypat
     space, kern = problem_c2.space, problem_c2.kernel
     assert space.m == 41
     for s in (0.0, 0.5, 4.0):
-        fn, kinks = _kernel_slice(kern, s)
+        fn, kinks = kernel_slice(kern, s)
         hl.eval_functional_raw(system_c2.upper, fn, space, kinks=kinks)
         hl.kernel_limits(kern, space.weight, s, grid=space.grid)
     for spec in (system_c2.cone, system_c2.upper):
@@ -116,6 +146,10 @@ def test_each_sup_search_makes_at_most_40_calls(problem_c2, system_c2, monkeypat
     _envelope_extreme(problem_c2.nonlinearity.upper_envelope, 0.5, space, "sup")
     _envelope_extreme(lambda t, rho: 2.0 + math.tanh(t), 0.5, space, "inf")
     assert len(per_sup) == 10
+    # a batch of slices is one search, in as many calls as its slowest row
+    hl.kernel_limits(kern, space.weight, np.geomspace(1e-3, 1e4, 64), grid=space.grid)
+    hl.kernel_functional_integral(system_c2.upper, kern, space=space)
+    assert len(per_sup) > 12
     assert max(per_sup) <= 40, per_sup
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +89,25 @@ def test_tail_trend_algebraic_decay_to_zero_stays_unknown():
     kind, val = hl.tail_trend(lambda t: 1.0 / (1.0 + t * t), FULL, side=-1)
     assert kind == "unknown"
     assert val is None
+
+
+def test_tail_classification_of_a_batch_gives_each_row_the_scalar_verdict():
+    from hammerline.weights import classify_tail, tail_points
+
+    cases = [lambda t: (t + 3.0) / (t + 1.0), lambda t: t * t, lambda t: -t * t,
+             lambda t: math.sin(t), lambda t: 1.0 / (1.0 + t * t),
+             lambda t: math.inf if t > 1e6 else t, lambda t: -math.inf if t > 1e3 else -t,
+             lambda t: math.nan if t > 1e8 else 1.0, lambda t: 1e300 * t,
+             lambda t: 2.0 - math.tanh(t), lambda t: 3.0 + abs(t) ** -0.5,
+             lambda t: 1.0 / (t - 1e5)]
+    for cmap in (HALF, FULL):
+        for side in cmap.infinite_ends():
+            ts = tail_points(cmap, side)
+            vals = [[fn(t) for t in ts.tolist()] for fn in cases]
+            kind, value = classify_tail(ts, np.array(vals))
+            assert kind.shape == value.shape == (len(cases),)
+            for fn, k, v in zip(cases, kind.tolist(), value.tolist()):
+                assert hl.tail_trend(fn, cmap, side) == (k, None if k == "unknown" else v)
 
 
 def test_weights_equivalent_affine_shifts():

@@ -192,8 +192,13 @@ class Grid:
         return barycentric_interpolate(self.x, self.bary_w, values, xq)
 
     def interpolant(self, values: np.ndarray):
+        """The interpolant of node values: xq -> its values at xq for one
+        row of them (shape (m,)); (xq, row) -> the values at xq of the
+        interpolants of the rows ``row`` for a batch (shape (rows, m)), see
+        ``barycentric_interpolate``."""
         values = np.asarray(values, dtype=float)
-        return lambda xq: barycentric_interpolate(self.x, self.bary_w, values, xq)
+        return lambda xq, row=0: barycentric_interpolate(self.x, self.bary_w, values,
+                                                         xq, row)
 
 
 def build_grid(cmap: CompactMap, spec: GridSpec) -> Grid:
@@ -221,24 +226,38 @@ def build_grid(cmap: CompactMap, spec: GridSpec) -> Grid:
 
 
 def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
-                            values: np.ndarray, xq):
+                            values: np.ndarray, xq, row=0):
     """Barycentric interpolation at a query point xq in [-1, 1], or at every
     point of an array of them.
 
     Exact at the nodes and for polynomials of degree < m on Chebyshev-Lobatto
     nodes with the standard alternating weights. A point of an array gets
-    the value a float query gives, whatever the other points.
+    the value a float query gives, whatever the other points. ``values``
+    holds one row of node values (shape (m,)) or a batch of rows (shape
+    (rows, m)); for a batch, ``row`` (an integer array broadcast against
+    xq) tags each query point with the row it interpolates, so one call
+    serves a batch of functions, each point with the value a query of its
+    row alone gives.
     """
     if isinstance(xq, np.ndarray):
         if not np.abs(xq).max(initial=0.0) <= 1.0:
             raise DomainError("queries outside [-1, 1]")
-        d = xq.reshape(-1, 1) - x_nodes
-        row, col = np.nonzero(d == 0.0)
-        d[row, col] = 1.0
-        c = weights / d
-        out = np.einsum("ij,j->i", c, values) / c.sum(axis=1)
-        out[row] = values[col]
-        return out.reshape(xq.shape)
+        table = np.atleast_2d(values)
+        shape = np.broadcast(xq, row).shape
+        xs = xq.ravel() if xq.shape == shape else np.broadcast_to(xq, shape).ravel()
+        if table.shape[0] == 1 or np.size(row) == 1:   # one row for every point
+            rows = np.full(xs.size, 0 if table.shape[0] == 1 else row, dtype=int)
+            return _interpolate(x_nodes, weights, table, xs, rows, [xs.size]).reshape(shape)
+        rows = np.broadcast_to(row, shape).ravel()
+        order = None
+        if (rows[1:] < rows[:-1]).any():
+            order = np.argsort(rows, kind="stable")
+            xs, rows = xs[order], rows[order]
+        ends = [*(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), xs.size]
+        out = _interpolate(x_nodes, weights, table, xs, rows, ends)
+        if order is not None:
+            out[order] = out.copy()
+        return out.reshape(shape)
     if not -1.0 <= xq <= 1.0:
         raise DomainError(f"query {xq!r} outside [-1, 1]")
     d = xq - x_nodes
@@ -247,6 +266,34 @@ def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
         return float(values[hit[0]])
     c = weights / d
     return float(np.einsum("j,j->", c, values) / np.sum(c))
+
+
+_BLOCK = 1024   # query points per (points x nodes) temporary
+
+
+def _interpolate(x_nodes, weights, table, xs, rows, ends) -> np.ndarray:
+    """The interpolants of the rows ``rows`` (one per point, in runs that
+    end at ``ends``) of ``table`` at the points xs, in blocks of points.
+    Each run of a row in a block is one product with that row, so no copy
+    of the table is gathered per point."""
+    out = np.empty(xs.size)
+    run = 0
+    for a in range(0, xs.size, _BLOCK):
+        b = min(a + _BLOCK, xs.size)
+        c = xs[a:b, None] - x_nodes
+        hit, col = np.nonzero(c == 0.0)
+        c[hit, col] = 1.0
+        np.divide(weights, c, out=c)
+        lo = a
+        while lo < b:
+            hi = min(ends[run], b)
+            np.einsum("ij,j->i", c[lo - a:hi - a], table[rows[lo]], out=out[lo:hi])
+            lo = hi
+            run += hi == ends[run]
+        out[a:b] /= c.sum(axis=1)
+        if hit.size:
+            out[a + hit] = table[rows[a + hit], col]
+    return out
 
 
 def barycentric_matrix(x_nodes: np.ndarray, weights: np.ndarray,

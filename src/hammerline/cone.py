@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import jsonschema
 import numpy as np
 
 from .compactline import Grid
@@ -26,7 +27,7 @@ from .quadrature import (DEFAULT_QUAD, QuadratureConfig, inf_on_grid,
                          integrate_compact, integrate_interval, sup_on_grid)
 from .weights import (Weight, classify_tail, tail_points, tail_trend, tail_values,
                       weight_key)
-from .weighted_space import Space, WeightedFunction, norm
+from .weighted_space import Space, WeightedFunction, norm, spaces_compatible
 from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
                           c3_bound_profile, dominator_check, kernel_limits,
                           kernel_modulus_check)
@@ -88,17 +89,23 @@ def _tail_value(fn, cmap, side: float, undecided: str) -> float:
 def _integral_parts(g, space: Space, quad: QuadratureConfig, cuts: np.ndarray) -> np.ndarray:
     """Integrals of g(t, x, row) over the interval, one per row of the
     compact coordinates ``cuts`` (shape (rows, k), panel edges inside the
-    interval), refused when a tail decays slower than |t|^-3/2."""
+    interval), refused when a tail decays slower than |t|^-3/2; of several
+    refused rows, the first one's refusal is raised."""
     cmap = space.map
     col = np.arange(cuts.shape[0])[:, None]
+    diverges = []
     for side in cmap.infinite_ends():
         ts = tail_points(cmap, side)
         vals = tail_values(lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** 1.5,
                            ts, (col.size, ts.size))
-        if (classify_tail(ts, vals)[0] == "diverges").any():
-            raise DomainError(
-                "integral part diverges: integrand decays slower than |t|^-3/2 "
-                f"toward {'+' if side > 0 else '-'}inf")
+        diverges.append(classify_tail(ts, vals)[0] == "diverges")
+    refused = np.stack(diverges, axis=1)
+    if refused.any():
+        first = refused[np.argmax(refused.any(axis=1))]
+        side = cmap.infinite_ends()[int(np.argmax(first))]
+        raise DomainError(
+            "integral part diverges: integrand decays slower than |t|^-3/2 "
+            f"toward {'+' if side > 0 else '-'}inf")
     ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
     try:
         return integrate_compact(g, cmap, quad, np.concatenate((ends, cuts), axis=1))
@@ -142,28 +149,23 @@ def _combine(spec: FunctionalSpec, integral, sup, memo: dict | None = None,
     return integral(spec.integral_weight) - sup(spec.sup_weight)
 
 
-def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
-                    quad: QuadratureConfig | None = None, *,
-                    memo: dict | None = None) -> float:
-    """Value of the functional on a space element (quadrature-certified).
+def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) -> tuple:
+    """The integral and sup parts of a batch of space elements, one per row
+    of ``samples`` (their rescaled node values), as functions of the weight
+    and of the rows to compute (see ``_combine``).
 
-    At an infinite end the sup part takes the element's end sample times
-    the certified limit of phi/sup_weight, and refuses when that ratio
-    diverges or has no certified limit. ``memo`` (a dict) keeps each part
-    by weight, quadrature, space and samples, so a repeated part is not
-    recomputed.
+    At an infinite end the sup part takes each row's end sample times the
+    certified limit of phi/sup_weight, classified once for the batch, and
+    refuses when that ratio diverges or has no certified limit.
     """
-    quad = quad or DEFAULT_QUAD
-    sp = u.space
-    grid, cmap, phi = sp.grid, sp.map, sp.weight
-    row = u.samples[0]
-    interp = grid.interpolant(row)
+    grid, cmap, phi = space.grid, space.map, space.weight
+    interp = grid.interpolant(samples)
 
-    def integral(w2: Weight, rows) -> np.ndarray:
-        return _integral_parts(lambda t, x, r: interp(x) * phi(t) / w2(t), sp, quad,
-                               np.empty((1, 0)))
+    def integral(w2: Weight, rows: np.ndarray) -> np.ndarray:
+        return _integral_parts(lambda t, x, r: interp(x, rows[r]) * phi(t) / w2(t), space,
+                               quad, np.empty((rows.size, 0)))
 
-    def sup(w3: Weight, rows) -> np.ndarray:
+    def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
         ends = {}
         for x in cmap.infinite_ends():
             ratio = _tail_value(lambda t: phi(t) / w3(t), cmap, x,
@@ -175,16 +177,46 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction,
                 raise DomainError(
                     "sup part ill-conditioned: the space weight outgrows the "
                     "sup weight toward the endpoint")
-            ends[x] = abs(float(row[0 if x < 0 else -1])) * abs(ratio)
+            ends[x] = np.abs(samples[rows, 0 if x < 0 else -1]) * abs(ratio)
 
-        def fn_x(x):
+        def fn_x(x):   # x of shape batch + (n,), batch () for a batch of one
             t = cmap.from_compact(x)
-            return abs(interp(x)) * phi(t) / w3(t)
+            return np.abs(interp(x, rows.reshape(x.shape[:-1] + (1,)))) * phi(t) / w3(t)
 
-        return np.array([sup_on_grid(fn_x, grid, ends)])
+        return sup_on_grid(fn_x, grid, ends, np.empty((rows.size, 0)))
 
-    keys = None if memo is None else [("element", quad, sp, row.tobytes())]
-    return float(_combine(spec, integral, sup, memo, keys)[0])
+    return integral, sup
+
+
+def eval_functional(spec: FunctionalSpec, u: WeightedFunction | Sequence[WeightedFunction],
+                    quad: QuadratureConfig | None = None, *,
+                    memo: dict | None = None) -> float | np.ndarray:
+    """Value of the functional on a space element (quadrature-certified), or
+    the array of its values on a sequence of elements of one space.
+
+    The elements of a sequence are one batch: one integral computes the
+    integral parts of all of them, one sup search their sup parts, each
+    with the value it has alone (up to the order of summation of the
+    integral). At an infinite end the sup part takes the element's end
+    sample times the certified limit of phi/sup_weight, and refuses when
+    that ratio diverges or has no certified limit; of several refused
+    elements, the first one's refusal is raised. ``memo`` (a dict) keeps
+    each part by weight, quadrature, space and samples, so a repeated part
+    is not recomputed.
+    """
+    quad = quad or DEFAULT_QUAD
+    elements = [u] if isinstance(u, WeightedFunction) else list(u)
+    if not elements:
+        return np.empty(0)
+    sp = elements[0].space
+    if any(not spaces_compatible(e.space, sp) for e in elements):
+        raise DomainError("elements of a batch live in different spaces")
+    samples = np.array([e.samples[0] for e in elements])
+    integral, sup = _element_parts(samples, sp, quad)
+    keys = None if memo is None else [("element", quad, sp, row.tobytes())
+                                      for row in samples]
+    values = _combine(spec, integral, sup, memo, keys, len(elements))
+    return float(values[0]) if isinstance(u, WeightedFunction) else values
 
 
 def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> tuple:
@@ -446,10 +478,14 @@ REPORT_SCHEMA = {
 }
 
 
-def report_from_json(data: dict) -> CertificateReport:
-    import jsonschema
+# the schema is a constant, checked once by the tests, not on every read
+_REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
-    jsonschema.validate(data, REPORT_SCHEMA)
+
+def report_from_json(data: dict) -> CertificateReport:
+    error = jsonschema.exceptions.best_match(_REPORT_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise error
 
     def entries(block):
         return {k: ConditionEntry(key=v["key"], title=v["title"], status=v["status"],
@@ -519,20 +555,18 @@ def check_functional_properties(spec: FunctionalSpec, space: Space,
     nonnegativity falsification search for a difference functional."""
     quad = quad or DEFAULT_QUAD
     rng = np.random.default_rng(seed)
-    p1_worst = -math.inf
-    p2_worst = 0.0
-    p3_bad = 0
-    for u, v in zip(_nonneg_elements(space, rng, n_pairs),
-                    _nonneg_elements(space, rng, n_pairs)):
-        fu, fv = eval_functional(spec, u, quad), eval_functional(spec, v, quad)
-        fuv = eval_functional(spec, u + v, quad)
-        p1_worst = max(p1_worst, fu + fv - fuv)
-        lam = float(rng.uniform(0.0, 3.0))
-        scale = max(1.0, abs(fu))
-        p2_worst = max(p2_worst, abs(eval_functional(spec, lam * u, quad) - lam * fu)
-                       / scale)
-        if fu >= 0.0 and norm(u) > 0.0 and eval_functional(spec, -1.0 * u, quad) >= 0.0:
-            p3_bad += 1
+    us = _nonneg_elements(space, rng, n_pairs)
+    vs = _nonneg_elements(space, rng, n_pairs)
+    lams = rng.uniform(0.0, 3.0, n_pairs)
+    fu, fv, fuv, flam = np.split(eval_functional(
+        spec, us + vs + [u + v for u, v in zip(us, vs)]
+        + [lam * u for lam, u in zip(lams.tolist(), us)], quad), 4)
+    p1_worst = float(np.max(fu + fv - fuv, initial=-math.inf))
+    p2_worst = float(np.max(np.abs(flam - lams * fu) / np.maximum(1.0, np.abs(fu)),
+                            initial=0.0))
+    # -u only where a loop over the pairs would reach it
+    two_sided = [u for u, f in zip(us, fu.tolist()) if f >= 0.0 and norm(u) > 0.0]
+    p3_bad = int(np.sum(eval_functional(spec, [-1.0 * u for u in two_sided], quad) >= 0.0))
     passed = (p1_worst <= tolerance) and (p2_worst <= tolerance) and (p3_bad == 0)
     return PropertyChecks(n_pairs, p1_worst, p2_worst, p3_bad, tolerance, passed)
 
@@ -809,18 +843,19 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         c7_detail.append("lower kernel profile not positive")
     c7_witness = {"upper_profile_min": upper_prof.min_value,
                   "lower_profile_min": lower_prof.min_value}
-    hom_worst = 0.0
-    add_worst = 0.0
-    for u, v in zip(cone_samples, cone_samples[1:] + cone_samples[:1]):
-        lam = float(rng.uniform(0.0, 3.0))
-        bu = eval_functional(upper, u, quad, memo=memo)
-        hom_worst = max(hom_worst,
-                        abs(eval_functional(upper, lam * u, quad) - lam * bu)
-                        / max(1.0, abs(bu)))
-        gu = eval_functional(lower, u, quad, memo=memo)
-        gv = eval_functional(lower, v, quad, memo=memo)
-        guv = eval_functional(lower, u + v, quad)
-        add_worst = max(add_worst, abs(guv - gu - gv) / max(1.0, abs(guv)))
+    n = len(cone_samples)
+    lams = rng.uniform(0.0, 3.0, n)
+    bu, blam = np.split(eval_functional(
+        upper, cone_samples + [lam * u for lam, u in zip(lams.tolist(), cone_samples)],
+        quad, memo=memo), 2)
+    hom_worst = float(np.max(np.abs(blam - lams * bu) / np.maximum(1.0, np.abs(bu)),
+                             initial=0.0))
+    gu, guv = np.split(eval_functional(
+        lower, cone_samples + [u + v for u, v in zip(cone_samples, cone_samples[1:]
+                                                       + cone_samples[:1])],
+        quad, memo=memo), 2)
+    add_worst = float(np.max(np.abs(guv - gu - np.roll(gu, -1)) / np.maximum(1.0, np.abs(guv)),
+                             initial=0.0))
     if hom_worst > 1e-8 or add_worst > 1e-8:
         c7_ok = False
         c7_detail.append("homogeneity/additivity violated on samples")
@@ -858,14 +893,11 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     b_info = _detect_bridge_b(cone, lower, grid)
     if b_info is not None:
         bridges["b"] = b_info
-    ratios = []
-    for u in cone_samples:
-        bu = eval_functional(upper, u, quad, memo=memo)
-        gu = eval_functional(lower, u, quad, memo=memo)
-        if bu > 0.0:
-            ratios.append(gu / bu)
-    if ratios:
-        bridges["c"] = {"form": "heuristic", "coefficient": max(ratios),
+    bu = eval_functional(upper, cone_samples, quad, memo=memo)
+    gu = eval_functional(lower, cone_samples, quad, memo=memo)
+    ratios = gu[bu > 0.0] / bu[bu > 0.0]
+    if ratios.size:
+        bridges["c"] = {"form": "heuristic", "coefficient": float(ratios.max()),
                         "detail": "largest sampled ratio lower/upper; not a "
                                   "certified bound"}
     entries["C9"] = ConditionEntry(

@@ -342,28 +342,31 @@ def kernel_modulus_check(kernel: Kernel, phi: Weight, omega: Callable[[float], f
     For each eps, searches the largest delta (descending decades down to
     ``delta_min``) such that |slice(t + step, s) - slice(t, s)| stays below
     eps * omega(s) for steps of 0.5*delta and 0.999*delta across a (t, s)
-    lattice. Fails when some eps admits no delta >= delta_min.
+    lattice, one array call of the slice per (eps, delta); ``omega`` takes
+    a float or an array (see ``elementwise``). Fails when some eps admits no
+    delta >= delta_min; the witness is the first largest excess in the
+    lattice's (t, step, s) order.
     """
     cmap = grid.map
-    t_probes = [t for t in grid.t[grid.finite_mask()]][::2]
-    s_probes = [cmap.from_compact(x) for x in np.linspace(-0.999, 0.999, s_count)]
+    # the (t1, theta, s) lattice, in the order the witness is searched
+    t1 = grid.t[grid.finite_mask()][::2, None, None]
+    theta = np.array([0.5, 0.999])[:, None]
+    s = cmap.from_compact(np.linspace(-0.999, 0.999, s_count))
+    omega_s = elementwise(omega)(s)
+    base = slice_tilde(kernel, phi, t1, s)
     deltas = [10.0 ** (-j) for j in range(0, 10)]
     deltas = [d for d in deltas if d >= delta_min]
 
     def ok_for(eps: float, delta: float):
-        worst = None
-        for t1 in t_probes:
-            for theta in (0.5, 0.999):
-                t2 = t1 + theta * delta
-                for s in s_probes:
-                    gap = abs(slice_tilde(kernel, phi, t2, s)
-                              - slice_tilde(kernel, phi, t1, s))
-                    bound = eps * float(omega(s))
-                    if gap > bound:
-                        if worst is None or gap - bound > worst["excess"]:
-                            worst = {"t1": t1, "t2": t2, "s": s, "gap": gap,
-                                     "bound": bound, "excess": gap - bound}
-        return worst
+        t2 = t1 + theta * delta
+        gap = np.abs(slice_tilde(kernel, phi, t2, s) - base)
+        bound = np.broadcast_to(eps * omega_s, gap.shape)
+        excess = np.where(gap > bound, gap - bound, -np.inf)
+        k = np.unravel_index(np.argmax(excess), gap.shape)
+        if excess[k] == -np.inf:
+            return None
+        return {"t1": float(t1[k[0], 0, 0]), "t2": float(t2[k[0], k[1], 0]), "s": float(s[k[2]]),
+                "gap": float(gap[k]), "bound": float(bound[k]), "excess": float(excess[k])}
 
     table: dict = {}
     overall_worst = None

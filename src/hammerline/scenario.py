@@ -171,11 +171,14 @@ class Scenario:
         return float(self.tolerances.get("picard_tol", 1e-10))
 
 
+# the schema is a constant, checked once by the tests, not on every load
+_SCENARIO_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ScenarioError(f"scenario does not match the schema: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise ScenarioError(f"scenario does not match the schema: {error.message}") from error
     interval = data["interval"]
     if interval["kind"] == FULL_LINE and "start" in interval:
         raise ScenarioError("a full-line interval takes no start point")

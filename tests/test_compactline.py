@@ -186,6 +186,24 @@ def test_interpolant_matches_interpolate():
         assert f(xq) == grid.interpolate(vals, xq)
 
 
+def test_row_tagged_interpolation_gives_each_point_its_row_alone():
+    # unsorted tags over more than one block of points, node hits included:
+    # each point reads its own row, bit for bit
+    grid = hl.build_grid(HALF, hl.GridSpec(m=41))
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(6, 41))
+    xq = np.concatenate((rng.uniform(-1.0, 1.0, 2500), grid.x[::3]))
+    row = rng.integers(0, 6, xq.size)
+    got = grid.interpolant(table)(xq, row)
+    for r in range(6):
+        assert np.array_equal(got[row == r], grid.interpolate(table[r], xq[row == r]))
+    lines = rng.uniform(-1.0, 1.0, (6, 40))
+    got = grid.interpolant(table)(lines, np.arange(6)[:, None])
+    assert got.shape == (6, 40)
+    for r in range(6):
+        assert np.array_equal(got[r], grid.interpolate(table[r], lines[r]))
+
+
 def test_refining_tail_x_grows_toward_one():
     xs = hl.refining_tail_x(1, 6)
     assert list(xs) == [1.0 - 10.0 ** (-k) for k in range(1, 7)]

@@ -320,6 +320,139 @@ def test_batched_profile_refuses_as_the_loop_does(space):
     assert hl.eval_functional_raw(spec, fn, space, kinks=kinks) == pytest.approx(1.0, abs=1e-9)
 
 
+# -- batched element functionals against a loop over elements ---------------
+
+def _parts_of(spec):
+    """The one-part functionals of a spec: its sup part and integral part."""
+    out = []
+    if spec.sup_weight is not None:
+        out.append(hl.FunctionalSpec("weighted-sup", sup_weight=spec.sup_weight))
+    if spec.integral_weight is not None:
+        out.append(hl.FunctionalSpec("weighted-integral", integral_weight=spec.integral_weight))
+    return out
+
+
+def _random_elements(space, seed, n=9):
+    """Nonnegative elements, as the certifier samples them: their integrals
+    have no cancellation, so a change in the order of summation moves them
+    by an ulp or two."""
+    rng = np.random.default_rng(seed)
+    return [hl.lift(space, np.abs(rng.normal(size=space.m))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", ["c2", "green"])
+def test_a_batch_of_elements_gives_each_element_its_value_alone(name, problem_c2,
+                                                                system_c2, space):
+    # one integral and one sup search serve the batch: sup parts equal the
+    # element's alone bit for bit, integral parts up to their order of
+    # summation
+    if name == "c2":
+        specs = [system_c2.cone, system_c2.upper, system_c2.lower]
+        elements = _random_elements(space, 5) + [problem_c2.forcing]
+    else:
+        space, _, sup_spec, integral_spec = _green_setup()
+        specs = [sup_spec, integral_spec]
+        elements = _random_elements(space, 6)
+    for spec in specs:
+        for part in _parts_of(spec):
+            batch = hl.eval_functional(part, elements)
+            alone = np.array([hl.eval_functional(part, u) for u in elements])
+            assert batch.shape == (len(elements),)
+            if part.kind == "weighted-sup":
+                assert np.array_equal(batch, alone)
+            else:
+                assert np.all(np.abs(batch - alone) <= 1e-15 * np.abs(alone))
+        batch = hl.eval_functional(spec, elements, memo={})
+        alone = np.array([hl.eval_functional(spec, u) for u in elements])
+        scale = sum(np.abs(hl.eval_functional(part, elements)) for part in _parts_of(spec))
+        assert np.all(np.abs(batch - alone) <= 1e-15 * scale)
+    assert hl.eval_functional(specs[0], []).shape == (0,)
+
+
+def test_a_batch_refuses_with_its_first_refusing_element(problem_c2, space, full_space):
+    # integral weight t+1, the space weight: an element with a nonzero end
+    # sample does not decay at all
+    spec = hl.FunctionalSpec("weighted-integral", integral_weight=hl.affine())
+    zero = hl.lift(space, np.zeros(space.m))
+    assert hl.eval_functional(spec, zero) == 0.0
+    with pytest.raises(DomainError) as alone:
+        hl.eval_functional(spec, problem_c2.forcing)
+    with pytest.raises(DomainError) as batch:
+        hl.eval_functional(spec, [zero, problem_c2.forcing, 2.0 * problem_c2.forcing])
+    assert "diverges" in str(alone.value) and str(batch.value) == str(alone.value)
+    # on the full line, against the integral weight 1/(1+t^2), an element
+    # with one end sample 1 diverges toward that end only, and the first
+    # refusing element names its own end
+    decay = hl.custom(lambda t: 1.0 / (1.0 + t * t), label="lorentzian")
+    flat = hl.FunctionalSpec("weighted-integral", integral_weight=decay)
+    ends = [hl.lift(full_space, np.zeros(full_space.m))] + [
+        hl.lift(full_space, np.where(full_space.grid.x == x, 1.0, 0.0)) for x in (1.0, -1.0)]
+    errors = []
+    for u in ends[1:]:
+        with pytest.raises(DomainError) as e:
+            hl.eval_functional(flat, u)
+        errors.append(str(e.value))
+    assert errors[0] != errors[1]
+    for order in (ends, [ends[0], ends[2], ends[1]]):
+        with pytest.raises(DomainError) as batch:
+            hl.eval_functional(flat, order)
+        assert str(batch.value) == errors[0 if order[1] is ends[1] else 1]
+    # a sup weight that the space weight outgrows refuses every batch
+    inverse_square = hl.custom(lambda t: 1.0 / (1.0 + t) ** 2, label="inverse-square")
+    sup = hl.FunctionalSpec("weighted-sup", sup_weight=inverse_square)
+    with pytest.raises(DomainError) as alone:
+        hl.eval_functional(sup, zero)
+    with pytest.raises(DomainError) as batch:
+        hl.eval_functional(sup, [zero, problem_c2.forcing])
+    assert "ill-conditioned" in str(alone.value) and str(batch.value) == str(alone.value)
+
+
+def _properties_loop(spec, space, n_pairs, seed):
+    """P1-P3 one element at a time: the reference of the batched checks."""
+    from hammerline.cone import PROP_TOL, _nonneg_elements
+
+    rng = np.random.default_rng(seed)
+    p1, p2, p3 = -math.inf, 0.0, 0
+    for u, v in zip(_nonneg_elements(space, rng, n_pairs),
+                    _nonneg_elements(space, rng, n_pairs)):
+        fu, fv = hl.eval_functional(spec, u), hl.eval_functional(spec, v)
+        p1 = max(p1, fu + fv - hl.eval_functional(spec, u + v))
+        lam = float(rng.uniform(0.0, 3.0))
+        p2 = max(p2, abs(hl.eval_functional(spec, lam * u) - lam * fu) / max(1.0, abs(fu)))
+        if fu >= 0.0 and hl.norm(u) > 0.0 and hl.eval_functional(spec, -1.0 * u) >= 0.0:
+            p3 += 1
+    return p1, p2, p3, p1 <= PROP_TOL and p2 <= PROP_TOL and p3 == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_property_checks_equal_the_loop(seed, system_c2, space):
+    # the sup functional is two-sided nonnegative on every pair, the others
+    # on none
+    for spec in (system_c2.cone, system_c2.upper, system_c2.lower):
+        out = hl.check_functional_properties(spec, space, n_pairs=8, seed=seed)
+        p1, p2, p3, passed = _properties_loop(spec, space, 8, seed)
+        assert (out.p3_counterexamples, out.passed) == (p3, passed)
+        assert out.p3_counterexamples == (8 if spec.kind == "weighted-sup" else 0)
+        assert abs(out.p1_worst - p1) <= 1e-15 and abs(out.p2_worst - p2) <= 1e-15
+
+
+def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
+    # u, v, u+v and lam*u are one batch, -u a second: two integrals and two
+    # sup searches, where a loop over the 8 pairs made about 40 of each
+    import hammerline.cone as cone_mod
+
+    calls = {"sup_on_grid": 0, "integrate_compact": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(cone_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cone_mod, name, counted)
+    out = hl.check_functional_properties(system_c2.cone, space, n_pairs=8, seed=0)
+    assert out.passed
+    assert 0 < calls["sup_on_grid"] <= 4
+    assert 0 < calls["integrate_compact"] <= 4
+
+
 # -- certification report ---------------------------------------------------
 
 def test_report_is_fully_certified(report_c2):

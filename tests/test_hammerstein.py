@@ -193,6 +193,64 @@ def test_modulus_check_fails_for_jump_kernel(space):
     assert rep.worst is not None and rep.worst["gap"] > rep.worst["bound"]
 
 
+def _modulus_loop(kernel, phi, omega, grid, eps_grid=(1e-1, 1e-2, 1e-3), delta_min=1e-9,
+                  s_count=24):
+    """The modulus check one lattice point at a time: the reference of the
+    lattice's array calls."""
+    cmap = grid.map
+    t_probes = [t for t in grid.t[grid.finite_mask()]][::2]
+    s_probes = [cmap.from_compact(x) for x in np.linspace(-0.999, 0.999, s_count)]
+    deltas = [d for d in (10.0 ** (-j) for j in range(0, 10)) if d >= delta_min]
+
+    def ok_for(eps, delta):
+        worst = None
+        for t1 in t_probes:
+            for theta in (0.5, 0.999):
+                t2 = t1 + theta * delta
+                for s in s_probes:
+                    gap = abs(hl.slice_tilde(kernel, phi, t2, s)
+                              - hl.slice_tilde(kernel, phi, t1, s))
+                    bound = eps * float(omega(s))
+                    if gap > bound and (worst is None or gap - bound > worst["excess"]):
+                        worst = {"t1": t1, "t2": t2, "s": s, "gap": gap,
+                                 "bound": bound, "excess": gap - bound}
+        return worst
+
+    table, overall_worst = {}, None
+    for eps in eps_grid:
+        table[eps] = None
+        for delta in deltas:
+            worst = ok_for(eps, delta)
+            if worst is None:
+                table[eps] = delta
+                break
+            overall_worst = worst
+    passed = all(d is not None for d in table.values())
+    return passed, table, None if passed else overall_worst
+
+
+@pytest.mark.parametrize("name", ["boosted_projectile_c2", "gravity_projectile", "jump"])
+def test_modulus_check_of_the_lattice_equals_a_loop(name, space):
+    # one array call of the slice per (eps, delta) gives the loop's delta
+    # table and witness, the first largest excess in (t, step, s) order
+    from pathlib import Path
+
+    if name == "jump":
+        kernel = hl.Kernel(fn=lambda t, s: 1.0 if t > 1.0 else 0.0, name="jump",
+                           modulus_weight=lambda s: 1.0)
+    else:
+        scn = hl.load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                               / f"{name}.json")
+        space = hl.build_space(scn)
+        kernel = hl.build_problem(scn, space).kernel
+    rep = hl.kernel_modulus_check(kernel, space.weight, kernel.modulus_weight, space.grid)
+    passed, table, worst = _modulus_loop(kernel, space.weight, kernel.modulus_weight,
+                                         space.grid)
+    assert rep.passed == passed == (name != "jump")
+    assert rep.delta_by_eps == table
+    assert rep.worst == worst
+
+
 def test_dominator_check_monotone_pass(problem_c2, space):
     rep = hl.dominator_check(problem_c2.nonlinearity, space.weight, 1.0,
                              grid=space.grid)

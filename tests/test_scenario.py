@@ -71,6 +71,27 @@ def test_unknown_top_level_key_rejected():
         hl.scenario_from_dict(minimal_dict(surprise=True))
 
 
+def test_both_schemas_are_valid_json_schemas():
+    # the prebuilt validators never check their schema: this test does
+    import jsonschema
+
+    for schema in (hl.SCENARIO_SCHEMA, hl.REPORT_SCHEMA):
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("bad", [{"surprise": True}, {"schema": 2}, {"grid_size": "many"},
+                                 {"interval": {"kind": "circle"}}])
+def test_schema_errors_read_as_jsonschema_reports_them(bad):
+    import jsonschema
+
+    data = minimal_dict(**bad)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(data, hl.SCENARIO_SCHEMA)
+    with pytest.raises(ScenarioError) as got:
+        hl.scenario_from_dict(data)
+    assert str(got.value) == f"scenario does not match the schema: {want.value.message}"
+
+
 def test_schema_version_is_pinned():
     with pytest.raises(ScenarioError):
         hl.scenario_from_dict(minimal_dict(schema=2))

@@ -91,6 +91,26 @@ def _run_verify(scn: Scenario, out: Path):
     return report, system, problem, quad
 
 
+def _scan_windows(scn: Scenario, report, radii, out: Path) -> list:
+    """The certified windows over radii, written to windows.json."""
+    envelopes = tuple(build_envelope(scn.envelopes.get(k)) for k in ("upper", "lower"))
+    windows = find_solution_windows(report, envelopes=envelopes, rho_values=radii)
+    _write_json(out / "windows.json", {"schema": 1, "kind": "index-windows", "certified": True,
+                                       "windows": windows_to_jsonable(windows)})
+    return windows
+
+
+def _solve(scn: Scenario, problem, quad, out: Path):
+    """The Picard solution, written to solution.csv with its gnuplot script."""
+    sol = picard_solve(problem, tol=scn.picard_tol,
+                       max_iters=int(scn.solver.get("max_iters", 200)),
+                       relaxation=float(scn.solver.get("relaxation", 1.0)),
+                       quad=quad)
+    solution_to_csv(problem, sol, out / "solution.csv", quad=quad)
+    (out / "solution.gnuplot").write_text(_plot_script("solution.csv"))
+    return sol
+
+
 def _cmd_verify(scn: Scenario, out: Path) -> None:
     report, _, _, _ = _run_verify(scn, out)
     for key in sorted(report.entries):
@@ -107,14 +127,8 @@ def _cmd_verify(scn: Scenario, out: Path) -> None:
 
 def _cmd_windows(scn: Scenario, out: Path) -> None:
     report, _, _, _ = _run_verify(scn, out)
-    payload = {"schema": 1, "kind": "index-windows",
-               "certified": report.certified, "windows": []}
     if report.certified:
-        env_up = build_envelope(scn.envelopes.get("upper"))
-        env_lo = build_envelope(scn.envelopes.get("lower"))
-        windows = find_solution_windows(report, envelopes=(env_up, env_lo),
-                                        rho_values=rho_grid(scn))
-        payload["windows"] = windows_to_jsonable(windows)
+        windows = _scan_windows(scn, report, rho_grid(scn), out)
         print(f"{len(windows)} certified window(s)")
         for w in windows[:5]:
             radii = ", ".join(f"{r:.6g}" for r in w.radii)
@@ -123,28 +137,23 @@ def _cmd_windows(scn: Scenario, out: Path) -> None:
     else:
         failing = [k for k, e in sorted(report.entries.items())
                    if e.status != "pass"]
-        payload["failing"] = failing
+        _write_json(out / "windows.json", {"schema": 1, "kind": "index-windows",
+                                           "certified": False, "windows": [],
+                                           "failing": failing})
         print(f"not certified; failing: {', '.join(failing)}")
-    _write_json(out / "windows.json", payload)
     print(f"windows written to {out / 'windows.json'}")
 
 
 def _cmd_solve(scn: Scenario, out: Path) -> None:
     space = build_space(scn)
     problem = build_problem(scn, space)
-    quad = build_quad(scn)
-    sol = picard_solve(problem, tol=scn.picard_tol,
-                       max_iters=int(scn.solver.get("max_iters", 200)),
-                       relaxation=float(scn.solver.get("relaxation", 1.0)),
-                       quad=quad)
-    solution_to_csv(problem, sol, out / "solution.csv", quad=quad)
+    sol = _solve(scn, problem, build_quad(scn), out)
     summary = {"schema": 1, "kind": "solution-summary", "scenario": scn.name,
                "converged": sol.converged, "iterations": sol.iterations,
                "residual": sol.residual, "slope": sol.slope,
                "relaxation": sol.relaxation, "quad_error": sol.quad_error,
                "trace": list(sol.trace)}
     _write_json(out / "solution_summary.json", summary)
-    (out / "solution.gnuplot").write_text(_plot_script("solution.csv"))
     print(f"converged: {sol.converged} after {sol.iterations} iteration(s), "
           f"residual {sol.residual:.3e}, slope {sol.slope:.12g}")
     print(f"solution written to {out / 'solution.csv'}")
@@ -214,25 +223,14 @@ def _cmd_demo(scn: Scenario, out: Path) -> None:
         threshold = 0.5 * (bracket[0] + bracket[1])
         row("contraction threshold radius", threshold, v0 / (math.e - 1.0))
         radii = sorted(set(rho_grid(scn)) | {0.7 * v0, 0.9 * v0})
-        env_up = build_envelope(scn.envelopes.get("upper"))
-        env_lo = build_envelope(scn.envelopes.get("lower"))
-        windows = find_solution_windows(report, envelopes=(env_up, env_lo),
-                                        rho_values=radii)
-        _write_json(out / "windows.json",
-                    {"schema": 1, "kind": "index-windows", "certified": True,
-                     "windows": windows_to_jsonable(windows)})
+        windows = _scan_windows(scn, report, radii, out)
         target = next((w for w in windows
                        if w.pattern == "S1"
                        and abs(w.radii[0] - 0.9 * v0) < 1e-12
                        and abs(w.radii[1] - 0.7 * v0) < 1e-12), None)
         window_payload = windows_to_jsonable([target])[0] if target else None
 
-    sol = picard_solve(problem, tol=scn.picard_tol,
-                       max_iters=int(scn.solver.get("max_iters", 200)),
-                       relaxation=float(scn.solver.get("relaxation", 1.0)),
-                       quad=quad)
-    solution_to_csv(problem, sol, out / "solution.csv", quad=quad)
-    (out / "solution.gnuplot").write_text(_plot_script("solution.csv"))
+    sol = _solve(scn, problem, quad, out)
     cone_of_solution = eval_functional(system.cone, sol.u, quad)
     comparison, _ = compare_with_oracle(problem, sol.u, T_max=20.0)
 

@@ -162,13 +162,10 @@ class GridSpec:
     """Grid request: m Chebyshev-Lobatto nodes in the compact coordinate."""
 
     m: int
-    placement: str = "chebyshev-lobatto"
 
     def __post_init__(self):
         if self.m < 8:
             raise DomainError("grid needs at least 8 nodes")
-        if self.placement != "chebyshev-lobatto":
-            raise DomainError(f"unknown placement {self.placement!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ stated tolerance, "fail" means not certified (never a disproof).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,8 +24,8 @@ import numpy as np
 from .compactline import Grid
 from .elementwise import elementwise, filled
 from .errors import DomainError, QuadratureError
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, inf_on_grid,
-                         integrate_compact, integrate_interval, sup_on_grid)
+from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_compact,
+                         integrate_interval, sup_on_grid)
 from .weights import (Weight, classify_tail, tail_points, tail_trend, tail_values,
                       weight_key)
 from .weighted_space import Space, WeightedFunction, norm, spaces_compatible
@@ -76,15 +77,6 @@ class ConeSystem:
 
 # ---------------------------------------------------------------------------
 # functional evaluation
-
-def _tail_value(fn, cmap, side: float, undecided: str) -> float:
-    """Certified value of fn at an infinite end: its limit, or +-inf for a
-    certified divergence; undecided behavior raises ``undecided``."""
-    kind, val = tail_trend(fn, cmap, side)
-    if kind == "unknown":
-        raise DomainError(undecided)
-    return val
-
 
 def _integral_parts(g, space: Space, quad: QuadratureConfig, cuts: np.ndarray) -> np.ndarray:
     """Integrals of g(t, x, row) over the interval, one per row of the
@@ -168,8 +160,9 @@ def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) ->
     def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
         ends = {}
         for x in cmap.infinite_ends():
-            ratio = _tail_value(lambda t: phi(t) / w3(t), cmap, x,
-                                "weight ratio has no certified endpoint behavior")
+            kind, ratio = tail_trend(lambda t: phi(t) / w3(t), cmap, x)
+            if kind == "unknown":
+                raise DomainError("weight ratio has no certified endpoint behavior")
             if math.isinf(ratio):
                 # an unbounded ratio amplifies any interpolation wiggle of
                 # the sampled element without bound near the endpoint, so no
@@ -506,10 +499,8 @@ def report_from_json(data: dict) -> CertificateReport:
 
 def _sample_cone_elements(space: Space, cone: FunctionalSpec,
                           quad: QuadratureConfig, n: int,
-                          rng: np.random.Generator,
-                          require_cone: bool = True,
-                          memo: dict | None = None) -> list:
-    """Random smooth nonnegative elements, filtered to the cone when asked."""
+                          rng: np.random.Generator, memo: dict | None = None) -> list:
+    """Random smooth nonnegative elements, filtered to the cone."""
     out = []
     tries = 0
     q = (1.0 + space.grid.x) / 2.0
@@ -521,7 +512,7 @@ def _sample_cone_elements(space: Space, cone: FunctionalSpec,
         samples = np.zeros((space.order + 1, space.m))
         samples[0] = row
         u = WeightedFunction(space, samples)
-        if require_cone and eval_functional(cone, u, quad, memo=memo) < -POS_TOL:
+        if eval_functional(cone, u, quad, memo=memo) < -POS_TOL:
             continue
         out.append(u)
     return out
@@ -613,15 +604,290 @@ def bridge_c(report: CertificateReport, rho: float) -> float:
 # ---------------------------------------------------------------------------
 # the certifier
 
-def _probe_ts(grid: Grid, k: int = 3) -> list:
-    ts = [t for t in grid.t[grid.finite_mask()]]
-    idx = np.linspace(1, len(ts) - 1, k).astype(int)
-    return [ts[i] for i in idx]
+def _ineq_tol(spec: FunctionalSpec) -> float:   # a sup part reads the table
+    return SAMPLE_INEQ_TOL if spec.kind == "weighted-integral" else SUP_TAB_TOL
 
 
-def _probe_ss(space: Space, k: int = 3) -> list:
-    cmap = space.map
-    return [cmap.from_compact(x) for x in (-0.5, 0.0, 0.7)][:k]
+class _Certification:
+    """The context the checks of one certification share (the problem, its
+    functionals ``specs`` by name, the parts memo, the random stream, and
+    what ``share`` adds), with one check per hypothesis: ``c1`` ... ``c9``,
+    each returning its entry."""
+
+    def __init__(self, problem: HammersteinProblem, specs: dict, quad: QuadratureConfig,
+                 seed: int, r_values: tuple):
+        self.problem, self.specs, self.quad, self.r_values = problem, specs, quad, r_values
+        self.sp = problem.space
+        self.memo: dict = {}
+        self.rng = np.random.default_rng(seed)
+        self.relaxed = QuadratureConfig(tol=1e-9, rel_tol=1e-10,
+                                        max_subdivisions=quad.max_subdivisions)
+
+    def share(self, samples: int) -> None:
+        """The kernel profiles and the functionals of the forcing, then the
+        sampled cone elements and their images. A part of a batch may differ
+        from the same part alone in its last bit, so this order, which fixes
+        the batches of the memoized parts, stays."""
+        sp, quad, memo, p = self.sp, self.quad, self.memo, self.problem.forcing
+        cone, upper, lower = self.specs.values()
+
+        def profile(spec: FunctionalSpec) -> ProfileIntegral:
+            return kernel_functional_integral(spec, self.problem.kernel, quad, space=sp,
+                                              memo=memo)
+
+        self.profiles = {"cone": profile(cone)}
+        self.forcing = {"cone": eval_functional(cone, p, quad, memo=memo)}
+        # upper/lower kernel profiles (used by C7 and the index checks)
+        self.profiles.update(upper=profile(upper), lower=profile(lower))
+        self.forcing.update(upper=eval_functional(upper, p, quad, memo=memo),
+                            lower=eval_functional(lower, p, quad, memo=memo))
+        # sup-part profile of the cone functional, for the sampled inequalities
+        if cone.kind in ("weighted-sup", "difference"):
+            self.profiles["cone_sup"] = profile(
+                FunctionalSpec("weighted-sup", sup_weight=cone.sup_weight))
+        self.elements = _sample_cone_elements(sp, cone, quad, samples, self.rng, memo)
+        # the images refine the problem's operator, whose panels later solves keep
+        self.images = [apply_T(self.problem, u, quad) for u in self.elements]
+
+    def c1(self) -> ConditionEntry:
+        """Slice integrability, membership, translation modulus."""
+        sp, kern = self.sp, self.problem.kernel
+        sub_detail = []
+        probe_integrals = {}
+        ts = sp.grid.t[sp.grid.finite_mask()]
+        for t in ts[np.linspace(1, ts.size - 1, 3).astype(int)]:
+            hi = t if kern.support == VOLTERRA else None
+            try:
+                probe_integrals[f"t={t:.6g}"] = integrate_interval(
+                    lambda s: abs(kern.fn(t, s) * kern.eta(s)), sp.map, self.quad, hi=hi,
+                    node=t)
+            except QuadratureError as e:
+                sub_detail.append(f"slice integral failed at t={t:.6g}: {e}")
+        slice_limits = {}
+        for s in (sp.map.from_compact(x) for x in (-0.5, 0.0, 0.7)):
+            try:
+                lim = kernel_limits(kern, sp.weight, s, grid=sp.grid)
+                slice_limits[f"s={s:.6g}"] = {"z_lo": lim.z_lo, "z_hi": lim.z_hi,
+                                              "sup": lim.sup}
+            except DomainError as e:
+                sub_detail.append(f"slice at s={s:.6g} not in the space: {e}")
+        mod = None
+        if kern.modulus_weight is not None:
+            mod = kernel_modulus_check(kern, sp.weight, kern.modulus_weight, sp.grid)
+            if not mod.passed:
+                sub_detail.append("translation modulus failed")
+        modulus_status = NOT_CHECKED if mod is None else PASS if mod.passed else FAIL
+        return ConditionEntry(
+            "C1", "kernel slices integrable, in the space, and translation-equicontinuous",
+            FAIL if sub_detail else modulus_status, tolerance=None,
+            witness={"slice_integrals": probe_integrals, "slice_limits": slice_limits,
+                     "modulus": modulus_status,
+                     "modulus_worst": None if mod is None else mod.worst},
+            detail="; ".join(sub_detail) if sub_detail else
+            ("no modulus comparison function supplied" if mod is None else ""))
+
+    def c2(self) -> ConditionEntry:
+        """Nonnegative nonlinearity dominated on weighted balls."""
+        grid, w, nl = self.sp.grid, self.sp.weight, self.problem.nonlinearity
+        c2_witness = None
+        for t in grid.t[grid.finite_mask()]:
+            for y in np.linspace(-2.0, 2.0, 9):
+                val = float(nl.fn(t, y * w(t)))
+                if math.isnan(val) or val < -POS_TOL:
+                    c2_witness = {"t": float(t), "y": float(y), "value": val}
+                    break
+            if c2_witness:
+                break
+        c2_ok = c2_witness is None
+        dom_reports = {}
+        for r in self.r_values:
+            try:
+                rep = dominator_check(nl, w, r, grid)
+            except DomainError as e:
+                c2_ok = False
+                dom_reports[f"r={r:g}"] = str(e)
+                continue
+            dom_reports[f"r={r:g}"] = "pass" if rep.passed else rep.worst
+            if not rep.passed:
+                c2_ok = False
+                c2_witness = c2_witness or rep.worst
+        return ConditionEntry(
+            "C2", "nonlinearity nonnegative and dominated on weighted balls",
+            PASS if c2_ok else FAIL, tolerance=POS_TOL,
+            witness={"negativity": c2_witness, "dominator": dom_reports})
+
+    def c3(self) -> ConditionEntry:
+        """Weighted image bound with integrable tails."""
+        profs = [c3_bound_profile(self.problem, r, self.quad) for r in self.r_values]
+        return ConditionEntry(
+            "C3", "weighted kernel image bound finite with integrable tails",
+            PASS if all(prof.ok for prof in profs) else FAIL,
+            witness={f"r={prof.r:g}": {"sup": prof.sup, "scalars": prof.scalars,
+                                       "failure": prof.failure} for prof in profs})
+
+    def c4(self) -> ConditionEntry:
+        """Forcing membership (finiteness is constructional; record the data)."""
+        p = self.problem.forcing
+        return ConditionEntry(
+            "C4", "forcing term lies in the weighted space", PASS,
+            witness={"norm": norm(p), "endpoints": [float(p.samples[0, 0]),
+                                                    float(p.samples[0, -1])]})
+
+    def c5(self) -> ConditionEntry:
+        """Cone functional nonnegative on slices and forcing."""
+        cone_prof, alpha_p = self.profiles["cone"], self.forcing["cone"]
+        c5_ok = cone_prof.positive and alpha_p >= -POS_TOL
+        return ConditionEntry(
+            "C5", "kernel slices and forcing lie in the cone",
+            PASS if c5_ok else FAIL, tolerance=POS_TOL,
+            witness={"profile_min": cone_prof.min_value,
+                     "profile_witness_s": cone_prof.witness_s,
+                     "cone_of_forcing": alpha_p},
+            detail="" if c5_ok else "cone functional negative on a slice or the forcing")
+
+    def _exact_integral_rhs(self, w2: Weight, u: WeightedFunction) -> float:
+        # Fubini route: fresh inner slice integrals under an adaptive outer
+        # quadrature, a batch of slices each round; exact to quadrature
+        # tolerance
+        sp, kern, nl = self.sp, self.problem.kernel, self.problem.nonlinearity
+        interp = sp.grid.interpolant(u.samples[0])
+
+        def g(s, x, row):
+            integral, _, keys = _kernel_slices(kern, s, sp, self.relaxed)
+            inner = _memoized(self.memo, keys, "integral", integral, s.size)(w2)
+            return inner * nl.fn(s, interp(x) * sp.weight(s))
+
+        return integrate_compact(g, sp.map, self.relaxed, [-1.0, 1.0])
+
+    def _tab_sup_rhs(self, prof: ProfileIntegral, u: WeightedFunction) -> float:
+        # the sup-part profile, linear between its table points (the cuts)
+        sp, nl = self.sp, self.problem.nonlinearity
+        xs, vs = np.asarray(prof.x_values), np.asarray(prof.values)
+        interp = sp.grid.interpolant(u.samples[0])
+        return integrate_compact(
+            lambda t, x, row: np.interp(x, xs, vs) * nl.fn(t, interp(x) * sp.weight(t)),
+            sp.map, self.quad, [-1.0, *xs, 1.0])
+
+    def rhs(self, name: str, u: WeightedFunction) -> float:
+        """Inner integral of spec(slice)*f(s, u(s)), plus spec of the forcing,
+        for the functional ``name``; a sup part reads the sup-part profile."""
+        sup_prof = self.profiles.get("cone_sup" if name == "cone" else name)
+        return _combine(self.specs[name], lambda w2, _rows: self._exact_integral_rhs(w2, u),
+                        lambda _w3, _rows: self._tab_sup_rhs(sup_prof, u)) \
+            + self.forcing[name]
+
+    def c6(self) -> ConditionEntry:
+        """Cone functional of images dominates the slice estimate."""
+        cone = self.specs["cone"]
+        c6_witness = None
+        c6_checked = 0
+        c6_tol = _ineq_tol(cone)
+        for u, Tu in zip(self.elements, self.images):
+            lhs = eval_functional(cone, Tu, self.quad, memo=self.memo)
+            rhs = self.rhs("cone", u)
+            c6_checked += 1
+            slack = lhs - rhs
+            if slack < -c6_tol * max(1.0, abs(lhs), abs(rhs)):
+                c6_witness = {"lhs": lhs, "rhs": rhs, "slack": slack}
+                break
+        return ConditionEntry(
+            "C6", "cone functional of operator images dominates the slice estimate",
+            PASS if (c6_witness is None and c6_checked) else FAIL, tolerance=c6_tol,
+            witness=c6_witness or {"samples": c6_checked},
+            detail="integral part by nested quadrature; sup part from the profile "
+                   "tabulation (tolerance reflects its resolution)")
+
+    def c7(self) -> ConditionEntry:
+        """Functional structure plus positive integrable kernel profiles."""
+        _, upper, lower = self.specs.values()
+        upper_prof, lower_prof = self.profiles["upper"], self.profiles["lower"]
+        quad, memo, samples = self.quad, self.memo, self.elements
+        c7_detail = [f"{name} kernel profile not positive" for name, prof in
+                     (("upper", upper_prof), ("lower", lower_prof)) if not prof.positive]
+        c7_witness = {"upper_profile_min": upper_prof.min_value,
+                      "lower_profile_min": lower_prof.min_value}
+        lams = self.rng.uniform(0.0, 3.0, len(samples))
+        bu, blam = np.split(eval_functional(
+            upper, samples + [lam * u for lam, u in zip(lams.tolist(), samples)],
+            quad, memo=memo), 2)
+        hom_worst = float(np.max(np.abs(blam - lams * bu) / np.maximum(1.0, np.abs(bu)),
+                                 initial=0.0))
+        gu, guv = np.split(eval_functional(
+            lower, samples + [u + v for u, v in zip(samples, samples[1:] + samples[:1])],
+            quad, memo=memo), 2)
+        add_worst = float(np.max(np.abs(guv - gu - np.roll(gu, -1)) / np.maximum(1.0, np.abs(guv)),
+                                 initial=0.0))
+        if hom_worst > 1e-8 or add_worst > 1e-8:
+            c7_detail.append("homogeneity/additivity violated on samples")
+        op_worst = None
+        for u, Tu in zip(samples, self.images):
+            b_rhs, g_rhs = self.rhs("upper", u), self.rhs("lower", u)
+            b_lhs = eval_functional(upper, Tu, quad, memo=memo)
+            g_lhs = eval_functional(lower, Tu, quad, memo=memo)
+            tol_b = _ineq_tol(upper) * max(1.0, abs(b_lhs), abs(b_rhs))
+            tol_g = _ineq_tol(lower) * max(1.0, abs(g_lhs), abs(g_rhs))
+            if b_lhs > b_rhs + tol_b or g_lhs < g_rhs - tol_g:
+                op_worst = {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
+                            "lower_lhs": g_lhs, "lower_rhs": g_rhs}
+                c7_detail.append("operator inequality violated on a sample")
+                break
+        c7_ok = not c7_detail and math.isfinite(upper_prof.integral) \
+            and math.isfinite(lower_prof.integral)
+        c7_witness.update({"homogeneity_worst": hom_worst, "additivity_worst": add_worst,
+                           "operator_witness": op_worst})
+        return ConditionEntry(
+            "C7", "index functionals structured, kernel profiles positive and integrable",
+            PASS if c7_ok else FAIL, tolerance=SAMPLE_INEQ_TOL,
+            witness=c7_witness, detail="; ".join(c7_detail))
+
+    def c8(self) -> ConditionEntry:
+        """Reference cone element with positive lower functional (the forcing)."""
+        alpha_p, gamma_p = self.forcing["cone"], self.forcing["lower"]
+        c8_ok = alpha_p >= -POS_TOL and gamma_p > 0.0
+        return ConditionEntry(
+            "C8", "reference cone element with positive lower functional",
+            PASS if c8_ok else FAIL, tolerance=POS_TOL,
+            witness={"cone_of_forcing": alpha_p, "lower_of_forcing": gamma_p},
+            detail="reference element: the forcing term")
+
+    def c9(self) -> ConditionEntry:
+        """Radius bridge; the bridges found are kept as ``bridges``."""
+        cone, upper, lower = self.specs.values()
+        b_info = _detect_bridge_b(cone, lower, self.sp.grid)
+        self.bridges = {} if b_info is None else {"b": b_info}
+        bu = eval_functional(upper, self.elements, self.quad, memo=self.memo)
+        gu = eval_functional(lower, self.elements, self.quad, memo=self.memo)
+        ratios = gu[bu > 0.0] / bu[bu > 0.0]
+        if ratios.size:
+            self.bridges["c"] = {"form": "heuristic", "coefficient": float(ratios.max()),
+                                 "detail": "largest sampled ratio lower/upper; not a "
+                                           "certified bound"}
+        return ConditionEntry(
+            "C9", "radius bridge between the two index functionals",
+            PASS if "b" in self.bridges else NOT_CHECKED,
+            witness={"bridges": {k: v["form"] for k, v in self.bridges.items()}},
+            detail="" if "b" in self.bridges else
+            "no closed-form bridge detected; heuristic sampling only")
+
+    def properties(self, samples: int, seed: int) -> dict:
+        """P1-P3: sampled properties of the cone functional."""
+        props = check_functional_properties(self.specs["cone"], self.sp,
+                                            n_pairs=max(8, samples), seed=seed + 1,
+                                            quad=self.quad)
+        return {
+            "P1": ConditionEntry("P1", "superadditivity on nonnegative pairs",
+                                 PASS if props.p1_worst <= props.tolerance else FAIL,
+                                 tolerance=props.tolerance,
+                                 witness={"worst": props.p1_worst}),
+            "P2": ConditionEntry("P2", "positive homogeneity",
+                                 PASS if props.p2_worst <= props.tolerance else FAIL,
+                                 tolerance=props.tolerance,
+                                 witness={"worst": props.p2_worst}),
+            "P3": ConditionEntry("P3", "two-sided nonnegativity only at zero",
+                                 PASS if props.p3_counterexamples == 0 else FAIL,
+                                 witness={"counterexamples": props.p3_counterexamples},
+                                 detail="falsification search, not a proof"),
+        }
 
 
 def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
@@ -629,7 +895,8 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
                            samples: int = 8, *,
                            quad: QuadratureConfig | None = None, seed: int = 0,
                            r_values: tuple = (1.0,)) -> CertificateReport:
-    """Certify the operator/cone hypotheses numerically.
+    """Certify the operator/cone hypotheses numerically, one check per
+    hypothesis.
 
     Regularity (kernel integrability and translation modulus, dominated
     nonnegative nonlinearity, weighted image bound, forcing membership) is
@@ -645,302 +912,32 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     separate calls.
     """
     quad = quad or DEFAULT_QUAD
-    memo: dict = {}
     sp = problem.space
-    grid, w, cmap = sp.grid, sp.weight, sp.map
-    kern, nl, p = problem.kernel, problem.nonlinearity, problem.forcing
-    rng = np.random.default_rng(seed)
-    entries: dict = {}
-    scalars: dict = {}
-
-    # C1: slice integrability, membership, translation modulus
-    sub_detail = []
-    c1_ok = True
-    probe_integrals = {}
-    for t in _probe_ts(grid):
-        hi = t if kern.support == VOLTERRA else None
-        try:
-            val = integrate_interval(lambda s: abs(kern.fn(t, s) * kern.eta(s)),
-                                     cmap, quad, hi=hi, node=t)
-            probe_integrals[f"t={t:.6g}"] = val
-        except QuadratureError as e:
-            c1_ok = False
-            sub_detail.append(f"slice integral failed at t={t:.6g}: {e}")
-    slice_limits = {}
-    for s in _probe_ss(sp):
-        try:
-            lim = kernel_limits(kern, w, s, grid=grid)
-            slice_limits[f"s={s:.6g}"] = {"z_lo": lim.z_lo, "z_hi": lim.z_hi,
-                                          "sup": lim.sup}
-        except DomainError as e:
-            c1_ok = False
-            sub_detail.append(f"slice at s={s:.6g} not in the space: {e}")
-    modulus_status = NOT_CHECKED
-    modulus_witness = None
-    if kern.modulus_weight is not None:
-        mod = kernel_modulus_check(kern, w, kern.modulus_weight, grid)
-        modulus_status = PASS if mod.passed else FAIL
-        modulus_witness = mod.worst
-        if not mod.passed:
-            c1_ok = False
-            sub_detail.append("translation modulus failed")
-    status = PASS if (c1_ok and modulus_status == PASS) else (
-        FAIL if not c1_ok else NOT_CHECKED)
-    entries["C1"] = ConditionEntry(
-        "C1", "kernel slices integrable, in the space, and translation-equicontinuous",
-        status, tolerance=None,
-        witness={"slice_integrals": probe_integrals, "slice_limits": slice_limits,
-                 "modulus": modulus_status, "modulus_worst": modulus_witness},
-        detail="; ".join(sub_detail) if sub_detail else
-        ("no modulus comparison function supplied" if modulus_status == NOT_CHECKED
-         else ""))
-
-    # C2: nonnegative nonlinearity dominated on weighted balls
-    c2_ok = True
-    c2_witness = None
-    for t in grid.t[grid.finite_mask()]:
-        for y in np.linspace(-2.0, 2.0, 9):
-            val = float(nl.fn(t, y * w(t)))
-            if math.isnan(val) or val < -POS_TOL:
-                c2_ok = False
-                c2_witness = {"t": float(t), "y": float(y), "value": val}
-                break
-        if not c2_ok:
-            break
-    dom_reports = {}
-    for r in r_values:
-        try:
-            rep = dominator_check(nl, w, r, grid)
-        except DomainError as e:
-            c2_ok = False
-            dom_reports[f"r={r:g}"] = str(e)
-            continue
-        dom_reports[f"r={r:g}"] = "pass" if rep.passed else rep.worst
-        if not rep.passed:
-            c2_ok = False
-            c2_witness = c2_witness or rep.worst
-    entries["C2"] = ConditionEntry(
-        "C2", "nonlinearity nonnegative and dominated on weighted balls",
-        PASS if c2_ok else FAIL, tolerance=POS_TOL,
-        witness={"negativity": c2_witness, "dominator": dom_reports})
-
-    # C3: weighted image bound with integrable tails
-    c3_ok = True
-    c3_witness = {}
-    for r in r_values:
-        prof = c3_bound_profile(problem, r, quad)
-        c3_witness[f"r={r:g}"] = {"sup": prof.sup, "scalars": prof.scalars,
-                                  "failure": prof.failure}
-        if not prof.ok:
-            c3_ok = False
-    entries["C3"] = ConditionEntry(
-        "C3", "weighted kernel image bound finite with integrable tails",
-        PASS if c3_ok else FAIL, witness=c3_witness)
-
-    # C4: forcing membership (finiteness is constructional; record the data)
-    entries["C4"] = ConditionEntry(
-        "C4", "forcing term lies in the weighted space", PASS,
-        witness={"norm": norm(p), "endpoints": [float(p.samples[0, 0]),
-                                                float(p.samples[0, -1])]})
-
-    # C5: cone functional nonnegative on slices and forcing
-    cone_prof = kernel_functional_integral(cone, kern, quad, space=sp, memo=memo)
-    alpha_p = eval_functional(cone, p, quad, memo=memo)
-    c5_ok = cone_prof.positive and alpha_p >= -POS_TOL
-    entries["C5"] = ConditionEntry(
-        "C5", "kernel slices and forcing lie in the cone",
-        PASS if c5_ok else FAIL, tolerance=POS_TOL,
-        witness={"profile_min": cone_prof.min_value,
-                 "profile_witness_s": cone_prof.witness_s,
-                 "cone_of_forcing": alpha_p},
-        detail="" if c5_ok else "cone functional negative on a slice or the forcing")
-
-    # upper/lower kernel profiles (used by C7 and the index checks)
-    upper_prof = kernel_functional_integral(upper, kern, quad, space=sp, memo=memo)
-    lower_prof = kernel_functional_integral(lower, kern, quad, space=sp, memo=memo)
-    beta_p = eval_functional(upper, p, quad, memo=memo)
-    gamma_p = eval_functional(lower, p, quad, memo=memo)
-
-    # sup-part profile of the cone functional, for the sampled inequalities
-    cone_sup_prof = None
-    if cone.kind in ("weighted-sup", "difference"):
-        cone_sup_prof = kernel_functional_integral(
-            FunctionalSpec("weighted-sup", sup_weight=cone.sup_weight),
-            kern, quad, space=sp, memo=memo)
-    scalars.update({
-        "cone_of_forcing": alpha_p,
-        "upper_of_forcing": beta_p,
-        "lower_of_forcing": gamma_p,
-        "upper_profile_integral": upper_prof.integral,
-        "lower_profile_integral": lower_prof.integral,
-        "cone_profile_integral": cone_prof.integral,
-    })
-
-    # sampled cone elements and their operator images
-    cone_samples = _sample_cone_elements(sp, cone, quad, samples, rng, memo=memo)
-    images = [apply_T(problem, u, quad) for u in cone_samples]
-
-    relaxed = QuadratureConfig(tol=1e-9, rel_tol=1e-10,
-                               max_subdivisions=quad.max_subdivisions)
-
-    def exact_integral_rhs(w2: Weight, u: WeightedFunction) -> float:
-        # Fubini route: fresh inner slice integrals under an adaptive outer
-        # quadrature, a batch of slices each round; exact to quadrature
-        # tolerance
-        interp = grid.interpolant(u.samples[0])
-
-        def g(s, x, row):
-            integral, _, keys = _kernel_slices(kern, s, sp, relaxed)
-            inner = _memoized(memo, keys, "integral", integral, s.size)(w2)
-            return inner * nl.fn(s, interp(x) * w(s))
-
-        return integrate_compact(g, cmap, relaxed, [-1.0, 1.0])
-
-    def tab_sup_rhs(prof: ProfileIntegral, u: WeightedFunction) -> float:
-        # the sup-part profile, linear between its table points (the cuts)
-        xs, vs = np.asarray(prof.x_values), np.asarray(prof.values)
-        interp = grid.interpolant(u.samples[0])
-        return integrate_compact(
-            lambda t, x, row: np.interp(x, xs, vs) * nl.fn(t, interp(x) * w(t)),
-            cmap, quad, [-1.0, *xs, 1.0])
-
-    def spec_rhs(spec: FunctionalSpec, sup_prof, u) -> float:
-        """Inner integral of spec(slice)*f(s, u(s))."""
-        return _combine(spec, lambda w2, _rows: exact_integral_rhs(w2, u),
-                        lambda _w3, _rows: tab_sup_rhs(sup_prof, u))
-
-    def ineq_tol(spec: FunctionalSpec) -> float:   # a sup part reads the table
-        return SAMPLE_INEQ_TOL if spec.kind == "weighted-integral" else SUP_TAB_TOL
-
-    # C6: cone functional of images dominates the slice estimate
-    c6_ok = True
-    c6_witness = None
-    c6_checked = 0
-    c6_tol = ineq_tol(cone)
-    for u, Tu in zip(cone_samples, images):
-        lhs = eval_functional(cone, Tu, quad, memo=memo)
-        rhs = spec_rhs(cone, cone_sup_prof, u) + alpha_p
-        c6_checked += 1
-        slack = lhs - rhs
-        if slack < -c6_tol * max(1.0, abs(lhs), abs(rhs)):
-            c6_ok = False
-            c6_witness = {"lhs": lhs, "rhs": rhs, "slack": slack}
-            break
-    entries["C6"] = ConditionEntry(
-        "C6", "cone functional of operator images dominates the slice estimate",
-        PASS if (c6_ok and c6_checked) else FAIL, tolerance=c6_tol,
-        witness=c6_witness or {"samples": c6_checked},
-        detail="integral part by nested quadrature; sup part from the profile "
-               "tabulation (tolerance reflects its resolution)")
-
-    # C7: functional structure plus positive integrable kernel profiles
-    c7_ok = upper_prof.positive and lower_prof.positive \
-        and math.isfinite(upper_prof.integral) and math.isfinite(lower_prof.integral)
-    c7_detail = []
-    if not upper_prof.positive:
-        c7_detail.append("upper kernel profile not positive")
-    if not lower_prof.positive:
-        c7_detail.append("lower kernel profile not positive")
-    c7_witness = {"upper_profile_min": upper_prof.min_value,
-                  "lower_profile_min": lower_prof.min_value}
-    n = len(cone_samples)
-    lams = rng.uniform(0.0, 3.0, n)
-    bu, blam = np.split(eval_functional(
-        upper, cone_samples + [lam * u for lam, u in zip(lams.tolist(), cone_samples)],
-        quad, memo=memo), 2)
-    hom_worst = float(np.max(np.abs(blam - lams * bu) / np.maximum(1.0, np.abs(bu)),
-                             initial=0.0))
-    gu, guv = np.split(eval_functional(
-        lower, cone_samples + [u + v for u, v in zip(cone_samples, cone_samples[1:]
-                                                       + cone_samples[:1])],
-        quad, memo=memo), 2)
-    add_worst = float(np.max(np.abs(guv - gu - np.roll(gu, -1)) / np.maximum(1.0, np.abs(guv)),
-                             initial=0.0))
-    if hom_worst > 1e-8 or add_worst > 1e-8:
-        c7_ok = False
-        c7_detail.append("homogeneity/additivity violated on samples")
-    op_worst = None
-    for u, Tu in zip(cone_samples, images):
-        b_rhs = spec_rhs(upper, upper_prof, u) + beta_p
-        g_rhs = spec_rhs(lower, lower_prof, u) + gamma_p
-        b_lhs = eval_functional(upper, Tu, quad, memo=memo)
-        g_lhs = eval_functional(lower, Tu, quad, memo=memo)
-        tol_b = ineq_tol(upper) * max(1.0, abs(b_lhs), abs(b_rhs))
-        tol_g = ineq_tol(lower) * max(1.0, abs(g_lhs), abs(g_rhs))
-        if b_lhs > b_rhs + tol_b or g_lhs < g_rhs - tol_g:
-            c7_ok = False
-            op_worst = {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
-                        "lower_lhs": g_lhs, "lower_rhs": g_rhs}
-            c7_detail.append("operator inequality violated on a sample")
-            break
-    c7_witness.update({"homogeneity_worst": hom_worst, "additivity_worst": add_worst,
-                       "operator_witness": op_worst})
-    entries["C7"] = ConditionEntry(
-        "C7", "index functionals structured, kernel profiles positive and integrable",
-        PASS if c7_ok else FAIL, tolerance=SAMPLE_INEQ_TOL,
-        witness=c7_witness, detail="; ".join(c7_detail))
-
-    # C8: reference cone element with positive lower functional (the forcing)
-    c8_ok = alpha_p >= -POS_TOL and gamma_p > 0.0
-    entries["C8"] = ConditionEntry(
-        "C8", "reference cone element with positive lower functional",
-        PASS if c8_ok else FAIL, tolerance=POS_TOL,
-        witness={"cone_of_forcing": alpha_p, "lower_of_forcing": gamma_p},
-        detail="reference element: the forcing term")
-
-    # C9: radius bridge
-    bridges: dict = {}
-    b_info = _detect_bridge_b(cone, lower, grid)
-    if b_info is not None:
-        bridges["b"] = b_info
-    bu = eval_functional(upper, cone_samples, quad, memo=memo)
-    gu = eval_functional(lower, cone_samples, quad, memo=memo)
-    ratios = gu[bu > 0.0] / bu[bu > 0.0]
-    if ratios.size:
-        bridges["c"] = {"form": "heuristic", "coefficient": float(ratios.max()),
-                        "detail": "largest sampled ratio lower/upper; not a "
-                                  "certified bound"}
-    entries["C9"] = ConditionEntry(
-        "C9", "radius bridge between the two index functionals",
-        PASS if "b" in bridges else NOT_CHECKED,
-        witness={"bridges": {k: v["form"] for k, v in bridges.items()}},
-        detail="" if "b" in bridges else
-        "no closed-form bridge detected; heuristic sampling only")
-
-    # sampled properties of the cone functional
-    props = check_functional_properties(cone, sp, n_pairs=max(8, samples),
-                                        seed=seed + 1, quad=quad)
-    properties = {
-        "P1": ConditionEntry("P1", "superadditivity on nonnegative pairs",
-                             PASS if props.p1_worst <= props.tolerance else FAIL,
-                             tolerance=props.tolerance,
-                             witness={"worst": props.p1_worst}),
-        "P2": ConditionEntry("P2", "positive homogeneity",
-                             PASS if props.p2_worst <= props.tolerance else FAIL,
-                             tolerance=props.tolerance,
-                             witness={"worst": props.p2_worst}),
-        "P3": ConditionEntry("P3", "two-sided nonnegativity only at zero",
-                             PASS if props.p3_counterexamples == 0 else FAIL,
-                             witness={"counterexamples": props.p3_counterexamples},
-                             detail="falsification search, not a proof"),
-    }
-
+    ctx = _Certification(problem, {"cone": cone, "upper": upper, "lower": lower}, quad,
+                         seed, r_values)
+    entries = [ctx.c1(), ctx.c2(), ctx.c3(), ctx.c4()]   # these touch no memo
+    ctx.share(samples)
+    entries += [ctx.c5(), ctx.c6(), ctx.c7(), ctx.c8(), ctx.c9()]
+    scalars = {f"{name}_of_forcing": v for name, v in ctx.forcing.items()}
+    scalars.update({f"{name}_profile_integral": ctx.profiles[name].integral
+                    for name in ("upper", "lower", "cone")})
     meta = {
         "problem": problem.name,
         "params": {k: v for k, v in problem.params.items()},
         "grid_size": sp.m,
-        "interval": {"kind": cmap.kind, "start": cmap.a, "scale": cmap.L},
-        "space_weight": {"label": w.label, "params": w.params},
+        "interval": {"kind": sp.map.kind, "start": sp.map.a, "scale": sp.map.L},
+        "space_weight": {"label": sp.weight.label, "params": sp.weight.params},
         "functionals": {
             "cone": cone.kind, "upper": upper.kind, "lower": lower.kind},
         "samples": samples,
         "seed": seed,
         "quad_tol": quad.tol,
     }
-    context = ReportContext(problem, cone, upper, lower, quad,
-                            cone_prof, upper_prof, lower_prof)
-    return CertificateReport(entries=entries, properties=properties,
-                             scalars=scalars, bridges=bridges, meta=meta,
+    context = ReportContext(problem, cone, upper, lower, quad, ctx.profiles["cone"],
+                            ctx.profiles["upper"], ctx.profiles["lower"])
+    return CertificateReport(entries={e.key: e for e in entries},
+                             properties=ctx.properties(samples, seed),
+                             scalars=scalars, bridges=ctx.bridges, meta=meta,
                              context=context)
 
 
@@ -964,30 +961,49 @@ class IndexCheck:
     envelope_source: str
 
 
-def _resolve_envelope(report: CertificateReport, which: str, envelope):
-    if envelope is not None:
-        return envelope, "explicit"
-    ctx = report.require_context()
-    nl = ctx.problem.nonlinearity
-    own = nl.upper_envelope if which == "upper" else nl.lower_envelope
-    if own is not None:
-        return own, "problem"
-    default = DEFAULT_UPPER_ENVELOPE if which == "upper" else DEFAULT_LOWER_ENVELOPE
-    return default, "default"
-
-
-def _envelope_extreme(env, rho: float, space: Space, mode: str) -> float:
+def _envelope_extreme(env, rho: np.ndarray, space: Space, mode: str) -> np.ndarray:
+    """sup (mode "sup") or inf of env(., rho)/rho over the interval for every
+    radius of the 1-d array rho: one lockstep search for all of them, and
+    one tail classification per infinite end."""
     grid, cmap = space.grid, space.map
     env = elementwise(env, 2)
+    sign, col = (1.0 if mode == "sup" else -1.0), rho[:, None]
 
-    def fn_x(x):
-        return env(cmap.from_compact(x), rho) / rho
+    def ratio(t):   # negated for an inf, which classify_tail mirrors exactly
+        return sign * (env(t, col) / col)
 
-    ends = {x: _tail_value(lambda t: float(env(t, rho)) / rho, cmap, x,
-                           "envelope endpoint behavior undecided")
-            for x in cmap.infinite_ends()}
-    search = sup_on_grid if mode == "sup" else inf_on_grid
-    return search(fn_x, grid, ends)
+    ends = {}
+    for x in cmap.infinite_ends():
+        ts = tail_points(cmap, x)
+        kind, ends[x] = classify_tail(ts, tail_values(ratio, ts, (rho.size, ts.size)))
+        if (kind == "unknown").any():
+            raise DomainError("envelope endpoint behavior undecided")
+    return sign * sup_on_grid(lambda x: ratio(cmap.from_compact(x)), grid, ends,
+                              np.empty((rho.size, 0)))
+
+
+def _index_checks(report: CertificateReport, kind: str, rho, envelope=None) -> list:
+    """The condition ``kind`` (see ``check_index_one``, ``check_index_zero``)
+    at every radius of the sequence rho, from one envelope search."""
+    rho = np.array(rho, dtype=float)
+    if (rho <= 0).any():
+        raise DomainError("radius must be positive")
+    ctx = report.require_context()
+    which = "upper" if kind == "index-one" else "lower"
+    own = getattr(ctx.problem.nonlinearity, f"{which}_envelope")
+    default = DEFAULT_UPPER_ENVELOPE if which == "upper" else DEFAULT_LOWER_ENVELOPE
+    env, source = ((envelope, "explicit") if envelope is not None else
+                   (own, "problem") if own is not None else (default, "default"))
+    bound = _envelope_extreme(env, rho, ctx.problem.space,
+                              "sup" if which == "upper" else "inf")
+    integral = report.scalars[f"{which}_profile_integral"]
+    forcing = report.scalars[f"{which}_of_forcing"]
+    lhs = bound * integral + forcing / rho
+    margin = 1.0 - lhs if which == "upper" else lhs - 1.0
+    positivity = (integral + forcing / rho) > 0.0
+    return [IndexCheck(kind, *row, source) for row in zip(
+        rho.tolist(), (margin > 0.0).tolist(), lhs.tolist(), margin.tolist(),
+        bound.tolist(), positivity.tolist())]
 
 
 def check_index_one(report: CertificateReport, rho: float,
@@ -995,18 +1011,7 @@ def check_index_one(report: CertificateReport, rho: float,
     """Certify the small-radius condition at upper-functional radius rho:
     (sup envelope ratio) * (upper kernel profile integral) +
     (upper of forcing)/rho strictly below 1."""
-    if rho <= 0:
-        raise DomainError("radius must be positive")
-    ctx = report.require_context()
-    env, source = _resolve_envelope(report, "upper", envelope)
-    f_hi = _envelope_extreme(env, rho, ctx.problem.space, "sup")
-    integral = report.scalars["upper_profile_integral"]
-    forcing = report.scalars["upper_of_forcing"]
-    lhs = f_hi * integral + forcing / rho
-    positivity = (integral + forcing / rho) > 0.0
-    return IndexCheck("index-one", rho, holds=lhs < 1.0, lhs=lhs,
-                      margin=1.0 - lhs, envelope_bound=f_hi,
-                      positivity_ok=positivity, envelope_source=source)
+    return _index_checks(report, "index-one", [rho], envelope)[0]
 
 
 def check_index_zero(report: CertificateReport, rho: float,
@@ -1014,18 +1019,7 @@ def check_index_zero(report: CertificateReport, rho: float,
     """Certify the expansion condition at lower-functional radius rho:
     (inf envelope ratio) * (lower kernel profile integral) +
     (lower of forcing)/rho strictly above 1."""
-    if rho <= 0:
-        raise DomainError("radius must be positive")
-    ctx = report.require_context()
-    env, source = _resolve_envelope(report, "lower", envelope)
-    f_lo = _envelope_extreme(env, rho, ctx.problem.space, "inf")
-    integral = report.scalars["lower_profile_integral"]
-    forcing = report.scalars["lower_of_forcing"]
-    lhs = f_lo * integral + forcing / rho
-    positivity = (integral + forcing / rho) > 0.0
-    return IndexCheck("index-zero", rho, holds=lhs > 1.0, lhs=lhs,
-                      margin=lhs - 1.0, envelope_bound=f_lo,
-                      positivity_ok=positivity, envelope_source=source)
+    return _index_checks(report, "index-zero", [rho], envelope)[0]
 
 
 def locate_index_one_flip(report: CertificateReport, lo: float, hi: float,
@@ -1054,16 +1048,8 @@ class CertificateNotPassing(DomainError):
 
 @dataclass(frozen=True)
 class IndexWindow:
-    """A certified radius pattern implying solutions in the cone.
-
-    Patterns (radii listed in pattern order):
-      S1: expansion at rho1, contraction at rho2, rho2 > b(rho1) -> 1 solution
-      S2: contraction at rho1, expansion at rho2, rho2 > c(rho1) -> 1 solution
-      S3: expansion, contraction, expansion with rho2 > b(rho1),
-          rho3 > c(rho2) -> 2 solutions
-      S4: contraction, expansion, contraction with rho2 > c(rho1),
-          rho3 > b(rho2) -> 2 solutions
-    """
+    """A certified radius pattern implying solutions in the cone (the
+    patterns S1-S4 are listed in ``_PATTERNS``)."""
 
     pattern: str
     radii: tuple
@@ -1074,6 +1060,17 @@ class IndexWindow:
     @property
     def min_margin(self) -> float:
         return min(self.margins.values())
+
+
+# each pattern: the condition at each radius (index-zero: expansion,
+# index-one: contraction) and the bridge each radius clears from the one
+# before, rho_k+1 > b(rho_k) (closed form) or c(rho_k) (sampled); its margin
+# names, bridge form and count of solutions (one fewer than its radii) follow
+_PATTERNS = (("S1", ("index-zero", "index-one"), "b"),
+             ("S2", ("index-one", "index-zero"), "c"),
+             ("S3", ("index-zero", "index-one", "index-zero"), "bc"),
+             ("S4", ("index-one", "index-zero", "index-one"), "cb"))
+_MARGIN_NAMES = {"index-zero": "expansion", "index-one": "contraction"}
 
 
 def windows_to_jsonable(windows: list) -> list:
@@ -1089,74 +1086,35 @@ def find_solution_windows(report: CertificateReport, envelopes: tuple = (None, N
 
     Requires a fully certified report. Patterns needing the sampled bridge c
     are emitted only with ``allow_heuristic_bridges`` (flagged in the
-    result); the closed-form bridge b gates the rest.
+    result); the closed-form bridge b gates the rest. Each condition is
+    evaluated once over the whole scan.
     """
     if not report.certified:
         failing = [k for k, e in sorted(report.entries.items()) if e.status != PASS]
         raise CertificateNotPassing(
             f"hypotheses not certified: {', '.join(failing)}")
-    up_env, low_env = envelopes
     if rho_values is None:
         rho_values = np.geomspace(0.05, 5.0, 25)
     rho_values = sorted(float(r) for r in rho_values)
-    ones = {r: check_index_one(report, r, up_env) for r in rho_values}
-    zeros = {r: check_index_zero(report, r, low_env) for r in rho_values}
-    has_b = "b" in report.bridges and report.bridges["b"]["form"] == "closed"
-    has_c_heur = "c" in report.bridges and allow_heuristic_bridges
-
+    held = {kind: [(c.rho, c.margin) for c in _index_checks(report, kind, rho_values, env)
+                   if c.holds] if rho_values else []
+            for kind, env in zip(("index-one", "index-zero"), envelopes)}
+    usable = {"b": "b" in report.bridges and report.bridges["b"]["form"] == "closed",
+              "c": "c" in report.bridges and allow_heuristic_bridges}
     windows: list = []
-
-    def margins_ok(ms: dict) -> bool:
-        return all(v > 0.0 for v in ms.values())
-
-    ones_hold = [r for r in rho_values if ones[r].holds]
-    zeros_hold = [r for r in rho_values if zeros[r].holds]
-
-    if has_b:
-        for r1 in zeros_hold:
-            b1 = bridge_b(report, r1)
-            for r2 in ones_hold:
-                ms = {"expansion": zeros[r1].margin, "contraction": ones[r2].margin,
-                      "bridge": (r2 - b1) / max(r1, r2)}
-                if margins_ok(ms):
-                    windows.append(IndexWindow("S1", (r1, r2), ms, "closed", 1))
-    if has_c_heur:
-        cf = report.bridges["c"]["coefficient"]
-        for r1 in ones_hold:
-            for r2 in zeros_hold:
-                ms = {"contraction": ones[r1].margin, "expansion": zeros[r2].margin,
-                      "bridge": (r2 - cf * r1) / max(r1, r2)}
-                if margins_ok(ms):
-                    windows.append(IndexWindow("S2", (r1, r2), ms, "heuristic", 1))
-    if has_b and has_c_heur:
-        cf = report.bridges["c"]["coefficient"]
-        for r1 in zeros_hold:
-            b1 = bridge_b(report, r1)
-            for r2 in ones_hold:
-                if r2 <= b1:
-                    continue
-                for r3 in zeros_hold:
-                    ms = {"expansion_1": zeros[r1].margin,
-                          "contraction": ones[r2].margin,
-                          "expansion_2": zeros[r3].margin,
-                          "bridge_1": (r2 - b1) / max(r1, r2),
-                          "bridge_2": (r3 - cf * r2) / max(r2, r3)}
-                    if margins_ok(ms):
-                        windows.append(IndexWindow("S3", (r1, r2, r3), ms,
-                                                   "mixed", 2))
-        for r1 in ones_hold:
-            for r2 in zeros_hold:
-                if r2 <= cf * r1:
-                    continue
-                b2 = bridge_b(report, r2)
-                for r3 in ones_hold:
-                    ms = {"contraction_1": ones[r1].margin,
-                          "expansion": zeros[r2].margin,
-                          "contraction_2": ones[r3].margin,
-                          "bridge_1": (r2 - cf * r1) / max(r1, r2),
-                          "bridge_2": (r3 - b2) / max(r2, r3)}
-                    if margins_ok(ms):
-                        windows.append(IndexWindow("S4", (r1, r2, r3), ms,
-                                                   "mixed", 2))
+    for pattern, kinds, links in _PATTERNS:
+        if not all(usable[b] for b in links):
+            continue
+        names = [_MARGIN_NAMES[k] for k in kinds] + ["bridge"] * len(links)
+        names = [f"{n}_{names[:i].count(n) + 1}" if names.count(n) > 1 else n
+                 for i, n in enumerate(names)]   # a repeated name is numbered
+        form = {"b": "closed", "c": "heuristic"}[links[0]] if len(set(links)) == 1 else "mixed"
+        for picked in itertools.product(*(held[k] for k in kinds)):
+            radii, margins = zip(*picked)
+            margins += tuple((hi - (bridge_b if b == "b" else bridge_c)(report, lo)) / max(lo, hi)
+                             for b, lo, hi in zip(links, radii, radii[1:]))
+            if all(v > 0.0 for v in margins):
+                windows.append(IndexWindow(pattern, radii, dict(zip(names, margins)), form,
+                                           len(radii) - 1))
     windows.sort(key=lambda wdw: (-wdw.min_margin, wdw.pattern, wdw.radii))
     return windows

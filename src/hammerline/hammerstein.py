@@ -27,6 +27,10 @@ from .weighted_space import Space, WeightedFunction, from_tilde, spaces_compatib
 
 VOLTERRA = "volterra"
 FULL = "full"
+MODULUS_DELTA_MIN = 1e-9    # the smallest delta the modulus check tries
+MODULUS_S_COUNT = 24        # s points of the modulus check's lattice
+DOMINATOR_Y_COUNT = 33      # y points of the dominator check in [-r, r]
+DOMINATOR_TOL = 1e-12       # relative slack of the sampled domination
 
 
 def _unit_density(s):
@@ -335,27 +339,26 @@ class ModulusReport:
 
 def kernel_modulus_check(kernel: Kernel, phi: Weight, omega: Callable[[float], float],
                          grid: Grid, *,
-                         eps_grid: tuple = (1e-1, 1e-2, 1e-3),
-                         delta_min: float = 1e-9, s_count: int = 24) -> ModulusReport:
+                         eps_grid: tuple = (1e-1, 1e-2, 1e-3)) -> ModulusReport:
     """Translation equicontinuity of the rescaled slice against omega.
 
     For each eps, searches the largest delta (descending decades down to
-    ``delta_min``) such that |slice(t + step, s) - slice(t, s)| stays below
-    eps * omega(s) for steps of 0.5*delta and 0.999*delta across a (t, s)
-    lattice, one array call of the slice per (eps, delta); ``omega`` takes
-    a float or an array (see ``elementwise``). Fails when some eps admits no
-    delta >= delta_min; the witness is the first largest excess in the
-    lattice's (t, step, s) order.
+    ``MODULUS_DELTA_MIN``) such that |slice(t + step, s) - slice(t, s)|
+    stays below eps * omega(s) for steps of 0.5*delta and 0.999*delta across
+    a (t, s) lattice, one array call of the slice per (eps, delta); ``omega``
+    takes a float or an array (see ``elementwise``). Fails when some eps
+    admits no delta >= MODULUS_DELTA_MIN; the witness is the first largest
+    excess in the lattice's (t, step, s) order.
     """
     cmap = grid.map
     # the (t1, theta, s) lattice, in the order the witness is searched
     t1 = grid.t[grid.finite_mask()][::2, None, None]
     theta = np.array([0.5, 0.999])[:, None]
-    s = cmap.from_compact(np.linspace(-0.999, 0.999, s_count))
+    s = cmap.from_compact(np.linspace(-0.999, 0.999, MODULUS_S_COUNT))
     omega_s = elementwise(omega)(s)
     base = slice_tilde(kernel, phi, t1, s)
     deltas = [10.0 ** (-j) for j in range(0, 10)]
-    deltas = [d for d in deltas if d >= delta_min]
+    deltas = [d for d in deltas if d >= MODULUS_DELTA_MIN]
 
     def ok_for(eps: float, delta: float):
         t2 = t1 + theta * delta
@@ -402,9 +405,7 @@ class DominatorReport:
     worst: dict | None = None
 
 
-def dominator_check(nl: Nonlinearity, phi: Weight, r: float,
-                    grid: Grid, *, y_count: int = 33,
-                    tol: float = 1e-12) -> DominatorReport:
+def dominator_check(nl: Nonlinearity, phi: Weight, r: float, grid: Grid) -> DominatorReport:
     """Sampled domination f(t, y*phi(t)) <= phi_r(t) over y in [-r, r]."""
     if r <= 0:
         raise DomainError("radius must be positive")
@@ -417,12 +418,12 @@ def dominator_check(nl: Nonlinearity, phi: Weight, r: float,
     passed = True
     for t in grid.t[grid.finite_mask()]:
         bound = float(phi_r(t))
-        for y in np.linspace(-r, r, y_count):
+        for y in np.linspace(-r, r, DOMINATOR_Y_COUNT):
             val = float(nl.fn(t, y * phi(t)))
             if math.isnan(val):
                 return DominatorReport(False, r, {"t": t, "y": y, "value": val,
                                                   "bound": bound})
-            excess = val - bound - tol * max(1.0, abs(bound))
+            excess = val - bound - DOMINATOR_TOL * max(1.0, abs(bound))
             if worst is None or excess > worst["excess"]:
                 worst = {"t": t, "y": y, "value": val, "bound": bound,
                          "excess": excess}
@@ -442,8 +443,7 @@ class BoundProfile:
 
 
 def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
-                     quad: QuadratureConfig | None = None, *,
-                     include_sup_integral: bool = True) -> BoundProfile:
+                     quad: QuadratureConfig | None = None) -> BoundProfile:
     """Weighted image bound of the kernel against the dominated nonlinearity.
 
     At a finite node t the profile is (1/phi(t)) * integral of
@@ -485,19 +485,19 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
                 lambda s: kern.modulus_weight(s) * phi_r(s), cmap, quad)
         scalars["abs_z_lo_integral"] = z_integral(0)
         scalars["abs_z_hi_integral"] = z_integral(1)
-        if include_sup_integral:
-            def sup_slice(s: np.ndarray) -> np.ndarray:
-                return kernel_limits(kern, w, s, grid=grid).sup * phi_r(s)
 
-            for side in cmap.infinite_ends():
-                ts = tail_points(cmap, side)
-                vals = tail_values(lambda s: np.abs(sup_slice(s)) * np.abs(s) ** 1.5,
-                                   ts, ts.shape)
-                if classify_tail(ts, vals)[0] != "limit":
-                    raise DomainError(
-                        "sup|slice| * phi_r has no certified integrable tail")
-            scalars["sup_slice_integral"] = integrate_compact(
-                lambda s, x, row: sup_slice(s), cmap, quad, [-1.0, 1.0])
+        def sup_slice(s: np.ndarray) -> np.ndarray:
+            return kernel_limits(kern, w, s, grid=grid).sup * phi_r(s)
+
+        for side in cmap.infinite_ends():
+            ts = tail_points(cmap, side)
+            vals = tail_values(lambda s: np.abs(sup_slice(s)) * np.abs(s) ** 1.5,
+                               ts, ts.shape)
+            if classify_tail(ts, vals)[0] != "limit":
+                raise DomainError(
+                    "sup|slice| * phi_r has no certified integrable tail")
+        scalars["sup_slice_integral"] = integrate_compact(
+            lambda s, x, row: sup_slice(s), cmap, quad, [-1.0, 1.0])
     except (QuadratureError, DomainError) as e:
         return BoundProfile(False, r, tuple(values), math.inf, {}, failure=str(e))
 

@@ -206,6 +206,9 @@ def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
 # sup search in the compact coordinate
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+XTOL = 1e-8       # a golden bracket narrower than this stops
+PRESCAN = 4       # prescan points inside each bracket
+EDGE = 1e-12      # the endpoint brackets are clipped this far inward
 
 
 def _values(fn, x: np.ndarray) -> np.ndarray:
@@ -220,8 +223,7 @@ def _values(fn, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
-                       prescan: int = 4) -> tuple:
+def golden_section_max(fn: Callable, lo, hi) -> tuple:
     """Approximate max of fn on every bracket [lo[..., k], hi[..., k]]: a
     coarse prescan, then a golden search around the best prescan cell.
 
@@ -229,7 +231,7 @@ def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
     of a batch (``()`` for one function). fn takes an array of the shape
     batch + (n,) and gives each function's values at the points of its row.
     The brackets of all functions run in lockstep: each step calls fn once,
-    with one point per bracket; a bracket narrower than ``xtol`` re-reads a
+    with one point per bracket; a bracket narrower than ``XTOL`` re-reads a
     point it has visited, so each bracket visits the points a search of it
     alone would visit. Returns the arrays (argmax, max) of the shape of lo;
     a tie goes to the larger x.
@@ -237,22 +239,22 @@ def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
     batch = lo.shape[:-1]
-    xs = lo[..., None] + (hi - lo)[..., None] * np.arange(prescan + 2) / (prescan + 1)
+    xs = lo[..., None] + (hi - lo)[..., None] * np.arange(PRESCAN + 2) / (PRESCAN + 1)
     # an overflow to inf is a value: floating-point warnings stay quiet
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = _values(fn, xs.reshape(batch + (-1,))).reshape(-1, prescan + 2)
+        vals = _values(fn, xs.reshape(batch + (-1,))).reshape(-1, PRESCAN + 2)
         xs = xs.reshape(vals.shape)
         rows = np.arange(lo.size)
         i = np.argmax(vals, axis=1)
         a = xs[rows, np.maximum(i - 1, 0)].reshape(lo.shape)
-        b = xs[rows, np.minimum(i + 1, prescan + 1)].reshape(lo.shape)
+        b = xs[rows, np.minimum(i + 1, PRESCAN + 1)].reshape(lo.shape)
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         fc, fd = np.split(_values(fn, np.concatenate((c, d), axis=-1)), 2, axis=-1)
         # the final (c, fc, d, fd) of every bracket, kept when it stops; a
         # stopped bracket probes its c, so its c and d stay visited points
         out = [c.copy(), fc.copy(), d.copy(), fd.copy()]
-        live = (b - a) > xtol
+        live = (b - a) > XTOL
         while live.any():
             # fc >= fd keeps [a, d] and probes a new c, else [c, b] and a new d
             left = fc >= fd
@@ -264,7 +266,7 @@ def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
             fx = _values(fn, x)
             c, d = np.where(left, x, d), np.where(left, c, x)
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-            stop = live & ~(width > xtol)
+            stop = live & ~(width > XTOL)
             if stop.any():
                 for o, v in zip(out, (c, fc, d, fd)):
                     np.copyto(o, v, where=stop)
@@ -278,8 +280,7 @@ def golden_section_max(fn: Callable, lo, hi, xtol: float = 1e-8,
 
 
 def sup_on_grid(fn_x: Callable, grid: Grid,
-                end_vals: Mapping[float, float] | None = None, kinks=(),
-                xtol: float = 1e-8, edge: float = 1e-12):
+                end_vals: Mapping[float, float] | None = None, kinks=()):
     """Sup of fn_x over [-1, 1]: node values, endpoint values, and a golden
     refinement inside every bracket between nodes and ``kinks`` (endpoint
     brackets clipped inward).
@@ -302,22 +303,21 @@ def sup_on_grid(fn_x: Callable, grid: Grid,
     xs = grid.x
     fn_x = elementwise(fn_x, at=np.broadcast_to(xs[1:3], batch + (2,)))
     at_end = np.array([x in end_vals for x in xs.tolist()])
-    edges = np.concatenate((np.broadcast_to(np.clip(xs, -1.0 + edge, 1.0 - edge),
+    edges = np.concatenate((np.broadcast_to(np.clip(xs, -1.0 + EDGE, 1.0 - EDGE),
                                             batch + xs.shape),
-                            np.clip(kinks, -1.0 + edge, 1.0 - edge)), axis=-1)
+                            np.clip(kinks, -1.0 + EDGE, 1.0 - EDGE)), axis=-1)
     edges.sort(axis=-1)
     vals = [np.broadcast_to(end_vals[x], batch)[..., None] for x in xs[at_end].tolist()]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         vals.append(_values(fn_x, np.broadcast_to(xs[~at_end], batch + (xs.size - at_end.sum(),))))
-    _, best = golden_section_max(fn_x, edges[..., :-1], edges[..., 1:], xtol=xtol)
+    _, best = golden_section_max(fn_x, edges[..., :-1], edges[..., 1:])
     vals.append(best)
     sup = np.concatenate(vals, axis=-1).max(axis=-1)
     return sup if batch else float(sup)
 
 
 def inf_on_grid(fn_x: Callable, grid: Grid,
-                end_vals: Mapping[float, float] | None = None,
-                xtol: float = 1e-8) -> float:
+                end_vals: Mapping[float, float] | None = None) -> float:
     """Inf of fn_x over [-1, 1], with the conventions of sup_on_grid."""
     neg_ends = {x: -v for x, v in (end_vals or {}).items()}
-    return -sup_on_grid(lambda x: -fn_x(x), grid, neg_ends, xtol=xtol)
+    return -sup_on_grid(lambda x: -fn_x(x), grid, neg_ends)

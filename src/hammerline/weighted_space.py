@@ -20,7 +20,7 @@ from .compactline import CompactMap, Grid
 from .errors import DomainError
 from .weights import Weight, same_weight, tail_limit
 
-NORM_KINDS = ("phi", "order-n", "sup-tilde")
+NORM_KINDS = ("phi", "sup-tilde")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +164,7 @@ def from_raw(space: Space, fn: Callable[[float], float],
 def norm(u: WeightedFunction, kind: str = "phi") -> float:
     """Space norm of the sampled representation.
 
-    'sup-tilde' is the sup of |row 0|; 'order-n' the max over all rows;
-    'phi' is the canonical name for 'order-n' and is computed by the
-    identical reduction, so the two agree bit for bit.
+    'sup-tilde' is the sup of |row 0|; 'phi' the max over all rows.
     """
     if kind not in NORM_KINDS:
         raise DomainError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
@@ -189,6 +187,8 @@ def asymptotic_limits(u: WeightedFunction) -> tuple:
 
 TAGS = ("greater", "less", "comparable", "comparable-with-limit",
         "equivalent", "lower-bounded", "upper-bounded", "undetermined")
+# the decision thresholds of classify_asymptotic (see there)
+CLASSIFY_AGREE_REL, CLASSIFY_BIG, CLASSIFY_SMALL, CLASSIFY_K_HI = 1e-4, 1e6, 1e-6, 12
 
 
 @dataclass(frozen=True)
@@ -219,19 +219,17 @@ def _agree(vals, rel) -> bool:
 
 
 def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float],
-                        cmap: CompactMap, *, side: int = +1, agree_rel: float = 1e-4,
-                        big: float = 1e6, small: float = 1e-6,
-                        k_hi: int = 12) -> AsymptoticRelation:
+                        cmap: CompactMap, *, side: int = +1) -> AsymptoticRelation:
     """Compare the tail growth of two positive functions along the map.
 
     The ratio f/g is probed at the compact coordinates 1 - 10^-k, starting
     from the base set k = 1..4 and refining one decade at a time up to
-    ``k_hi`` until a decision fires: the last three probes agreeing within
-    ``agree_rel`` relative declare a finite limit (tag 'equivalent' when the
-    limit is within ``agree_rel`` of 1); a monotone ratio beyond ``big`` /
-    below ``small`` declares 'greater' / 'less'. If no decision fires, the
-    full record is graded to 'comparable', one-sided bounds, or
-    'undetermined'.
+    ``CLASSIFY_K_HI`` until a decision fires: the last three probes agreeing
+    within ``CLASSIFY_AGREE_REL`` relative declare a finite limit (tag
+    'equivalent' when the limit is within ``CLASSIFY_AGREE_REL`` of 1); a
+    monotone ratio beyond ``CLASSIFY_BIG`` / below ``CLASSIFY_SMALL`` declares
+    'greater' / 'less'. If no decision fires, the full record is graded to
+    'comparable', one-sided bounds, or 'undetermined'.
     """
     ratios: list[float] = []
     probes: list[float] = []
@@ -253,29 +251,30 @@ def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float]
             return AsymptoticRelation("undetermined", None, tuple(ratios), tuple(probes),
                                       "ratio of two overflowing values")
         if len(ratios) >= 3 and all(math.isfinite(r) for r in ratios[-3:]) \
-                and _agree(ratios[-3:], agree_rel):
+                and _agree(ratios[-3:], CLASSIFY_AGREE_REL):
             lim = ratios[-1]
-            tag = "equivalent" if abs(lim - 1.0) <= agree_rel else "comparable-with-limit"
+            tag = ("equivalent" if abs(lim - 1.0) <= CLASSIFY_AGREE_REL
+                   else "comparable-with-limit")
             return AsymptoticRelation(tag, lim, tuple(ratios), tuple(probes))
         mono_up = all(b >= a for a, b in zip(ratios, ratios[1:]))
         mono_dn = all(b <= a for a, b in zip(ratios, ratios[1:]))
-        if mono_up and ratios[-1] > big:
+        if mono_up and ratios[-1] > CLASSIFY_BIG:
             return AsymptoticRelation("greater", None, tuple(ratios), tuple(probes))
-        if mono_dn and ratios[-1] < small:
+        if mono_dn and ratios[-1] < CLASSIFY_SMALL:
             return AsymptoticRelation("less", None, tuple(ratios), tuple(probes))
         return None
 
     for k in range(1, 5):
         probe(k)
     out = decision()
-    for k in range(5, k_hi + 1):
+    for k in range(5, CLASSIFY_K_HI + 1):
         if out is not None:
             return out
         probe(k)
         out = decision()
     if out is not None:
         return out
-    if all(small <= r <= big for r in ratios):
+    if all(CLASSIFY_SMALL <= r <= CLASSIFY_BIG for r in ratios):
         return AsymptoticRelation("comparable", None, tuple(ratios), tuple(probes))
     if all(b >= a for a, b in zip(ratios, ratios[1:])):
         return AsymptoticRelation("lower-bounded", None, tuple(ratios), tuple(probes))

@@ -17,6 +17,10 @@ from .compactline import CompactMap, Grid, refining_tail_x
 from .elementwise import elementwise, exp, filled, scalar_fn
 from .errors import DomainError
 
+FD_REL_TOL = 1e-6        # allowed relative gap of a derivative to central differences
+TAIL_K_HI = 12           # the tail grid ends at the compact coordinate 1 - 10^-12
+TAIL_AGREE_REL = 1e-9    # relative spread of tail values that counts as settled
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -102,7 +106,7 @@ def same_weight(a: Weight, b: Weight) -> bool:
     return weight_key(a) == weight_key(b)
 
 
-def check_weight(w: Weight, grid: Grid, fd_rel_tol: float = 1e-6) -> None:
+def check_weight(w: Weight, grid: Grid) -> None:
     """Validate positivity at the finite nodes and, when derivative
     evaluators are present, their agreement with central differences."""
     for t in grid.t[grid.finite_mask()]:
@@ -115,7 +119,7 @@ def check_weight(w: Weight, grid: Grid, fd_rel_tol: float = 1e-6) -> None:
         h = 1e-5 * max(1.0, abs(t))
         fd = (w(t + h) - w(t - h)) / (2.0 * h)
         an = w.derivative(t)
-        if abs(fd - an) > fd_rel_tol * max(1.0, abs(an)):
+        if abs(fd - an) > FD_REL_TOL * max(1.0, abs(an)):
             raise DomainError(
                 f"weight {w.label!r} derivative mismatch at t={t}: fd={fd} analytic={an}")
 
@@ -123,9 +127,9 @@ def check_weight(w: Weight, grid: Grid, fd_rel_tol: float = 1e-6) -> None:
 # ---------------------------------------------------------------------------
 # tail behavior
 
-def tail_points(cmap: CompactMap, side: int = +1, k_hi: int = 12) -> np.ndarray:
+def tail_points(cmap: CompactMap, side: int = +1) -> np.ndarray:
     """The points of the refining tail grid toward the end ``side``."""
-    return cmap.from_compact(side * np.array(refining_tail_x(4, k_hi)))
+    return cmap.from_compact(side * np.array(refining_tail_x(4, TAIL_K_HI)))
 
 
 def tail_values(fn: Callable, ts: np.ndarray, shape: tuple) -> np.ndarray:
@@ -141,7 +145,7 @@ def tail_values(fn: Callable, ts: np.ndarray, shape: tuple) -> np.ndarray:
 _KINDS = np.array(["unknown", "limit", "diverges"])
 
 
-def classify_tail(ts: np.ndarray, vals: np.ndarray, agree_rel: float = 1e-9) -> tuple:
+def classify_tail(ts: np.ndarray, vals: np.ndarray) -> tuple:
     """The ``tail_trend`` verdicts of rows of values (last axis) at the tail
     points ts, in one pass: arrays (kind, value) of the rows' shape, with
     value nan where the kind is "unknown"."""
@@ -153,7 +157,7 @@ def classify_tail(ts: np.ndarray, vals: np.ndarray, agree_rel: float = 1e-9) -> 
         rich = (succ * ts[1:] - prev * ts[:-1]) / (ts[1:] - ts[:-1])
         tails = np.stack((rich[..., -3:], vals[..., -3:]))
         scale = np.abs(tails).max(axis=-1, keepdims=True)
-        settled = (np.abs(np.diff(tails, axis=-1)) <= agree_rel * scale + 1e-300).all(axis=-1)
+        settled = (np.abs(np.diff(tails, axis=-1)) <= TAIL_AGREE_REL * scale + 1e-300).all(axis=-1)
         # the rules from the weakest up, each overriding the ones before:
         # certified monotone escape, settled raw values (they may settle
         # even when extrapolation is noisy), settled extrapolation, and a
@@ -178,8 +182,7 @@ def classify_tail(ts: np.ndarray, vals: np.ndarray, agree_rel: float = 1e-9) -> 
     return _KINDS[code.ravel()].reshape(code.shape), value
 
 
-def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1,
-               agree_rel: float = 1e-9, k_hi: int = 12):
+def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1):
     """Classify the endpoint behavior of fn along the refining tail grid.
 
     fn is called one point at a time. Returns one of
@@ -188,19 +191,18 @@ def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1,
       ("diverges", s)   certified monotone escape, s = +-inf,
       ("unknown", None) no decision (oscillation, evaluation failure).
     """
-    ts = tail_points(cmap, side, k_hi)
+    ts = tail_points(cmap, side)
     vals = tail_values(lambda t: [float(fn(v)) for v in t.tolist()], ts, ts.shape)
-    kind, value = classify_tail(ts, vals, agree_rel)
+    kind, value = classify_tail(ts, vals)
     kind = str(kind)
     return (kind, None if kind == "unknown" else float(value))
 
 
-def tail_limit(fn: Callable[[float], float], cmap: CompactMap, side: int = +1,
-               agree_rel: float = 1e-9) -> float:
+def tail_limit(fn: Callable[[float], float], cmap: CompactMap, side: int = +1) -> float:
     """Finite endpoint limit of fn, or TailLimitError if it does not settle."""
     from .errors import TailLimitError
 
-    kind, val = tail_trend(fn, cmap, side, agree_rel)
+    kind, val = tail_trend(fn, cmap, side)
     if kind != "limit":
         raise TailLimitError(
             f"no finite limit toward {'+inf' if side > 0 else '-inf'} (trend: {kind})")

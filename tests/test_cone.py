@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,8 +11,10 @@ import hammerline as hl
 from hammerline.errors import DomainError
 
 from conftest import make_system
+from window_oracle import oracle_windows
 
 E = math.e
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- functional evaluation -------------------------------------------------
@@ -133,10 +137,10 @@ def test_full_line_envelope_extremes(full_space):
     from hammerline.cone import _envelope_extreme
 
     cubic = lambda t, rho: 1.0 + abs(t) ** 3  # noqa: E731
-    assert _envelope_extreme(cubic, 1.0, full_space, "sup") == math.inf
+    assert _envelope_extreme(cubic, np.array([1.0]), full_space, "sup") == math.inf
     # inf of 1 + tanh t is its limit 0 at -inf
     step = lambda t, rho: 1.0 + math.tanh(t)  # noqa: E731
-    low = _envelope_extreme(step, 1.0, full_space, "inf")
+    low = _envelope_extreme(step, np.array([1.0]), full_space, "inf")
     assert low == pytest.approx(0.0, abs=1e-12)
 
 
@@ -149,7 +153,7 @@ def test_full_line_refusals(full_space):
     with pytest.raises(DomainError, match="sup part endpoint behavior undecided"):
         hl.eval_functional_raw(FLAT_SUP, wobble, full_space)
     with pytest.raises(DomainError, match="envelope endpoint behavior undecided"):
-        _envelope_extreme(lambda t, rho: wobble(t), 1.0, full_space, "sup")
+        _envelope_extreme(lambda t, rho: wobble(t), np.array([1.0]), full_space, "sup")
 
 
 def test_profile_integrals(problem_c2, system_c2, space, report_c2):
@@ -633,6 +637,62 @@ def test_windows_jsonable_shape(report_c2):
     assert len(data) == len(wins)
     assert data[0]["pattern"] == "S1"
     assert json.dumps(data)   # serializable
+
+
+def _scenario_scan(name):
+    return hl.rho_grid(hl.load_scenario(SCENARIO_DIR / name))
+
+
+# float-only envelopes under which contraction holds on [0.6, 3] and
+# expansion below 1 and above 2, so that every pattern S1-S4 has windows
+BANDED = (lambda t, rho: rho * (10.0 if rho > 3.0 else 0.5),
+          lambda t, rho: rho * (1.0 if rho > 2.0 else 0.0))
+
+
+@pytest.mark.parametrize("which", ["c2", "c2_L4"])
+def test_window_table_matches_the_four_loop_enumerator(which, report_c2, report_L4):
+    report = report_c2 if which == "c2" else report_L4
+    scan = _scenario_scan(f"boosted_projectile_{which}.json")
+    for envelopes in ((None, None), BANDED):
+        for radii in (scan, [0.4, 0.7, 0.9]):
+            for heuristic in (False, True):
+                got = hl.find_solution_windows(report, envelopes, radii,
+                                               allow_heuristic_bridges=heuristic)
+                want = oracle_windows(report, envelopes, radii,
+                                      allow_heuristic_bridges=heuristic)
+                assert want, (which, radii, heuristic)
+                # every field of every window, margins bit for bit
+                assert [dataclasses.asdict(w) for w in got] == \
+                    [dataclasses.asdict(w) for w in want]
+    patterns = {w.pattern for w in hl.find_solution_windows(
+        report, BANDED, scan, allow_heuristic_bridges=True)}
+    assert patterns == {"S1", "S2", "S3", "S4"}
+
+
+@pytest.mark.parametrize("envelope", [None, lambda t, rho: 2.0 * rho],
+                         ids=["problem", "float-only"])
+def test_a_batch_of_radii_gives_each_radius_its_own_check(report_c2, envelope):
+    from hammerline.cone import _index_checks
+
+    radii = _scenario_scan("boosted_projectile_c2.json") + [0.5, 0.6]
+    for kind, alone in (("index-one", hl.check_index_one),
+                        ("index-zero", hl.check_index_zero)):
+        batch = _index_checks(report_c2, kind, radii, envelope)
+        assert [dataclasses.asdict(c) for c in batch] == \
+            [dataclasses.asdict(alone(report_c2, r, envelope)) for r in radii]
+
+
+def test_a_window_scan_is_one_sup_search_per_condition(report_c2, monkeypatch):
+    # host-independent cost guard: checked one radius at a time, the 27
+    # radii of the c2 scan made 54 searches
+    import hammerline.cone as cone_mod
+    import hammerline.hammerstein as hammerstein_mod
+    import hammerline.quadrature as quadrature_mod
+
+    scan = _scenario_scan("boosted_projectile_c2.json")
+    rows = _count_sup_searches(monkeypatch, cone_mod, hammerstein_mod, quadrature_mod)
+    assert hl.find_solution_windows(report_c2, rho_values=scan)
+    assert rows == [len(scan), len(scan)]
 
 
 # -- sampled cone inequalities on the operator image -------------------------

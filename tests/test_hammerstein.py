@@ -88,8 +88,6 @@ def test_parabola_setup_fails_the_image_bound_honestly():
         problem.nonlinearity, problem.forcing, problem.space)
     still_bad = hl.c3_bound_profile(no_modulus, 1.0)
     assert not still_bad.ok
-    values_only = hl.c3_bound_profile(no_modulus, 1.0, include_sup_integral=False)
-    assert values_only.ok
 
 
 def test_parabola_slice_sups_find_the_peak_beside_the_diagonal():

@@ -143,8 +143,8 @@ def test_each_sup_search_makes_at_most_40_calls(problem_c2, system_c2, monkeypat
         hl.kernel_limits(kern, space.weight, s, grid=space.grid)
     for spec in (system_c2.cone, system_c2.upper):
         hl.eval_functional(spec, problem_c2.forcing)
-    _envelope_extreme(problem_c2.nonlinearity.upper_envelope, 0.5, space, "sup")
-    _envelope_extreme(lambda t, rho: 2.0 + math.tanh(t), 0.5, space, "inf")
+    _envelope_extreme(problem_c2.nonlinearity.upper_envelope, np.array([0.5]), space, "sup")
+    _envelope_extreme(lambda t, rho: 2.0 + math.tanh(t), np.array([0.5]), space, "inf")
     assert len(per_sup) == 10
     # a batch of slices is one search, in as many calls as its slowest row
     hl.kernel_limits(kern, space.weight, np.geomspace(1e-3, 1e4, 64), grid=space.grid)

@@ -42,7 +42,6 @@ def test_norm_kinds_and_isometry(space):
     u = hl.lift(space, rows)
     expected = float(np.max(np.abs(rows)))
     assert u.norm("phi") == expected
-    assert u.norm("order-n") == expected
     assert u.norm("sup-tilde") == expected
     with pytest.raises(DomainError):
         u.norm("L2")

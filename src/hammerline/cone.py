@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import jsonschema
 import numpy as np
 
 from .compactline import Grid
@@ -26,6 +25,7 @@ from .elementwise import elementwise, filled
 from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_compact,
                          integrate_interval, sup_on_grid)
+from .schema import best_match
 from .weights import (Weight, classify_tail, tail_points, tail_trend, tail_values,
                       weight_key)
 from .weighted_space import Space, WeightedFunction, norm, spaces_compatible
@@ -471,14 +471,10 @@ REPORT_SCHEMA = {
 }
 
 
-# the schema is a constant, checked once by the tests, not on every read
-_REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
-
-
 def report_from_json(data: dict) -> CertificateReport:
-    error = jsonschema.exceptions.best_match(_REPORT_VALIDATOR.iter_errors(data))
-    if error is not None:
-        raise error
+    message = best_match(data, REPORT_SCHEMA)
+    if message is not None:
+        raise DomainError(f"report does not match the schema: {message}")
 
     def entries(block):
         return {k: ConditionEntry(key=v["key"], title=v["title"], status=v["status"],
@@ -500,21 +496,28 @@ def report_from_json(data: dict) -> CertificateReport:
 def _sample_cone_elements(space: Space, cone: FunctionalSpec,
                           quad: QuadratureConfig, n: int,
                           rng: np.random.Generator, memo: dict | None = None) -> list:
-    """Random smooth nonnegative elements, filtered to the cone."""
+    """Random smooth nonnegative elements, filtered to the cone: the first n
+    that pass, in draw order, of at most 50n draws.
+
+    The draws come in rounds of as many candidates as are still missing,
+    each round evaluated as one batch. Drawing one at a time would draw at
+    least as many, so the random stream after the call is the same.
+    """
     out = []
     tries = 0
     q = (1.0 + space.grid.x) / 2.0
     while len(out) < n and tries < 50 * n:
-        tries += 1
-        coeff = rng.uniform(0.0, 1.0, 4)
-        scale = rng.uniform(0.2, 2.0)
-        row = scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2 + coeff[3] * q ** 3)
-        samples = np.zeros((space.order + 1, space.m))
-        samples[0] = row
-        u = WeightedFunction(space, samples)
-        if eval_functional(cone, u, quad, memo=memo) < -POS_TOL:
-            continue
-        out.append(u)
+        batch = []
+        for _ in range(min(n - len(out), 50 * n - tries)):
+            coeff = rng.uniform(0.0, 1.0, 4)
+            scale = rng.uniform(0.2, 2.0)
+            samples = np.zeros((space.order + 1, space.m))
+            samples[0] = scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2
+                                  + coeff[3] * q ** 3)
+            batch.append(WeightedFunction(space, samples))
+        tries += len(batch)
+        values = eval_functional(cone, batch, quad, memo=memo)
+        out += [u for u, v in zip(batch, values.tolist()) if not v < -POS_TOL]
     return out
 
 
@@ -1097,7 +1100,7 @@ def find_solution_windows(report: CertificateReport, envelopes: tuple = (None, N
         rho_values = np.geomspace(0.05, 5.0, 25)
     rho_values = sorted(float(r) for r in rho_values)
     held = {kind: [(c.rho, c.margin) for c in _index_checks(report, kind, rho_values, env)
-                   if c.holds] if rho_values else []
+                   if c.holds]
             for kind, env in zip(("index-one", "index-zero"), envelopes)}
     usable = {"b": "b" in report.bridges and report.bridges["b"]["form"] == "closed",
               "c": "c" in report.bridges and allow_heuristic_bridges}

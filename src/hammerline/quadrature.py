@@ -288,18 +288,20 @@ def sup_on_grid(fn_x: Callable, grid: Grid,
     ``kinks`` holds compact coordinates of shape batch + (k,): ``(k,)`` for
     one function, a row each for a batch of functions (k may be 0); the sup
     is a float for one function and an array of the batch's shape for a
-    batch. fn_x takes an array of compact coordinates of the shape
-    batch + (n,) and returns each function's values at the points of its
-    row (a float-only fn_x is wrapped, see ``elementwise``); one call covers
-    every node, then one every bracket's next point (see
-    ``golden_section_max``). A nan value raises DomainError. ``end_vals``
-    holds the values at the infinite ends (a float, or one per function),
-    keyed by their compact coordinate -1.0 / 1.0; fn_x is never called at
-    those points.
+    batch (empty for an empty batch, which never calls fn_x). fn_x takes an
+    array of compact coordinates of the shape batch + (n,) and returns each
+    function's values at the points of its row (a float-only fn_x is
+    wrapped, see ``elementwise``); one call covers every node, then one
+    every bracket's next point (see ``golden_section_max``). A nan value
+    raises DomainError. ``end_vals`` holds the values at the infinite ends
+    (a float, or one per function), keyed by their compact coordinate
+    -1.0 / 1.0; fn_x is never called at those points.
     """
     end_vals = end_vals or {}
     kinks = np.asarray(kinks, dtype=float)
     batch = kinks.shape[:-1]
+    if 0 in batch:
+        return np.empty(batch)
     xs = grid.x
     fn_x = elementwise(fn_x, at=np.broadcast_to(xs[1:3], batch + (2,)))
     at_end = np.array([x in end_vals for x in xs.tolist()])

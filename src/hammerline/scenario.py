@@ -12,12 +12,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import jsonschema
-
 from .compactline import FULL_LINE, HALF_LINE, CompactMap, GridSpec, build_grid
 from .elementwise import filled
 from .errors import ScenarioError
 from .quadrature import QuadratureConfig
+from .schema import best_match
 from .weights import Weight, affine, exponential, power
 from .weighted_space import Space
 from .cone import ConeSystem, FunctionalSpec
@@ -171,14 +170,10 @@ class Scenario:
         return float(self.tolerances.get("picard_tol", 1e-10))
 
 
-# the schema is a constant, checked once by the tests, not on every load
-_SCENARIO_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
-
-
 def scenario_from_dict(data: dict) -> Scenario:
-    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(data))
-    if error is not None:
-        raise ScenarioError(f"scenario does not match the schema: {error.message}") from error
+    message = best_match(data, SCENARIO_SCHEMA)
+    if message is not None:
+        raise ScenarioError(f"scenario does not match the schema: {message}")
     interval = data["interval"]
     if interval["kind"] == FULL_LINE and "start" in interval:
         raise ScenarioError("a full-line interval takes no start point")

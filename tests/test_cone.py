@@ -457,6 +457,52 @@ def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
     assert 0 < calls["integrate_compact"] <= 4
 
 
+def _cone_draw_loop(space, cone, quad, n, rng):
+    """The certifier's cone-element draw one candidate at a time: the
+    reference of the batched draw."""
+    from hammerline.cone import POS_TOL
+
+    out, tries = [], 0
+    q = (1.0 + space.grid.x) / 2.0
+    while len(out) < n and tries < 50 * n:
+        tries += 1
+        coeff = rng.uniform(0.0, 1.0, 4)
+        scale = rng.uniform(0.2, 2.0)
+        u = hl.lift(space, scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2
+                                    + coeff[3] * q ** 3))
+        if hl.eval_functional(cone, u, quad) >= -POS_TOL:
+            out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("name, rounds", [
+    ("boosted_projectile_c2.json", [8]),
+    ("boosted_projectile_c3.json", [8, 6, 6, 6, 5, 4, 2, 2, 1]),   # 40 draws
+])
+def test_cone_draw_is_one_batch_per_round_and_equals_the_loop(name, rounds, monkeypatch):
+    # count guard: a round draws the shortfall and evaluates it as one
+    # batch, where the loop made one call per candidate
+    import hammerline.cone as cone_mod
+
+    scn = hl.load_scenario(SCENARIO_DIR / name)
+    space, cone, quad = hl.build_space(scn), hl.build_system(scn).cone, hl.build_quad(scn)
+    batches = []
+
+    def counted(spec, u, *args, _real=cone_mod.eval_functional, **kwargs):
+        batches.append(1 if isinstance(u, hl.WeightedFunction) else len(u))
+        return _real(spec, u, *args, **kwargs)
+
+    monkeypatch.setattr(cone_mod, "eval_functional", counted)
+    rng = np.random.default_rng(scn.seed)
+    got = cone_mod._sample_cone_elements(space, cone, quad, scn.samples, rng, {})
+    monkeypatch.undo()
+    assert batches == rounds
+    ref = np.random.default_rng(scn.seed)
+    want = _cone_draw_loop(space, cone, quad, scn.samples, ref)
+    assert [u.samples.tobytes() for u in got] == [u.samples.tobytes() for u in want]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # -- certification report ---------------------------------------------------
 
 def test_report_is_fully_certified(report_c2):
@@ -680,6 +726,14 @@ def test_a_batch_of_radii_gives_each_radius_its_own_check(report_c2, envelope):
         batch = _index_checks(report_c2, kind, radii, envelope)
         assert [dataclasses.asdict(c) for c in batch] == \
             [dataclasses.asdict(alone(report_c2, r, envelope)) for r in radii]
+
+
+def test_no_radii_give_no_checks_and_no_windows(report_c2):
+    from hammerline.cone import _index_checks
+
+    for kind in ("index-one", "index-zero"):
+        assert _index_checks(report_c2, kind, []) == []
+    assert hl.find_solution_windows(report_c2, rho_values=[]) == []
 
 
 def test_a_window_scan_is_one_sup_search_per_condition(report_c2, monkeypatch):

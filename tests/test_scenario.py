@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,7 +75,7 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_both_schemas_are_valid_json_schemas():
-    # the prebuilt validators never check their schema: this test does
+    # the package's validator never checks a schema: this test does
     import jsonschema
 
     for schema in (hl.SCENARIO_SCHEMA, hl.REPORT_SCHEMA):
@@ -90,6 +93,17 @@ def test_schema_errors_read_as_jsonschema_reports_them(bad):
     with pytest.raises(ScenarioError) as got:
         hl.scenario_from_dict(data)
     assert str(got.value) == f"scenario does not match the schema: {want.value.message}"
+
+
+def test_import_and_load_leave_jsonschema_and_scipy_out():
+    # both are test references only: a command must not pay for importing them
+    code = ("import sys, hammerline\n"
+            f"hammerline.load_scenario({str(SCENARIO_DIR / 'gravity_projectile.json')!r})\n"
+            "print(sorted({'jsonschema', 'scipy'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(hl.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_schema_version_is_pinned():

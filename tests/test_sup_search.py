@@ -103,6 +103,17 @@ def test_a_batch_of_functions_visits_each_bracket_as_a_search_alone():
     assert sups == pytest.approx(np.exp(-(s + 1.0)), rel=1e-12, abs=0.0)
 
 
+def test_an_empty_batch_is_an_empty_array_without_a_call():
+    grid = hl.build_grid(HALF, hl.GridSpec(m=17))
+
+    def never(x):
+        raise AssertionError("an empty batch calls fn_x")
+
+    for kinks in (np.empty((0, 0)), np.empty((0, 2)), np.empty((3, 0, 1))):
+        sups = hl.sup_on_grid(never, grid, {1.0: 0.0}, kinks)
+        assert isinstance(sups, np.ndarray) and sups.shape == kinks.shape[:-1]
+
+
 def test_lockstep_brackets_equal_the_scalar_oracle_on_kinks():
     grid = hl.build_grid(HALF, hl.GridSpec(m=41))
     def kinked(x):

@@ -80,27 +80,19 @@ class CompactMap:
         return lo <= t <= hi
 
     def from_compact(self, x):
-        """Map x in [-1, 1] (a float or an array) to the closed interval."""
-        if isinstance(x, np.ndarray):
-            reach = np.abs(x).max(initial=0.0)
-            if not reach <= 1.0:
-                raise DomainError("compact coordinates outside [-1, 1]")
-            if reach < 1.0:
-                return self._from_open(x)
-            # an end divides by an exact zero and lands on an infinity
-            with np.errstate(divide="ignore"):
-                return self._from_open(x)
-        if not -1.0 <= x <= 1.0:
-            raise DomainError(f"compact coordinate {x!r} outside [-1, 1]")
-        if self.kind == FULL_LINE:
-            if x == -1.0:
-                return -INF
-            if x == 1.0:
-                return INF
-            return self.L * x / math.sqrt((1.0 - x) * (1.0 + x))
-        if x == 1.0:
-            return INF
-        return self.a + self.L * (1.0 + x) / (1.0 - x)
+        """Map x in [-1, 1] (a float or an array) to the closed interval. A
+        float is mapped as a one-point array, so it gets the bits it gets as
+        a point of any array."""
+        if not isinstance(x, np.ndarray):
+            return float(self.from_compact(np.array([x], dtype=float))[0])
+        reach = np.abs(x).max(initial=0.0)
+        if not reach <= 1.0:
+            raise DomainError("compact coordinates outside [-1, 1]")
+        if reach < 1.0:
+            return self._from_open(x)
+        # an end divides by an exact zero and lands on an infinity
+        with np.errstate(divide="ignore"):
+            return self._from_open(x)
 
     def to_angle(self, x):
         """The angles of compact coordinates x (an array), see from_angle."""
@@ -147,13 +139,14 @@ class CompactMap:
 
     def jacobian(self, x):
         """dt/dx at interior x (a float or an array); diverges toward the
-        infinite ends."""
-        array = isinstance(x, np.ndarray)
-        if not (np.abs(x).max(initial=0.0) < 1.0 if array else -1.0 < x < 1.0):
+        infinite ends. A float is computed as a one-point array."""
+        if not isinstance(x, np.ndarray):
+            return float(self.jacobian(np.array([x], dtype=float))[0])
+        if not np.abs(x).max(initial=0.0) < 1.0:
             raise DomainError("jacobian defined on the open interval (-1, 1)")
         if self.kind == FULL_LINE:
             s = (1.0 - x) * (1.0 + x)
-            return self.L / (s * (np.sqrt(s) if array else math.sqrt(s)))
+            return self.L / (s * np.sqrt(s))
         return 2.0 * self.L / (1.0 - x) ** 2
 
 
@@ -212,7 +205,7 @@ def build_grid(cmap: CompactMap, spec: GridSpec) -> Grid:
     x[0], x[-1] = -1.0, 1.0
     if m % 2 == 1:
         x[(m - 1) // 2] = 0.0
-    t = np.array([cmap.from_compact(v) for v in x])
+    t = cmap.from_compact(x)
     w = np.ones(m)
     w[1::2] = -1.0
     w[0] *= 0.5
@@ -228,23 +221,26 @@ def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
     point of an array of them.
 
     Exact at the nodes and for polynomials of degree < m on Chebyshev-Lobatto
-    nodes with the standard alternating weights. A point of an array gets
-    the value a float query gives, whatever the other points. ``values``
-    holds one row of node values (shape (m,)) or a batch of rows (shape
-    (rows, m)); for a batch, ``row`` (an integer array broadcast against
-    xq) tags each query point with the row it interpolates, so one call
-    serves a batch of functions, each point with the value a query of its
-    row alone gives.
+    nodes with the standard alternating weights. A float query is computed
+    as a one-point array, and a point of an array gets the value it has
+    alone, whatever the other points. ``values`` holds one row of node
+    values (shape (m,)) or a batch of rows (shape (rows, m)); for a batch,
+    ``row`` (an integer array broadcast against xq) tags each query point
+    with the row it interpolates, so one call serves a batch of functions,
+    each point with the value a query of its row alone gives.
     """
-    if isinstance(xq, np.ndarray):
-        if not np.abs(xq).max(initial=0.0) <= 1.0:
-            raise DomainError("queries outside [-1, 1]")
-        table = np.atleast_2d(values)
-        shape = np.broadcast(xq, row).shape
-        xs = xq.ravel() if xq.shape == shape else np.broadcast_to(xq, shape).ravel()
-        if table.shape[0] == 1 or np.size(row) == 1:   # one row for every point
-            rows = np.full(xs.size, 0 if table.shape[0] == 1 else row, dtype=int)
-            return _interpolate(x_nodes, weights, table, xs, rows, [xs.size]).reshape(shape)
+    one = not isinstance(xq, np.ndarray)   # a float query is a one-point query
+    if one:
+        xq = np.array([xq], dtype=float)
+    if not np.abs(xq).max(initial=0.0) <= 1.0:
+        raise DomainError("queries outside [-1, 1]")
+    table = np.atleast_2d(values)
+    shape = np.broadcast(xq, row).shape
+    xs = xq.ravel() if xq.shape == shape else np.broadcast_to(xq, shape).ravel()
+    if table.shape[0] == 1 or np.size(row) == 1:   # one row for every point
+        rows = np.full(xs.size, 0 if table.shape[0] == 1 else row, dtype=int)
+        out = _interpolate(x_nodes, weights, table, xs, rows, [xs.size])
+    else:
         rows = np.broadcast_to(row, shape).ravel()
         order = None
         if (rows[1:] < rows[:-1]).any():
@@ -254,15 +250,7 @@ def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
         out = _interpolate(x_nodes, weights, table, xs, rows, ends)
         if order is not None:
             out[order] = out.copy()
-        return out.reshape(shape)
-    if not -1.0 <= xq <= 1.0:
-        raise DomainError(f"query {xq!r} outside [-1, 1]")
-    d = xq - x_nodes
-    hit = np.nonzero(d == 0.0)[0]
-    if hit.size:
-        return float(values[hit[0]])
-    c = weights / d
-    return float(np.einsum("j,j->", c, values) / np.sum(c))
+    return float(out[0]) if one and np.ndim(row) == 0 else out.reshape(shape)
 
 
 _BLOCK = 1024   # query points per (points x nodes) temporary

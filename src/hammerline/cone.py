@@ -37,6 +37,7 @@ POS_TOL = 1e-12          # admitted negativity slack for "nonnegative"
 SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities computed exactly
 SUP_TAB_TOL = 1e-3       # slack when a sup-part profile tabulation is involved
 PROP_TOL = 1e-10         # superadditivity/homogeneity tolerance
+RADII = (1.0,)           # ball radii of the domination (C2) and image bound (C3)
 
 PASS, FAIL, NOT_CHECKED = "pass", "fail", "not-checked"
 
@@ -189,13 +190,12 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction | Sequence[Weighte
 
     The elements of a sequence are one batch: one integral computes the
     integral parts of all of them, one sup search their sup parts, each
-    with the value it has alone (up to the order of summation of the
-    integral). At an infinite end the sup part takes the element's end
-    sample times the certified limit of phi/sup_weight, and refuses when
-    that ratio diverges or has no certified limit; of several refused
-    elements, the first one's refusal is raised. ``memo`` (a dict) keeps
-    each part by weight, quadrature, space and samples, so a repeated part
-    is not recomputed.
+    with the value it has alone, bit for bit. At an infinite end the sup
+    part takes the element's end sample times the certified limit of
+    phi/sup_weight, and refuses when that ratio diverges or has no
+    certified limit; of several refused elements, the first one's refusal
+    is raised. ``memo`` (a dict) keeps each part by weight, quadrature,
+    space and samples, so a repeated part is not recomputed.
     """
     quad = quad or DEFAULT_QUAD
     elements = [u] if isinstance(u, WeightedFunction) else list(u)
@@ -618,8 +618,8 @@ class _Certification:
     each returning its entry."""
 
     def __init__(self, problem: HammersteinProblem, specs: dict, quad: QuadratureConfig,
-                 seed: int, r_values: tuple):
-        self.problem, self.specs, self.quad, self.r_values = problem, specs, quad, r_values
+                 seed: int):
+        self.problem, self.specs, self.quad = problem, specs, quad
         self.sp = problem.space
         self.memo: dict = {}
         self.rng = np.random.default_rng(seed)
@@ -628,9 +628,7 @@ class _Certification:
 
     def share(self, samples: int) -> None:
         """The kernel profiles and the functionals of the forcing, then the
-        sampled cone elements and their images. A part of a batch may differ
-        from the same part alone in its last bit, so this order, which fixes
-        the batches of the memoized parts, stays."""
+        sampled cone elements and their images."""
         sp, quad, memo, p = self.sp, self.quad, self.memo, self.problem.forcing
         cone, upper, lower = self.specs.values()
 
@@ -703,7 +701,7 @@ class _Certification:
                 break
         c2_ok = c2_witness is None
         dom_reports = {}
-        for r in self.r_values:
+        for r in RADII:
             try:
                 rep = dominator_check(nl, w, r, grid)
             except DomainError as e:
@@ -721,7 +719,7 @@ class _Certification:
 
     def c3(self) -> ConditionEntry:
         """Weighted image bound with integrable tails."""
-        profs = [c3_bound_profile(self.problem, r, self.quad) for r in self.r_values]
+        profs = [c3_bound_profile(self.problem, r, self.quad) for r in RADII]
         return ConditionEntry(
             "C3", "weighted kernel image bound finite with integrable tails",
             PASS if all(prof.ok for prof in profs) else FAIL,
@@ -896,8 +894,8 @@ class _Certification:
 def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
                            upper: FunctionalSpec, lower: FunctionalSpec,
                            samples: int = 8, *,
-                           quad: QuadratureConfig | None = None, seed: int = 0,
-                           r_values: tuple = (1.0,)) -> CertificateReport:
+                           quad: QuadratureConfig | None = None,
+                           seed: int = 0) -> CertificateReport:
     """Certify the operator/cone hypotheses numerically, one check per
     hypothesis.
 
@@ -916,8 +914,7 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     """
     quad = quad or DEFAULT_QUAD
     sp = problem.space
-    ctx = _Certification(problem, {"cone": cone, "upper": upper, "lower": lower}, quad,
-                         seed, r_values)
+    ctx = _Certification(problem, {"cone": cone, "upper": upper, "lower": lower}, quad, seed)
     entries = [ctx.c1(), ctx.c2(), ctx.c3(), ctx.c4()]   # these touch no memo
     ctx.share(samples)
     entries += [ctx.c5(), ctx.c6(), ctx.c7(), ctx.c8(), ctx.c9()]

@@ -46,6 +46,7 @@ def _gauss_kronrod() -> tuple:
 
 
 RULE_X, RULE_W = _gauss_kronrod()
+_RULE_ROWS = np.ascontiguousarray(RULE_W.T)   # einsum's fast layout of the weights
 
 
 def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -63,31 +64,14 @@ def splice(old: np.ndarray, new: np.ndarray, keep: np.ndarray,
     return out
 
 
-def _owner_sums(a: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """The sums of a (panel by integral) over each owner's panels, added
-    in panel order: the owners are padded with zero panels to a common
-    count (one owner needs no padding)."""
-    if starts.size == 1:
-        return a.sum(axis=0)[None]
-    at = np.arange(owner.size) - starts[owner]
-    padded = np.zeros((at.max() + 1, starts.size) + a.shape[1:])
-    padded[at, owner] = a
-    return padded.sum(axis=0)
-
-
 def _worst_panels(err: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """The worst panel of every integral (column) of every owner, as
     ``np.argmax`` picks it among the owner's panels: the first nan, else
     the first largest estimate."""
-    if starts.size == 1:
-        return np.argmax(err, axis=0)[None]
-    nan = np.isnan(err)
-    key = np.where(nan, math.inf, err)
-    top = np.maximum.reduceat(key, starts, axis=0)
-    has_nan = np.logical_or.reduceat(nan, starts, axis=0)
-    hit = np.where(has_nan[owner], nan, key == top[owner])
-    back = err.shape[0] - np.arange(err.shape[0])[:, None]
-    return err.shape[0] - np.maximum.reduceat(np.where(hit, back, 0), starts, axis=0)
+    at = np.arange(owner.size) - starts[owner]
+    padded = np.full((starts.size, at.max() + 1) + err.shape[1:], -math.inf)
+    padded[owner, at] = err
+    return starts[:, None] + np.argmax(padded, axis=1)
 
 
 def integrate_panels(parts: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray,
@@ -116,7 +100,10 @@ def integrate_panels(parts: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.
         np.not_equal(owner[1:], owner[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         err = np.abs(sums[..., 1])
-        value, est = _owner_sums(sums[..., 0], starts, owner), _owner_sums(err, starts, owner)
+        # one reduction per owner, over its own panels only: an integral
+        # gets the same bits alone and in any batch
+        value = np.add.reduceat(sums[..., 0], starts, axis=0)
+        est = np.add.reduceat(err, starts, axis=0)
         over = ~(est <= np.maximum(cfg.tol, cfg.rel_tol * np.abs(value)))
         if not over.any():
             return value, est
@@ -169,7 +156,9 @@ def integrate_compact(fn: Callable, cmap: CompactMap, cfg: QuadratureConfig | No
             if np.isnan(f).any():
                 raise QuadratureError("integration returned nan", node=node,
                                       estimate=math.nan)
-            return (half[:, None] * (f @ RULE_W))[:, None]
+            # einsum sums each panel in one order whatever the panel count
+            # (a matrix product switches BLAS routines with it)
+            return (half[:, None] * np.einsum("pk,ck->pc", f, _RULE_ROWS))[:, None]
 
     values, _ = integrate_panels(parts, angles[:, :-1][cut], angles[:, 1:][cut], owner,
                                  cfg or DEFAULT_QUAD, lambda r: node)

@@ -23,19 +23,21 @@ def adaptive_apply_T(problem, u, cfg=ORACLE_QUAD):
     sp, kern = problem.space, problem.kernel
     grid, cmap, w = sp.grid, sp.map, sp.weight
     interp = grid.interpolant(u.samples[0])
-    f_cache = {}
+    at_cache = {}
 
-    def f_at(x):
-        # the operand term is the same for every row: evaluate it once per x
-        if x not in f_cache:
+    def at(x):
+        # s, the operand term and dt/dx are the same for every row: evaluate
+        # them once per x
+        if x not in at_cache:
             s = cmap.from_compact(x)
-            f_cache[x] = float(problem.nonlinearity.fn(s, interp(x) * w(s)))
-        return f_cache[x]
+            at_cache[x] = (s, float(problem.nonlinearity.fn(s, interp(x) * w(s))),
+                           cmap.jacobian(x))
+        return at_cache[x]
 
     def row_integral(slice_at, x_hi, ti, kinks=()):
         def g(x):
-            s = cmap.from_compact(x)
-            return slice_at(s) * f_at(x) * cmap.jacobian(x)
+            s, f, jac = at(x)
+            return slice_at(s) * f * jac
 
         pts = sorted({*grid.x.tolist(),
                       *(cmap.to_compact(k) for k in kinks if cmap.contains(k))})

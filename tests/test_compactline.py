@@ -204,6 +204,32 @@ def test_row_tagged_interpolation_gives_each_point_its_row_alone():
         assert np.array_equal(got[r], grid.interpolate(table[r], lines[r]))
 
 
+def test_a_float_query_of_a_batch_interpolant_reads_its_row():
+    grid = hl.build_grid(HALF, hl.GridSpec(m=17))
+    table = np.random.default_rng(4).normal(size=(3, 17))
+    f = grid.interpolant(table)
+    for xq in (0.3, float(grid.x[4])):
+        got = f(xq, 2)
+        assert isinstance(got, float) and got == f(np.array([xq]), 2)[0]
+    assert f(float(grid.x[4]), 2) == table[2, 4]
+
+
+@pytest.mark.parametrize("cmap", [HALF, FULL])
+def test_a_float_gets_the_bits_of_a_one_point_array(cmap):
+    # seeded points, the grid nodes and +-1: a float query is a batch of one
+    grid = hl.build_grid(cmap, hl.GridSpec(m=41))
+    interp = grid.interpolant(np.random.default_rng(8).normal(size=41))
+    xs = np.concatenate((np.random.default_rng(9).uniform(-1.0, 1.0, 3000), grid.x))
+    for x in xs.tolist():
+        one = np.array([x])
+        t = cmap.from_compact(x)
+        assert isinstance(t, float) and t == cmap.from_compact(one)[0]
+        assert cmap.to_compact(t) == cmap.to_compact(np.array([t]))[0]
+        assert interp(x) == interp(one)[0]
+        if abs(x) < 1.0:
+            assert cmap.jacobian(x) == cmap.jacobian(one)[0]
+
+
 def test_refining_tail_x_grows_toward_one():
     xs = hl.refining_tail_x(1, 6)
     assert list(xs) == [1.0 - 10.0 ** (-k) for k in range(1, 7)]

@@ -36,7 +36,7 @@ from .cone import (CertificateNotPassing, CertificateReport, ConditionEntry,
                    report_to_jsonable, verify_cone_hypotheses,
                    windows_to_jsonable)
 from .solver import (EscapeConstants, OdeTrajectory, OracleComparison,
-                     SlopeEstimate, Solution, asymptotic_slope,
+                     SlopeEstimate, Solution, anderson_solve, asymptotic_slope,
                      compare_with_oracle, escape_constants,
                      gravity_energy_drift, ode_oracle, picard_solve,
                      residual_norm, solution_to_csv)
@@ -85,9 +85,9 @@ __all__ = [
     "report_to_jsonable", "verify_cone_hypotheses", "windows_to_jsonable",
     # solver
     "EscapeConstants", "OdeTrajectory", "OracleComparison", "SlopeEstimate",
-    "Solution", "asymptotic_slope", "compare_with_oracle", "escape_constants",
-    "gravity_energy_drift", "ode_oracle", "picard_solve", "residual_norm",
-    "solution_to_csv",
+    "Solution", "anderson_solve", "asymptotic_slope", "compare_with_oracle",
+    "escape_constants", "gravity_energy_drift", "ode_oracle", "picard_solve",
+    "residual_norm", "solution_to_csv",
     # scenarios and CLI
     "SCENARIO_SCHEMA", "Scenario", "build_envelope", "build_map",
     "build_problem", "build_quad", "build_space", "build_system",

@@ -23,7 +23,7 @@ from .weighted_space import classify_asymptotic
 from .cone import (eval_functional, eval_functional_raw, find_solution_windows,
                    locate_index_one_flip, report_to_jsonable,
                    windows_to_jsonable, verify_cone_hypotheses)
-from .solver import (compare_with_oracle, picard_solve, solution_to_csv)
+from .solver import (anderson_solve, compare_with_oracle, solution_to_csv)
 from .scenario import (Scenario, build_envelope, build_problem, build_quad,
                        build_space, build_system, build_weight, build_map,
                        load_scenario, rho_grid, scenario_to_jsonable)
@@ -101,11 +101,12 @@ def _scan_windows(scn: Scenario, report, radii, out: Path) -> list:
 
 
 def _solve(scn: Scenario, problem, quad, out: Path):
-    """The Picard solution, written to solution.csv with its gnuplot script."""
-    sol = picard_solve(problem, tol=scn.picard_tol,
-                       max_iters=int(scn.solver.get("max_iters", 200)),
-                       relaxation=float(scn.solver.get("relaxation", 1.0)),
-                       quad=quad)
+    """The Anderson-accelerated solution, written to solution.csv with its
+    gnuplot script."""
+    sol = anderson_solve(problem, tol=scn.picard_tol,
+                         max_iters=int(scn.solver.get("max_iters", 200)),
+                         relaxation=float(scn.solver.get("relaxation", 1.0)),
+                         quad=quad)
     solution_to_csv(problem, sol, out / "solution.csv", quad=quad)
     (out / "solution.gnuplot").write_text(_plot_script("solution.csv"))
     return sol
@@ -149,13 +150,13 @@ def _cmd_solve(scn: Scenario, out: Path) -> None:
     problem = build_problem(scn, space)
     sol = _solve(scn, problem, build_quad(scn), out)
     summary = {"schema": 1, "kind": "solution-summary", "scenario": scn.name,
-               "converged": sol.converged, "iterations": sol.iterations,
-               "residual": sol.residual, "slope": sol.slope,
-               "relaxation": sol.relaxation, "quad_error": sol.quad_error,
-               "trace": list(sol.trace)}
+               "method": sol.method, "converged": sol.converged,
+               "iterations": sol.iterations, "residual": sol.residual,
+               "slope": sol.slope, "relaxation": sol.relaxation,
+               "quad_error": sol.quad_error, "trace": list(sol.trace)}
     _write_json(out / "solution_summary.json", summary)
-    print(f"converged: {sol.converged} after {sol.iterations} iteration(s), "
-          f"residual {sol.residual:.3e}, slope {sol.slope:.12g}")
+    print(f"converged: {sol.converged} after {sol.iterations} {sol.method} "
+          f"iteration(s), residual {sol.residual:.3e}, slope {sol.slope:.12g}")
     print(f"solution written to {out / 'solution.csv'}")
 
 
@@ -256,8 +257,9 @@ def _cmd_demo(scn: Scenario, out: Path) -> None:
         "golden": golden, "certified": report.certified,
         "threshold_bracket": list(bracket) if bracket else None,
         "window": window_payload,
-        "solution": {"converged": sol.converged, "iterations": sol.iterations,
-                     "residual": sol.residual, "slope": sol.slope},
+        "solution": {"method": sol.method, "converged": sol.converged,
+                     "iterations": sol.iterations, "residual": sol.residual,
+                     "slope": sol.slope},
         "cone_of_solution": cone_of_solution,
         "oracle_max_rel_diff": comparison.max_rel_diff,
     })

@@ -266,7 +266,7 @@ def _interpolate(x_nodes, weights, table, xs, rows, ends) -> np.ndarray:
     for a in range(0, xs.size, _BLOCK):
         b = min(a + _BLOCK, xs.size)
         c = xs[a:b, None] - x_nodes
-        hit, col = np.nonzero(c == 0.0)
+        hit, col = divmod(np.flatnonzero(c == 0.0), x_nodes.size)
         c[hit, col] = 1.0
         np.divide(weights, c, out=c)
         lo = a
@@ -286,7 +286,7 @@ def barycentric_matrix(x_nodes: np.ndarray, weights: np.ndarray,
     """Interpolation matrix, query by node: row k times the node values is
     the interpolant at xq[k]. A query on a node gets that node's exact row."""
     b = xq[:, None] - x_nodes
-    row, col = np.nonzero(b == 0.0)
+    row, col = divmod(np.flatnonzero(b == 0.0), x_nodes.size)
     b[row, col] = 1.0
     np.divide(weights, b, out=b)
     b /= b.sum(axis=1, keepdims=True)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowupError, DomainError
+from .errors import BlowupError, DomainError, QuadratureError
 from .quadrature import QuadratureConfig
 from .weighted_space import WeightedFunction, norm
 from .hammerstein import HammersteinProblem, Nonlinearity, apply_T
@@ -24,13 +24,17 @@ STATE_CAP = 1e12  # |u| or |u'| beyond this is treated as blow-up
 
 
 # ---------------------------------------------------------------------------
-# Picard iteration
+# fixed-point iteration
+
+ANDERSON_DEPTH = 5   # residual differences kept by the mixing of anderson_solve
+
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of a Picard run: the best iterate seen, its residual, the
-    per-iteration update-norm trace (one entry per iteration), and the
-    worst row error estimate the operator accepted during the run."""
+    """Outcome of a fixed-point run: the best iterate seen, its residual,
+    the per-iteration update-norm trace (one entry per iteration), the
+    worst row error estimate the operator accepted during the run, and the
+    iteration that ran (``"picard"`` or ``"anderson"``)."""
 
     u: WeightedFunction
     iterations: int
@@ -41,6 +45,7 @@ class Solution:
     relaxation: float               # final relaxation after any auto-halving
     quad_error: float
     iterates: tuple | None = None
+    method: str = "picard"
 
 
 def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None,
@@ -57,48 +62,118 @@ def picard_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None
     tolerance was reached; ``converged`` says whether that residual is at
     most tol.
     """
+    return _fixed_point(problem, u0, tol, max_iters, relaxation, quad,
+                        keep_iterates, depth=0)
+
+
+def anderson_solve(problem: HammersteinProblem, u0: WeightedFunction | None = None,
+                   tol: float = 1e-10, max_iters: int = 200,
+                   relaxation: float = 1.0, *,
+                   quad: QuadratureConfig | None = None,
+                   keep_iterates: bool = False) -> Solution:
+    """``picard_solve`` with Anderson mixing of the last ``ANDERSON_DEPTH``
+    residuals g = Tu - u (type II; Anderson 1965, Walker and Ni 2011).
+
+    The next iterate is x + beta*g - (dX + beta*dF) gamma, where dX and dF
+    hold the differences of successive iterates and residuals, gamma the
+    least-squares coefficients of g in dF, and beta the relaxation. It
+    needs no derivative of f. Stopping, the returned iterate, ``converged``
+    and the halving of beta (which also clears the history) are those of
+    ``picard_solve``. A mixed iterate where the operator cannot be
+    evaluated (it leaves f's domain) is discarded for the plain relaxed
+    step from the last evaluated iterate, with the history cleared.
+    """
+    return _fixed_point(problem, u0, tol, max_iters, relaxation, quad,
+                        keep_iterates, depth=ANDERSON_DEPTH)
+
+
+def _fixed_point(problem, u0, tol, max_iters, relaxation, quad, keep_iterates,
+                 depth) -> Solution:
+    """The relaxed iteration, mixed over the last ``depth`` residuals (none:
+    the plain Picard iteration). It works on the sample arrays; an iterate
+    becomes a WeightedFunction to be evaluated or kept."""
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if not (0.0 < relaxation <= 1.0):
         raise DomainError("relaxation must lie in (0, 1]")
     if max_iters < 1:
         raise DomainError("max_iters must be at least 1")
+    space = problem.space
+
+    def image(u):
+        Tu = apply_T(problem, u, quad)
+        return Tu.samples, problem.operator(quad).last_error
+
     u = problem.forcing if u0 is None else u0
+    x = u.samples
+    Tx, quad_error = image(u)
     theta = relaxation
     trace: list = []
     iterates = [u] if keep_iterates else None
     best_u, best_res = u, math.inf
     growth = 0
     iterations = 0
-    quad_error = 0.0
-    for _ in range(max_iters):
-        Tu = apply_T(problem, u, quad)
-        quad_error = max(quad_error, problem.operator(quad).last_error)
-        res = norm(Tu - u)
+    dX: list = []    # x_{i+1} - x_i over the mixing history
+    dF: list = []    # g_{i+1} - g_i
+    prev = None      # (x, g) of the last evaluated iterate
+    while True:
+        g = Tx - x
+        res = float(np.max(np.abs(g)))
         if res < best_res:
             best_u, best_res = u, res
-        u_next = u + theta * (Tu - u)
-        upd = norm(u_next - u)
+        x_next = plain = x + theta * g
+        if depth:
+            if prev is not None:
+                dX.append(x - prev[0])
+                dF.append(g - prev[1])
+                del dX[:-depth], dF[:-depth]
+            prev = (x, g)
+            if dF:
+                F = np.stack([d.ravel() for d in dF], axis=1)
+                X = np.stack([d.ravel() for d in dX], axis=1)
+                gamma = np.linalg.lstsq(F, g.ravel(), rcond=None)[0]
+                x_next = plain - ((X + theta * F) @ gamma).reshape(x.shape)
+        iterations += 1
+        done = res <= tol or iterations == max_iters
+        u_next = None
+        if not done:
+            try:
+                u_next = WeightedFunction(space, x_next)
+                Tx_next, err = image(u_next)
+            except (QuadratureError, DomainError):
+                if not dF:
+                    raise
+                # the mixed iterate left f's domain: take the plain step
+                dX.clear()
+                dF.clear()
+                x_next = plain
+                u_next = WeightedFunction(space, x_next)
+                Tx_next, err = image(u_next)
+            quad_error = max(quad_error, err)
+        upd = float(np.max(np.abs(x_next - x)))
         if trace and upd > trace[-1]:
             growth += 1
             if growth >= 3:
                 theta *= 0.5
                 growth = 0
+                dX.clear()
+                dF.clear()
         else:
             growth = 0
         trace.append(upd)
-        iterations += 1
-        u = u_next
         if keep_iterates:
-            iterates.append(u)
-        if res <= tol:
+            iterates.append(u_next if u_next is not None
+                            else WeightedFunction(space, x_next))
+        if done:
             break
+        u, x, Tx = u_next, u_next.samples, Tx_next
     converged = bool(best_res <= tol)
     slope = float(best_u.samples[0, -1])
     return Solution(u=best_u, iterations=iterations, residual=best_res,
                     converged=converged, slope=slope, trace=tuple(trace),
                     relaxation=theta, quad_error=quad_error,
-                    iterates=tuple(iterates) if keep_iterates else None)
+                    iterates=tuple(iterates) if keep_iterates else None,
+                    method="anderson" if depth else "picard")
 
 
 def residual_norm(problem: HammersteinProblem, u: WeightedFunction,
@@ -356,7 +431,7 @@ def compare_with_oracle(problem: HammersteinProblem, u: WeightedFunction,
     traj = ode_oracle(rhs, v0, T_max, h)
     probes = np.linspace(0.0, T_max, n_probes)
     ref = traj.u_at(probes)
-    cand = np.array([u.raw(a + t) for t in probes])
+    cand = u.raw(a + probes)
     sup_ref = float(np.max(np.abs(ref)))
     sup_diff = float(np.max(np.abs(cand - ref)))
     comparison = OracleComparison(max_rel_diff=sup_diff / max(sup_ref, 1e-300),

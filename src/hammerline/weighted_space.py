@@ -81,14 +81,21 @@ class WeightedFunction:
         object.__setattr__(self, "samples", arr)
 
     # -- pointwise queries ---------------------------------------------------
-    def tilde(self, t: float) -> float:
-        """Value of the rescaled extension at t (endpoints allowed)."""
+    def tilde(self, t):
+        """Value of the rescaled extension at t, a float or an array of
+        points (endpoints allowed). A float is a one-point query."""
+        if not isinstance(t, np.ndarray):
+            return float(self.tilde(np.array([t], dtype=float))[0])
         x = self.space.map.to_compact(t)
-        return float(self.space.grid.interpolate(self.samples[0], x))
+        return self.space.grid.interpolate(self.samples[0], x)
 
-    def raw(self, t: float) -> float:
+    def raw(self, t):
+        """Value of the function itself at t, a float or an array of points;
+        raises where the weight diverges."""
+        if not isinstance(t, np.ndarray):
+            return float(self.raw(np.array([t], dtype=float))[0])
         w = self.space.weight(t)
-        if not math.isfinite(w):
+        if not np.isfinite(w).all():
             raise DomainError(
                 "raw value undefined where the weight diverges; query tilde()")
         return self.tilde(t) * w

@@ -87,6 +87,17 @@ def test_solve_writes_deterministic_csv(tmp_path, capsys):
     assert "converged: True" in capsys.readouterr().out
 
 
+def test_solve_runs_the_accelerated_iteration(tmp_path):
+    out = tmp_path / "out"
+    rc = hl.main(["--scenario", str(SCENARIO_DIR / "gravity_projectile.json"),
+                  "--command", "solve", "--out", str(out), "--grid-size", "81"])
+    assert rc == 0
+    summary = json.loads((out / "solution_summary.json").read_text())
+    assert summary["method"] == "anderson"
+    assert summary["converged"] is True
+    assert summary["iterations"] <= 12
+
+
 def test_classify_pipeline(tmp_path, capsys):
     rc, out = run(tmp_path, "classify", CLASSIFY)
     assert rc == 0

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hammerline as hl
-from hammerline.errors import BlowupError, DomainError
+from hammerline.errors import BlowupError, DomainError, QuadratureError
+from hammerline.hammerstein import NystromOperator
 
 
 def inert_problem(space):
@@ -112,6 +115,104 @@ def test_single_iteration_budget_is_honest(problem_c2):
     assert sol.iterations == 1
     assert not sol.converged
     assert len(sol.trace) == 1
+
+
+# -- Anderson-accelerated iteration --------------------------------------------
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def gravity_m81():
+    from conftest import make_space
+
+    return hl.gravity_projectile_problem(make_space(m=81), g=1.0, R=1.0, v0=2.0)
+
+
+def count_applies(monkeypatch, fail_on=None):
+    """Record the operand of every operator application; the call numbered
+    ``fail_on`` (from 1) raises as an iterate outside f's domain does."""
+    operands = []
+    apply = NystromOperator.apply
+
+    def counted(self, u):
+        operands.append(u.samples)
+        if len(operands) == fail_on:
+            raise QuadratureError("integration returned nan", estimate=math.nan)
+        return apply(self, u)
+
+    monkeypatch.setattr(NystromOperator, "apply", counted)
+    return operands
+
+
+@pytest.mark.parametrize("name, m", [("boosted_projectile_c2", 41),
+                                     ("boosted_projectile_c2", 81),
+                                     ("boosted_projectile_c3", None),
+                                     ("gravity_projectile", 41),
+                                     ("gravity_projectile", 81)])
+def test_anderson_agrees_with_picard(name, m):
+    scn = hl.load_scenario(SCENARIO_DIR / f"{name}.json")
+    if m is not None:
+        scn = dataclasses.replace(scn, grid_size=m)
+    problem = hl.build_problem(scn, hl.build_space(scn))
+    options = dict(tol=scn.picard_tol, quad=hl.build_quad(scn),
+                   max_iters=int(scn.solver.get("max_iters", 200)),
+                   relaxation=float(scn.solver.get("relaxation", 1.0)))
+    fast = hl.anderson_solve(problem, **options)
+    plain = hl.picard_solve(problem, **options)
+    assert fast.converged and plain.converged
+    assert (fast.method, plain.method) == ("anderson", "picard")
+    assert fast.residual <= scn.picard_tol
+    assert fast.iterations <= plain.iterations
+    assert hl.norm(fast.u - plain.u) <= 10 * scn.picard_tol
+
+
+def test_anderson_applies_the_operator_at_most_12_times(monkeypatch):
+    # the relaxed Picard iteration contracts by about 0.53 per step here
+    problem = gravity_m81()
+    operands = count_applies(monkeypatch)
+    plain = hl.picard_solve(problem, tol=1e-8, max_iters=300, relaxation=0.5)
+    assert plain.converged and len(operands) == plain.iterations == 31
+    operands.clear()
+    fast = hl.anderson_solve(problem, tol=1e-8, max_iters=300, relaxation=0.5)
+    assert fast.converged and fast.residual <= 1e-8
+    assert len(operands) == fast.iterations <= 12
+    assert abs(fast.slope - math.sqrt(2.0)) <= 1e-6
+
+
+def test_anderson_single_iteration_budget_is_honest(problem_c2):
+    sol = hl.anderson_solve(problem_c2, tol=1e-14, max_iters=1)
+    assert sol.iterations == 1 == len(sol.trace)
+    assert not sol.converged
+    assert sol.method == "anderson"
+
+
+def test_anderson_keeps_its_evaluated_iterates(problem_c2):
+    sol = hl.anderson_solve(problem_c2, tol=1e-10, keep_iterates=True)
+    assert len(sol.iterates) == sol.iterations + 1
+    assert sol.u is sol.iterates[-2]
+    assert sol.residual == hl.residual_norm(problem_c2, sol.u)
+
+
+def test_anderson_falls_back_to_the_plain_step(monkeypatch):
+    # the third application evaluates the first mixed iterate; it fails,
+    # and the plain relaxed step from the second iterate replaces it
+    problem = gravity_m81()
+    operands = count_applies(monkeypatch, fail_on=3)
+    sol = hl.anderson_solve(problem, tol=1e-8, max_iters=300, relaxation=0.5)
+    assert sol.converged and sol.residual <= 1e-8
+    assert len(operands) == sol.iterations + 1   # one more for the failed one
+    x1 = operands[1]
+    plain_step = x1 + 0.5 * (hl.apply_T(problem, hl.lift(problem.space, x1)).samples - x1)
+    assert not np.array_equal(operands[2], plain_step)
+    assert np.array_equal(operands[3], plain_step)
+
+
+def test_a_failed_plain_step_still_raises(monkeypatch):
+    # the second application evaluates a plain step: there is nothing to
+    # fall back to
+    count_applies(monkeypatch, fail_on=2)
+    with pytest.raises(QuadratureError):
+        hl.anderson_solve(gravity_m81(), tol=1e-8, relaxation=0.5)
 
 
 # -- trajectory oracle ---------------------------------------------------------

@@ -64,6 +64,15 @@ def test_raw_and_tilde_queries(space):
         u.raw(math.inf)
 
 
+def test_array_queries_equal_the_float_loop(space):
+    u = hl.from_raw(space, lambda t: t * math.exp(-t))
+    t = np.concatenate([np.linspace(0.0, 20.0, 201), space.grid.t[:-1]])
+    assert np.array_equal(u.raw(t), np.array([u.raw(s) for s in t]))
+    assert np.array_equal(u.tilde(t), np.array([u.tilde(s) for s in t]))
+    with pytest.raises(DomainError):
+        u.raw(np.array([1.0, math.inf]))
+
+
 def test_from_tilde_endpoint_override(space):
     u = hl.from_tilde(space, lambda t: 1.0 / (1.0 + t), endpoints={"hi": 0.25})
     assert u.samples[0, -1] == 0.25

@@ -171,14 +171,12 @@ def _cmd_classify(scn: Scenario, out: Path) -> None:
     payload = {"schema": 1, "kind": "asymptotic-relation",
                "left": scn.classify["left"], "right": scn.classify["right"],
                "side": side, "tag": rel.tag,
-               "limit": rel.limit if rel.limit is None or
-               math.isfinite(rel.limit) else None,
+               "limit": rel.limit,
                "detail": rel.detail}
     _write_json(out / "classification.json", payload)
     print(f"{left.label} vs {right.label} toward "
           f"{'+inf' if side > 0 else '-inf'}: {rel.tag}"
-          + (f" (limit {rel.limit:.12g})" if rel.limit is not None
-             and math.isfinite(rel.limit) else ""))
+          + (f" (limit {rel.limit:.12g})" if rel.limit is not None else ""))
 
 
 def _cmd_demo(scn: Scenario, out: Path) -> None:

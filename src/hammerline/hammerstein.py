@@ -413,23 +413,20 @@ def dominator_check(nl: Nonlinearity, phi: Weight, r: float, grid: Grid) -> Domi
     if dom is None:
         raise DomainError(
             f"nonlinearity {nl.name!r} has no dominator and is not marked monotone")
-    phi_r = dom(r)
-    worst = None
-    passed = True
-    for t in grid.t[grid.finite_mask()]:
-        bound = float(phi_r(t))
-        for y in np.linspace(-r, r, DOMINATOR_Y_COUNT):
-            val = float(nl.fn(t, y * phi(t)))
-            if math.isnan(val):
-                return DominatorReport(False, r, {"t": t, "y": y, "value": val,
-                                                  "bound": bound})
-            excess = val - bound - DOMINATOR_TOL * max(1.0, abs(bound))
-            if worst is None or excess > worst["excess"]:
-                worst = {"t": t, "y": y, "value": val, "bound": bound,
-                         "excess": excess}
-            if excess > 0.0:
-                passed = False
-    return DominatorReport(passed, r, worst)
+    ts, ys = grid.t[grid.finite_mask()], np.linspace(-r, r, DOMINATOR_Y_COUNT)
+    bound = np.broadcast_to(dom(r)(ts), ts.shape)[:, None]
+    vals = nl.fn(ts[:, None], ys * phi(ts)[:, None])
+    with np.errstate(invalid="ignore"):
+        excess = vals - bound - DOMINATOR_TOL * np.maximum(1.0, np.abs(bound))
+    # a nan value or bound fails at its first point in (t, y) order; else
+    # the worst point is the first largest excess
+    nan = np.isnan(excess)
+    i, j = divmod(int(np.argmax(nan if nan.any() else excess)), ys.size)
+    worst = {"t": float(ts[i]), "y": float(ys[j]), "value": float(vals[i, j]),
+             "bound": float(bound[i, 0])}
+    if not nan.any():
+        worst["excess"] = float(excess[i, j])
+    return DominatorReport(not (nan.any() or (excess > 0.0).any()), r, worst)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,17 @@ interpolation error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .compactline import CompactMap, Grid
 from .errors import DomainError
-from .weights import Weight, same_weight, tail_limit
+from .elementwise import elementwise
+from .weights import (Weight, check_positive, classify_tail, same_weight, tail_limit,
+                      tail_points, tail_values)
 
 NORM_KINDS = ("phi", "sup-tilde")
 
@@ -34,11 +36,7 @@ class Space:
     def __post_init__(self):
         if self.order < 0:
             raise DomainError("order must be nonnegative")
-        for t in self.grid.t[self.grid.finite_mask()]:
-            v = self.weight(t)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(
-                    f"weight {self.weight.label!r} not positive finite at node t={t}")
+        check_positive(self.weight, self.grid)
 
     @property
     def map(self) -> CompactMap:
@@ -195,7 +193,7 @@ def asymptotic_limits(u: WeightedFunction) -> tuple:
 TAGS = ("greater", "less", "comparable", "comparable-with-limit",
         "equivalent", "lower-bounded", "upper-bounded", "undetermined")
 # the decision thresholds of classify_asymptotic (see there)
-CLASSIFY_AGREE_REL, CLASSIFY_BIG, CLASSIFY_SMALL, CLASSIFY_K_HI = 1e-4, 1e6, 1e-6, 12
+CLASSIFY_AGREE_REL, CLASSIFY_BIG, CLASSIFY_SMALL = 1e-4, 1e6, 1e-6
 
 
 @dataclass(frozen=True)
@@ -203,8 +201,8 @@ class AsymptoticRelation:
     """Outcome of the tail comparison of two positive functions.
 
     tag meanings for r = f/g along the refining tail:
-      'greater'               r monotone and certified beyond the upper band
-      'less'                  r monotone and certified below the lower band
+      'greater'               r certified to escape to +inf
+      'less'                  r certified to settle to 0
       'comparable'            r stayed inside the band at every probe
       'comparable-with-limit' r settles to a finite positive limit
       'equivalent'            r settles to 1
@@ -220,71 +218,42 @@ class AsymptoticRelation:
     detail: str = ""
 
 
-def _agree(vals, rel) -> bool:
-    scale = max(abs(v) for v in vals)
-    return all(abs(a - b) <= rel * scale + 1e-300 for a, b in zip(vals, vals[1:]))
-
-
 def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float],
                         cmap: CompactMap, *, side: int = +1) -> AsymptoticRelation:
     """Compare the tail growth of two positive functions along the map.
 
-    The ratio f/g is probed at the compact coordinates 1 - 10^-k, starting
-    from the base set k = 1..4 and refining one decade at a time up to
-    ``CLASSIFY_K_HI`` until a decision fires: the last three probes agreeing
-    within ``CLASSIFY_AGREE_REL`` relative declare a finite limit (tag
-    'equivalent' when the limit is within ``CLASSIFY_AGREE_REL`` of 1); a
-    monotone ratio beyond ``CLASSIFY_BIG`` / below ``CLASSIFY_SMALL`` declares
-    'greater' / 'less'. If no decision fires, the full record is graded to
-    'comparable', one-sided bounds, or 'undetermined'.
+    f and g (floats or arrays, see ``elementwise``) are evaluated once at
+    the tail points; a value that is nan, negative (or 0 for g) or fails to
+    evaluate raises. ``classify_tail`` decides the ratio f/g: an escape to
+    +inf is 'greater', a limit 0 'less', a limit within
+    ``CLASSIFY_AGREE_REL`` of 1 'equivalent' and any other limit
+    'comparable-with-limit'. An undecided ratio is graded to 'comparable'
+    (every probe inside [``CLASSIFY_SMALL``, ``CLASSIFY_BIG``]), one-sided
+    bounds, or 'undetermined'.
     """
-    ratios: list[float] = []
-    probes: list[float] = []
-
-    def probe(k: int):
-        x = side * (1.0 - 10.0 ** (-k))
-        t = cmap.from_compact(x)
-        fv, gv = float(f(t)), float(g(t))
-        for name, v in (("f", fv), ("g", gv)):
-            if math.isnan(v) or v < 0.0 or (v == 0.0 and name == "g"):
-                raise DomainError(
-                    f"{name}(t)={v} at t={t}: comparison needs positive functions")
-        r = fv / gv if math.isfinite(fv) or math.isfinite(gv) else math.nan
-        probes.append(t)
-        ratios.append(r)
-
-    def decision() -> AsymptoticRelation | None:
-        if math.isnan(ratios[-1]):
-            return AsymptoticRelation("undetermined", None, tuple(ratios), tuple(probes),
-                                      "ratio of two overflowing values")
-        if len(ratios) >= 3 and all(math.isfinite(r) for r in ratios[-3:]) \
-                and _agree(ratios[-3:], CLASSIFY_AGREE_REL):
-            lim = ratios[-1]
-            tag = ("equivalent" if abs(lim - 1.0) <= CLASSIFY_AGREE_REL
-                   else "comparable-with-limit")
-            return AsymptoticRelation(tag, lim, tuple(ratios), tuple(probes))
-        mono_up = all(b >= a for a, b in zip(ratios, ratios[1:]))
-        mono_dn = all(b <= a for a, b in zip(ratios, ratios[1:]))
-        if mono_up and ratios[-1] > CLASSIFY_BIG:
-            return AsymptoticRelation("greater", None, tuple(ratios), tuple(probes))
-        if mono_dn and ratios[-1] < CLASSIFY_SMALL:
-            return AsymptoticRelation("less", None, tuple(ratios), tuple(probes))
-        return None
-
-    for k in range(1, 5):
-        probe(k)
-    out = decision()
-    for k in range(5, CLASSIFY_K_HI + 1):
-        if out is not None:
-            return out
-        probe(k)
-        out = decision()
-    if out is not None:
-        return out
-    if all(CLASSIFY_SMALL <= r <= CLASSIFY_BIG for r in ratios):
-        return AsymptoticRelation("comparable", None, tuple(ratios), tuple(probes))
-    if all(b >= a for a, b in zip(ratios, ratios[1:])):
-        return AsymptoticRelation("lower-bounded", None, tuple(ratios), tuple(probes))
-    if all(b <= a for a, b in zip(ratios, ratios[1:])):
-        return AsymptoticRelation("upper-bounded", None, tuple(ratios), tuple(probes))
-    return AsymptoticRelation("undetermined", None, tuple(ratios), tuple(probes))
+    ts = tail_points(cmap, side)
+    fv, gv = (tail_values(elementwise(h), ts, ts.shape) for h in (f, g))
+    for name, v in (("f", fv), ("g", gv)):
+        bad = np.isnan(v) | (v < 0.0) | ((v == 0.0) & (name == "g"))
+        if bad.any():
+            raise DomainError(f"{name}(t)={v[bad][0]} at t={ts[bad][0]}: "
+                              "comparison needs positive functions")
+    with np.errstate(all="ignore"):
+        ratios = fv / gv   # nan for inf / inf
+    kind, value = (x.item() for x in classify_tail(ts, ratios))
+    rel = partial(AsymptoticRelation, ratios=tuple(ratios.tolist()), probes=tuple(ts.tolist()))
+    if kind == "diverges":
+        return rel("greater" if value > 0 else "less")
+    if kind == "limit":
+        tag = ("less" if value == 0.0 else "equivalent" if abs(value - 1.0) <= CLASSIFY_AGREE_REL
+               else "comparable-with-limit")
+        return rel(tag, value)
+    if np.isnan(ratios).any():
+        return rel("undetermined", detail="ratio of two overflowing values")
+    if ((CLASSIFY_SMALL <= ratios) & (ratios <= CLASSIFY_BIG)).all():
+        return rel("comparable")
+    if (np.diff(ratios) >= 0.0).all():
+        return rel("lower-bounded")
+    if (np.diff(ratios) <= 0.0).all():
+        return rel("upper-bounded")
+    return rel("undetermined")

@@ -20,6 +20,8 @@ from .errors import DomainError
 FD_REL_TOL = 1e-6        # allowed relative gap of a derivative to central differences
 TAIL_K_HI = 12           # the tail grid ends at the compact coordinate 1 - 10^-12
 TAIL_AGREE_REL = 1e-9    # relative spread of tail values that counts as settled
+TAIL_EXP_MARGIN = 0.25   # |alpha| a fitted power tail r ~ A + B|t|^-alpha must pass
+TAIL_EXP_AGREE = 0.05    # allowed gap of the fit's two exponent estimates
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,21 @@ def same_weight(a: Weight, b: Weight) -> bool:
     return weight_key(a) == weight_key(b)
 
 
+def check_positive(w: Weight, grid: Grid) -> None:
+    """Raise unless w is positive and finite at every finite node."""
+    ts = grid.t[grid.finite_mask()]
+    with np.errstate(all="ignore"):
+        v = np.broadcast_to(w(ts), ts.shape)
+        bad = ~((v > 0.0) & np.isfinite(v))
+    if bad.any():
+        raise DomainError(
+            f"weight {w.label!r} not positive finite at node t={ts[np.argmax(bad)]}")
+
+
 def check_weight(w: Weight, grid: Grid) -> None:
     """Validate positivity at the finite nodes and, when derivative
     evaluators are present, their agreement with central differences."""
-    for t in grid.t[grid.finite_mask()]:
-        v = w(t)
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"weight {w.label!r} not positive finite at t={t}")
+    check_positive(w, grid)
     if not w.derivs:
         return
     for t in grid.t[grid.finite_mask()]:
@@ -148,7 +158,8 @@ _KINDS = np.array(["unknown", "limit", "diverges"])
 def classify_tail(ts: np.ndarray, vals: np.ndarray) -> tuple:
     """The ``tail_trend`` verdicts of rows of values (last axis) at the tail
     points ts, in one pass: arrays (kind, value) of the rows' shape, with
-    value nan where the kind is "unknown"."""
+    value nan where the kind is "unknown". Finite rows that the rules below
+    leave undecided, and only those, go to the exponent fit ``_power_tail``."""
     vals = np.asarray(vals, dtype=float)
     last = vals[..., -1]
     with np.errstate(all="ignore"):
@@ -167,19 +178,41 @@ def classify_tail(ts: np.ndarray, vals: np.ndarray) -> tuple:
         value = np.full(last.shape, math.nan)
         up = (succ >= prev).all(axis=-1) & (last > 1e12)
         down = (succ <= prev).all(axis=-1) & (last < -1e12)
-        for hit, kind, v in ((up | down, 2, np.where(up, math.inf, -math.inf)),
-                             (settled[1], 1, last), (settled[0], 1, rich[..., -1])):
-            code = np.where(hit, kind, code)
-            value = np.where(hit, v, value)
         infinite = ~np.isfinite(vals).all(axis=-1)
         grows = ((np.abs(succ) >= np.abs(prev)) | ~np.isfinite(succ)).all(axis=-1)
-        escape = grows & ~np.isfinite(last)
-        code = np.where(infinite, np.where(escape, 2, 0), code)
-        value = np.where(infinite, np.where(escape, last, math.nan), value)
-        nan = np.isnan(vals).any(axis=-1)
-        code = np.where(nan, 0, code)
-        value = np.where(nan, math.nan, value)
+        escape = grows & ~np.isfinite(last) & ~np.isnan(vals).any(axis=-1)
+        for hit, kind, v in ((up | down, 2, np.where(up, math.inf, -math.inf)),
+                             (settled[1], 1, last), (settled[0], 1, rich[..., -1]),
+                             (infinite, 0, math.nan), (escape, 2, last)):
+            code = np.where(hit, kind, code)
+            value = np.where(hit, v, value)
+        # what these rules leave undecided, of finite rows, goes to the fit
+        todo = (code == 0) & ~infinite
+        if todo.any():
+            code[todo], value[todo] = _power_tail(ts[-4:], vals[todo][:, -4:])
     return _KINDS[code.ravel()].reshape(code.shape), value
+
+
+def _power_tail(ts: np.ndarray, r: np.ndarray) -> tuple:
+    """Codes and values of rows r (shape (n, 4)) of the last four tail
+    values at the points ts, from the fit r ~ A + B|t|^-alpha by Aitken's
+    delta^2: two exponent estimates from the differences d and the probe
+    ratios, two extrapolants A = r - d^2 / (d - d_before). With estimates
+    that agree, alpha > margin gives the limit A if the extrapolants agree,
+    else 0 if |A| is below the last difference and within a few times the
+    extrapolants' spread, the fit's own noise; alpha < -margin diverges."""
+    d = np.diff(r, axis=-1)
+    # a difference ratio <= 0 (values not strictly monotone) has no finite log
+    alpha = -np.log(d[:, 1:] / d[:, :-1]) / np.log(np.abs(ts[2:] / ts[1:-1]))
+    ext = r[:, 2:] - d[:, 1:] ** 2 / (d[:, 1:] - d[:, :-1])
+    spread = np.abs(ext[:, 0] - ext[:, 1])
+    agree = np.abs(alpha[:, 0] - alpha[:, 1]) <= TAIL_EXP_AGREE
+    decays = agree & (alpha.min(axis=-1) > TAIL_EXP_MARGIN)
+    hits = (decays & (spread <= TAIL_AGREE_REL * np.abs(ext).max(axis=-1)),
+            decays & (np.abs(ext[:, 1]) <= np.minimum(np.abs(d[:, -1]), 4.0 * spread)),
+            agree & (alpha.max(axis=-1) < -TAIL_EXP_MARGIN))
+    return (np.select(hits, (1, 1, 2), 0),
+            np.select(hits, (ext[:, 1], 0.0, np.copysign(math.inf, d[:, -1])), math.nan))
 
 
 def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1):
@@ -187,9 +220,11 @@ def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1):
 
     fn is called one point at a time. Returns one of
       ("limit", L)      the values settle (after one Richardson elimination
-                        of the 1/t term) to the finite value L,
+                        of the 1/t term, or by the exponent fit of a power
+                        tail) to the finite value L,
       ("diverges", s)   certified monotone escape, s = +-inf,
-      ("unknown", None) no decision (oscillation, evaluation failure).
+      ("unknown", None) no decision (oscillation, slower than any power,
+                        evaluation failure).
     """
     ts = tail_points(cmap, side)
     vals = tail_values(lambda t: [float(fn(v)) for v in t.tolist()], ts, ts.shape)

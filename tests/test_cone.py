@@ -362,6 +362,48 @@ def test_a_batch_of_elements_gives_each_element_its_value_alone(name, problem_c2
     assert hl.eval_functional(specs[0], []).shape == (0,)
 
 
+def test_a_slowly_divergent_integral_part_is_refused_before_quadrature(problem_c2,
+                                                                      full_space,
+                                                                      monkeypatch):
+    # c2's forcing against (t+1)^2 is about 1/t, so |g| |t|^(3/2) grows
+    # like t^(1/2), and on the full line an element with end sample 1
+    # against a constant weight like |t|^(3/2): both stay far below any fixed
+    # escape threshold at the tail probes, and the exponent fit refuses them
+    # without a single panel integrated
+    import hammerline.quadrature as quad_mod
+
+    calls = []
+    real = quad_mod.integrate_panels
+    monkeypatch.setattr(quad_mod, "integrate_panels",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    square = hl.custom(lambda t: (t + 1.0) ** 2, label="affine-squared")
+    spec = hl.FunctionalSpec("weighted-integral", integral_weight=square)
+    with pytest.raises(DomainError, match="integral part diverges"):
+        hl.eval_functional(spec, problem_c2.forcing)
+    flat = hl.FunctionalSpec("weighted-integral", integral_weight=FLAT)
+    end = hl.lift(full_space, np.where(full_space.grid.x == 1.0, 1.0, 0.0))
+    with pytest.raises(DomainError, match="integral part diverges"):
+        hl.eval_functional(flat, end)
+    assert calls == []
+
+
+
+def test_an_integrable_slow_tail_is_left_to_the_quadrature(problem_c2):
+    # c2's forcing is t, so against (t+1)^q the integrand decays like
+    # t^(1-q): integrable for q > 2 although |g| |t|^(3/2) grows for q < 2.5;
+    # such a part is integrated, or refused by the quadrature, never as divergent
+    def spec(q):
+        return hl.FunctionalSpec("weighted-integral",
+                                 integral_weight=hl.custom(lambda t: (t + 1.0) ** q,
+                                                           label=f"power-{q}"))
+
+    value = hl.eval_functional(spec(2.3), problem_c2.forcing)
+    assert value == pytest.approx(math.gamma(0.3) / math.gamma(2.3), rel=1e-8)
+    try:   # the integrand |t|^-1.2
+        hl.eval_functional(spec(2.2), problem_c2.forcing)
+    except DomainError as e:
+        assert "diverges" not in str(e)
+
 def test_a_batch_refuses_with_its_first_refusing_element(problem_c2, space, full_space):
     # integral weight t+1, the space weight: an element with a nonzero end
     # sample does not decay at all
@@ -373,13 +415,16 @@ def test_a_batch_refuses_with_its_first_refusing_element(problem_c2, space, full
     with pytest.raises(DomainError) as batch:
         hl.eval_functional(spec, [zero, problem_c2.forcing, 2.0 * problem_c2.forcing])
     assert "diverges" in str(alone.value) and str(batch.value) == str(alone.value)
-    # on the full line, against the integral weight 1/(1+t^2), an element
-    # with one end sample 1 diverges toward that end only, and the first
-    # refusing element names its own end
+    # on the full line, against the integral weight 1/(1+t^2), the element
+    # (1 + x*x_end)^2 / 4 with one end sample 1 diverges toward that end
+    # only, and the first refusing element names its own end (the element
+    # with that end sample alone is (1 +- x)/2 times a polynomial near the
+    # other end, so its integrand tends to -1/4 there and diverges too)
     decay = hl.custom(lambda t: 1.0 / (1.0 + t * t), label="lorentzian")
     flat = hl.FunctionalSpec("weighted-integral", integral_weight=decay)
+    x = full_space.grid.x
     ends = [hl.lift(full_space, np.zeros(full_space.m))] + [
-        hl.lift(full_space, np.where(full_space.grid.x == x, 1.0, 0.0)) for x in (1.0, -1.0)]
+        hl.lift(full_space, (1.0 + side * x) ** 2 / 4.0) for side in (1.0, -1.0)]
     errors = []
     for u in ends[1:]:
         with pytest.raises(DomainError) as e:

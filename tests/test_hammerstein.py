@@ -24,10 +24,10 @@ def quadratic_weight_space(m=33, order=0):
 def constant_forcing_problem(order=0):
     """u'' = 1, u(0) = u'(0) = 0, whose exact trajectory is t^2/2.
 
-    The quadratic weight makes t / phi(t) decay algebraically to zero, which
-    the sampling tail protocol declines to certify, so the slice endpoint
-    data is supplied in closed form instead of going through the bundled
-    initial-value builder (see test_ivp_kernel_rejects_bad_setups).
+    The quadratic weight makes t / phi(t) decay algebraically to zero; the
+    slice endpoint data is supplied in closed form, the end value 0 that
+    the bundled initial-value builder also certifies (see
+    test_ivp_kernel_certifies_an_algebraically_vanishing_slope).
     """
     space = quadratic_weight_space(order=order)
     w = space.weight
@@ -265,6 +265,61 @@ def test_dominator_check_fails_for_lying_dominator(space):
     assert rep.worst["excess"] > 0.0
 
 
+def _dominator_loop(nl, phi, r, grid):
+    """The sampled domination one (t, y) point at a time: the first nan, or
+    the first largest excess."""
+    from hammerline.hammerstein import resolve_dominator
+
+    phi_r = resolve_dominator(nl, phi)(r)
+    worst, passed = None, True
+    for t in grid.t[grid.finite_mask()].tolist():
+        bound = float(phi_r(t))
+        for y in np.linspace(-r, r, 33).tolist():
+            val = float(nl.fn(t, y * phi(t)))
+            if math.isnan(val):
+                return False, {"t": t, "y": y, "value": val, "bound": bound}
+            excess = val - bound - 1e-12 * max(1.0, abs(bound))
+            if worst is None or excess > worst["excess"]:
+                worst = {"t": t, "y": y, "value": val, "bound": bound, "excess": excess}
+            passed = passed and not excess > 0.0
+    return passed, worst
+
+
+def test_dominator_check_is_one_array_call_with_the_loop_witness(problem_c2, space):
+    gravity = hl.gravity_projectile_problem(space).nonlinearity
+    lying = hl.Nonlinearity(fn=lambda t, y: max(y, 0.0) * math.exp(-t),
+                            dominator=lambda r, phi: (lambda t: 0.5 * r * phi(t) * math.exp(-t)))
+    calls = []
+    for nl in (problem_c2.nonlinearity, gravity, lying):
+        counted = hl.Nonlinearity(fn=lambda t, y, f=nl.fn: calls.append(1) or f(t, y),
+                                  dominator=nl.dominator, monotone_in_y=nl.monotone_in_y)
+        for r in (0.5, 1.0, 2.0):
+            calls.clear()
+            rep = hl.dominator_check(counted, space.weight, r, grid=space.grid)
+            assert len(calls) <= 2   # the lattice, and the monotone bound f(t, r phi)
+            passed, worst = _dominator_loop(nl, space.weight, r, space.grid)
+            assert rep.passed == passed
+            assert str(rep.worst) == str(worst)   # nan == nan as text
+    # a nan bound fails at its point, as a nan value does
+    broken = hl.Nonlinearity(fn=lambda t, y: 0.0,
+                             dominator=lambda r, phi: (lambda t: math.nan if t > 1.0 else 1.0))
+    rep = hl.dominator_check(broken, space.weight, 1.0, grid=space.grid)
+    assert not rep.passed and rep.worst["t"] > 1.0 and math.isnan(rep.worst["bound"])
+
+
+def test_gravity_sup_slice_tail_is_certified(space):
+    # sup|slice| * phi_r decays like s^-2, which the tail fit certifies;
+    # with the modulus scalar (divergent for gravity) left out, C3's
+    # |s|^-3/2 tail certificate passes and the sup-slice integral is taken
+    import dataclasses
+
+    prob = hl.gravity_projectile_problem(space)
+    prob = dataclasses.replace(prob, kernel=dataclasses.replace(prob.kernel,
+                                                                modulus_weight=None))
+    prof = hl.c3_bound_profile(prob, 1.0)
+    assert prof.failure is None and "sup_slice_integral" in prof.scalars
+
+
 def test_dominator_check_requires_growth_data(space):
     bare = hl.Nonlinearity(fn=lambda t, y: y)
     with pytest.raises(DomainError):
@@ -313,9 +368,13 @@ def test_ivp_kernel_rejects_bad_setups(space_order1):
     with pytest.raises(DomainError):
         hl.second_order_ivp_kernel(1.0, decaying)
 
-    # algebraic decay of t / phi(t) to zero is declined, not guessed
-    with pytest.raises(DomainError):
-        hl.second_order_ivp_kernel(1.0, quadratic_weight_space())
+
+def test_ivp_kernel_certifies_an_algebraically_vanishing_slope():
+    # t / phi(t) = t / (t+1)^2 decays like 1/t to zero; the tail fit
+    # certifies the limit 0, so the slices and the forcing end at 0
+    kernel, p = hl.second_order_ivp_kernel(1.0, quadratic_weight_space())
+    assert kernel.slice_endpoints(3.0)[1] == 0.0
+    assert p.samples[0, -1] == 0.0
 
 
 def test_problem_registry_builds_by_name(space):

@@ -21,8 +21,8 @@ def test_exponential_decay_integrates_to_one():
     val = hl.integrate_interval(lambda t: math.exp(-t), HALF)
     assert val == pytest.approx(1.0, abs=1e-10)
     # an array integrand is called once per refinement round (and once by
-    # the probe); the slowest tail the certifier admits, |t|^-3/2, is a
-    # bounded integrand in the angle and needs no deep refinement
+    # the probe); a |t|^-3/2 tail is a bounded integrand in the angle and
+    # needs no deep refinement
     for fn, exact, most_calls in ((lambda t: np.exp(-t), 1.0, 8),
                                   (lambda t: (1.0 + t) ** -1.5, 2.0, 4)):
         sizes = []

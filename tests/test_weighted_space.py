@@ -171,6 +171,27 @@ def test_classifier_matches_labeled_corpus():
         assert rel.tag in hl.TAGS
 
 
+def test_classifier_calls_array_functions_twice_each():
+    # the elementwise probe and one call at all the tail points
+    calls = []
+
+    def counted(fn):
+        return lambda t: calls.append(fn) or fn(t)
+
+    f, g = (lambda t: t * t + 1.0), (lambda t: t + 1.0)
+    rel = hl.classify_asymptotic(counted(f), counted(g), hl.CompactMap.half_line())
+    assert rel.tag == "greater"
+    assert calls.count(f) <= 2 and calls.count(g) <= 2
+
+
+
+def test_classifier_does_not_read_a_small_limit_as_less():
+    # f/g = 1e-4 + |t|^-1/2 tends to 1e-4, not to 0
+    for cmap in (hl.CompactMap.half_line(), hl.CompactMap.full_line()):
+        rel = hl.classify_asymptotic(lambda t: (np.abs(t) + 1.0) * (1e-4 + np.abs(t) ** -0.5),
+                                     lambda t: np.abs(t) + 1.0, cmap)
+        assert rel.tag == "comparable"
+
 def test_classifier_equivalent_reports_limit_near_one():
     rel = hl.classify_asymptotic(
         lambda t: t + 1.0, lambda t: t, hl.CompactMap.half_line())

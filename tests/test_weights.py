@@ -83,31 +83,87 @@ def test_tail_trend_left_side_of_full_line():
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
-def test_tail_trend_algebraic_decay_to_zero_stays_unknown():
-    # relative agreement cannot fire on a scale that keeps shrinking, so the
-    # protocol declines to certify the zero limit rather than guessing
-    kind, val = hl.tail_trend(lambda t: 1.0 / (1.0 + t * t), FULL, side=-1)
-    assert kind == "unknown"
-    assert val is None
+def test_tail_trend_algebraic_decay_to_zero_is_certified():
+    # relative agreement cannot fire on a scale that keeps shrinking; the
+    # exponent fit of the last probes certifies the zero limit
+    assert hl.tail_trend(lambda t: 1.0 / (1.0 + t * t), FULL, side=-1) == ("limit", 0.0)
+
+
+def _ends():
+    return [(cmap, side) for cmap in (HALF, FULL) for side in cmap.infinite_ends()]
+
+
+def test_slow_power_tails_are_decided_by_the_exponent_fit():
+    # gravity's sup|slice| * phi_r decays like |s|^-2, so C3's tail
+    # certificate reads |s|^-2 * |s|^(3/2); a slowly divergent integrand
+    # (c2's forcing against (t+1)^2, about 1/t) reads |t|^(1/2)
+    for cmap, side in _ends():
+        assert hl.tail_trend(lambda s: abs(s) ** -2 * abs(s) ** 1.5, cmap, side) == ("limit", 0.0)
+        assert hl.tail_trend(lambda t: abs(t) ** 0.5, cmap, side) == ("diverges", math.inf)
+        assert hl.tail_trend(lambda t: -abs(t) ** 0.5, cmap, side) == ("diverges", -math.inf)
+    assert hl.tail_trend(lambda t: 3.0 + t ** -0.5, HALF) == ("limit", pytest.approx(3.0, rel=1e-9))
+
+
+def test_tails_without_a_power_law_stay_unknown():
+    # 1/log and log change by less than any power; sin has no trend
+    for fn in (lambda t: 1.0 / math.log(abs(t)), lambda t: math.log(abs(t)),
+               lambda t: math.sin(t)):
+        for cmap, side in _ends():
+            assert hl.tail_trend(fn, cmap, side) == ("unknown", None)
+
+
+
+def test_a_small_limit_of_a_slow_tail_is_not_read_as_zero():
+    # on the full line the limit +-1e-4 lies below the last difference of
+    # |t|^-1/2 (about 9e-4) but far outside the spread of the fit's two
+    # extrapolants, so it is no limit 0; too noisy to certify, it stays unknown
+    for c in (1e-4, -1e-4):
+        for cmap, side in _ends():
+            kind, val = hl.tail_trend(lambda t: c + abs(t) ** -0.5, cmap, side)
+            assert kind == "unknown" or val == pytest.approx(c, rel=1e-9)
+
+CORPUS = [lambda t: (t + 3.0) / (t + 1.0), lambda t: t * t, lambda t: -t * t,
+          lambda t: math.sin(t), lambda t: 1.0 / (1.0 + t * t),
+          lambda t: math.inf if t > 1e6 else t, lambda t: -math.inf if t > 1e3 else -t,
+          lambda t: math.nan if t > 1e8 else 1.0, lambda t: 1e300 * t,
+          lambda t: 2.0 - math.tanh(t), lambda t: 3.0 + abs(t) ** -0.5,
+          lambda t: 1.0 / (t - 1e5)]
+
+# the corpus rows decided before the exponent fit, by (case, map, side)
+DECIDED_BEFORE_THE_FIT = {
+    (0, "half-line", 1): ("limit", 1.0000000000000002),
+    (1, "half-line", 1): ("diverges", math.inf),
+    (2, "half-line", 1): ("diverges", -math.inf),
+    (5, "half-line", 1): ("diverges", math.inf),
+    (6, "half-line", 1): ("diverges", -math.inf),
+    (6, "full-line", 1): ("diverges", -math.inf),
+    (7, "full-line", -1): ("limit", 1.0),
+    (7, "full-line", 1): ("limit", 1.0),
+    (8, "half-line", 1): ("diverges", math.inf),
+    (8, "full-line", -1): ("diverges", -math.inf),
+    (8, "full-line", 1): ("diverges", math.inf),
+    (9, "half-line", 1): ("limit", 1.0),
+    (9, "full-line", -1): ("limit", 3.0000000000000004),
+    (9, "full-line", 1): ("limit", 1.0),
+}
+
+
+def test_the_fit_keeps_every_verdict_decided_without_it():
+    for (i, kind, side), verdict in DECIDED_BEFORE_THE_FIT.items():
+        cmap = HALF if kind == "half-line" else FULL
+        assert hl.tail_trend(CORPUS[i], cmap, side) == verdict, (i, kind, side)
 
 
 def test_tail_classification_of_a_batch_gives_each_row_the_scalar_verdict():
     from hammerline.weights import classify_tail, tail_points
 
-    cases = [lambda t: (t + 3.0) / (t + 1.0), lambda t: t * t, lambda t: -t * t,
-             lambda t: math.sin(t), lambda t: 1.0 / (1.0 + t * t),
-             lambda t: math.inf if t > 1e6 else t, lambda t: -math.inf if t > 1e3 else -t,
-             lambda t: math.nan if t > 1e8 else 1.0, lambda t: 1e300 * t,
-             lambda t: 2.0 - math.tanh(t), lambda t: 3.0 + abs(t) ** -0.5,
-             lambda t: 1.0 / (t - 1e5)]
-    for cmap in (HALF, FULL):
-        for side in cmap.infinite_ends():
-            ts = tail_points(cmap, side)
-            vals = [[fn(t) for t in ts.tolist()] for fn in cases]
-            kind, value = classify_tail(ts, np.array(vals))
-            assert kind.shape == value.shape == (len(cases),)
-            for fn, k, v in zip(cases, kind.tolist(), value.tolist()):
-                assert hl.tail_trend(fn, cmap, side) == (k, None if k == "unknown" else v)
+    for cmap, side in _ends():
+        ts = tail_points(cmap, side)
+        vals = [[fn(t) for t in ts.tolist()] for fn in CORPUS]
+        kind, value = classify_tail(ts, np.array(vals))
+        assert kind.shape == value.shape == (len(CORPUS),)
+        for fn, k, v in zip(CORPUS, kind.tolist(), value.tolist()):
+            assert hl.tail_trend(fn, cmap, side) == (k, None if k == "unknown" else v)
 
 
 def test_weights_equivalent_affine_shifts():

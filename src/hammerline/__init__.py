@@ -1,45 +1,46 @@
 """Weighted-space representation of functions on unbounded intervals,
 Hammerstein integral operators, cone/index certification, and a Picard
-solver cross-checked by an independent Runge-Kutta oracle."""
+solver cross-checked by an independent Runge-Kutta oracle.
+
+Export rule: a name is exported when code outside the package has to write
+it to construct, call or catch something. A type that only comes back from
+a call, or is only handed back into one (a report, a record, a solution),
+is reached through that call and stays in its module.
+"""
 
 from .errors import (BlowupError, DomainError, QuadratureError, ScenarioError,
                      TailLimitError)
 from .compactline import (FULL_LINE, HALF_LINE, INF, CompactMap, Grid,
                           GridSpec, barycentric_interpolate, build_grid,
                           refining_tail_x)
-from .weights import (Weight, WeightEquivalence, affine, check_weight, custom,
-                      exponential, power, tail_limit, tail_trend,
-                      weights_equivalent)
-from .weighted_space import (NORM_KINDS, TAGS, AsymptoticRelation, Space,
-                             WeightedFunction,
+from .weights import (Weight, affine, check_weight, custom, exponential, power,
+                      tail_limit, tail_trend, weights_equivalent)
+from .weighted_space import (NORM_KINDS, TAGS, Space, WeightedFunction,
                              asymptotic_limits, classify_asymptotic,
                              from_raw, from_tilde, lift, norm,
                              spaces_compatible)
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, golden_section_max,
                          inf_on_grid, integrate_interval, sup_on_grid)
-from .hammerstein import (FULL, VOLTERRA, BoundProfile, DominatorReport,
-                          HammersteinProblem, Kernel, KernelLimits,
-                          ModulusReport, Nonlinearity, PROBLEM_BUILDERS,
+from .hammerstein import (FULL, VOLTERRA, HammersteinProblem, Kernel,
+                          Nonlinearity, PROBLEM_BUILDERS,
                           apply_T, boosted_projectile_problem,
                           c3_bound_profile, dominator_check,
                           gravity_projectile_problem, kernel_limits,
                           kernel_modulus_check, register_problem,
                           second_order_ivp_kernel, slice_endpoint_values,
                           slice_tilde)
-from .cone import (CertificateNotPassing, CertificateReport, ConditionEntry,
-                   ConeSystem, FunctionalSpec, IndexCheck, IndexWindow,
-                   ProfileIntegral, REPORT_SCHEMA, bridge_b, bridge_c,
+from .cone import (CertificateNotPassing, CertificateReport, ConeSystem,
+                   FunctionalSpec, IndexCheck, IndexWindow, REPORT_SCHEMA,
+                   bridge_b, bridge_c,
                    check_functional_properties, check_index_one,
                    check_index_zero, eval_functional, eval_functional_raw,
                    find_solution_windows, kernel_functional_integral,
                    locate_index_one_flip, report_from_json,
                    report_to_jsonable, verify_cone_hypotheses,
                    windows_to_jsonable)
-from .solver import (EscapeConstants, OdeTrajectory, OracleComparison,
-                     SlopeEstimate, Solution, anderson_solve, asymptotic_slope,
-                     compare_with_oracle, escape_constants,
-                     gravity_energy_drift, ode_oracle, picard_solve,
-                     residual_norm, solution_to_csv)
+from .solver import (anderson_solve, asymptotic_slope, compare_with_oracle,
+                     escape_constants, gravity_energy_drift, ode_oracle,
+                     picard_solve, residual_norm, solution_to_csv)
 from .scenario import (SCENARIO_SCHEMA, Scenario, build_envelope, build_map,
                        build_problem, build_quad, build_space, build_system,
                        build_weight, load_scenario, rho_grid,
@@ -57,35 +58,32 @@ __all__ = [
     "FULL_LINE", "HALF_LINE", "INF", "CompactMap", "Grid", "GridSpec",
     "barycentric_interpolate", "build_grid", "refining_tail_x",
     # weights
-    "Weight", "WeightEquivalence", "affine", "check_weight", "custom",
-    "exponential", "power", "tail_limit", "tail_trend", "weights_equivalent",
+    "Weight", "affine", "check_weight", "custom", "exponential", "power",
+    "tail_limit", "tail_trend", "weights_equivalent",
     # weighted space
-    "NORM_KINDS", "TAGS", "AsymptoticRelation", "Space", "WeightedFunction",
-    "asymptotic_limits",
+    "NORM_KINDS", "TAGS", "Space", "WeightedFunction", "asymptotic_limits",
     "classify_asymptotic", "from_raw", "from_tilde", "lift", "norm",
     "spaces_compatible",
     # quadrature
     "DEFAULT_QUAD", "QuadratureConfig", "golden_section_max", "inf_on_grid",
     "integrate_interval", "sup_on_grid",
     # operator
-    "FULL", "VOLTERRA", "BoundProfile", "DominatorReport",
-    "HammersteinProblem", "Kernel", "KernelLimits", "ModulusReport",
-    "Nonlinearity", "PROBLEM_BUILDERS", "apply_T",
+    "FULL", "VOLTERRA", "HammersteinProblem", "Kernel", "Nonlinearity",
+    "PROBLEM_BUILDERS", "apply_T",
     "boosted_projectile_problem", "c3_bound_profile", "dominator_check",
     "gravity_projectile_problem", "kernel_limits", "kernel_modulus_check",
     "register_problem", "second_order_ivp_kernel", "slice_endpoint_values",
     "slice_tilde",
     # cone and index
-    "CertificateNotPassing", "CertificateReport", "ConditionEntry",
-    "ConeSystem", "FunctionalSpec", "IndexCheck", "IndexWindow",
-    "ProfileIntegral", "REPORT_SCHEMA", "bridge_b", "bridge_c",
+    "CertificateNotPassing", "CertificateReport", "ConeSystem",
+    "FunctionalSpec", "IndexCheck", "IndexWindow", "REPORT_SCHEMA",
+    "bridge_b", "bridge_c",
     "check_functional_properties", "check_index_one", "check_index_zero",
     "eval_functional", "eval_functional_raw", "find_solution_windows",
     "kernel_functional_integral", "locate_index_one_flip", "report_from_json",
     "report_to_jsonable", "verify_cone_hypotheses", "windows_to_jsonable",
     # solver
-    "EscapeConstants", "OdeTrajectory", "OracleComparison", "SlopeEstimate",
-    "Solution", "anderson_solve", "asymptotic_slope", "compare_with_oracle",
+    "anderson_solve", "asymptotic_slope", "compare_with_oracle",
     "escape_constants", "gravity_energy_drift", "ode_oracle", "picard_solve",
     "residual_norm", "solution_to_csv",
     # scenarios and CLI

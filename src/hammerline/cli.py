@@ -103,10 +103,8 @@ def _scan_windows(scn: Scenario, report, radii, out: Path) -> list:
 def _solve(scn: Scenario, problem, quad, out: Path):
     """The Anderson-accelerated solution, written to solution.csv with its
     gnuplot script."""
-    sol = anderson_solve(problem, tol=scn.picard_tol,
-                         max_iters=int(scn.solver.get("max_iters", 200)),
-                         relaxation=float(scn.solver.get("relaxation", 1.0)),
-                         quad=quad)
+    sol = anderson_solve(problem, tol=scn.picard_tol, max_iters=scn.max_iters,
+                         relaxation=scn.relaxation, quad=quad)
     solution_to_csv(problem, sol, out / "solution.csv", quad=quad)
     (out / "solution.gnuplot").write_text(_plot_script("solution.csv"))
     return sol

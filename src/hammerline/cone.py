@@ -254,30 +254,24 @@ def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> t
     return integral, sup
 
 
-def _raw_key(quad: QuadratureConfig, space: Space, key, kinks) -> tuple:
-    return ("raw", quad, space, key, tuple(kinks))
-
-
 def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
                         space: Space, quad: QuadratureConfig | None = None,
-                        kinks: Sequence[float] = (), *,
-                        memo: dict | None = None, key=None) -> float:
+                        kinks: Sequence[float] = ()) -> float:
     """Functional applied to a raw callable (kernel slices and the like).
 
     ``fn`` takes a float or an array; a float-only one is wrapped (see
     ``elementwise``). At an infinite end the sup part takes the certified
     limit of |fn|/sup_weight, and refuses when it diverges or is undecided.
-    ``key`` (hashable) names the callable for ``memo``; a callable without a
-    key is never memoized. It is a batch of one of the slice functionals
-    (see ``kernel_functional_integral``).
+    A bare callable has no name to be memoized by, so its parts are always
+    computed (no memo). It is a batch of one of the slice functionals (see
+    ``kernel_functional_integral``).
     """
     quad = quad or DEFAULT_QUAD
     grid = space.grid
     fn = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
     integral, sup = _raw_parts(lambda t, r: fn(t), space, quad,
                                np.array(kinks, dtype=float).reshape(1, -1))
-    keys = None if key is None else [_raw_key(quad, space, key, kinks)]
-    return float(_combine(spec, integral, sup, memo, keys)[0])
+    return float(_combine(spec, integral, sup)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def _kernel_slices(kernel: Kernel, s: np.ndarray, space: Space,
     cut at its diagonal t = s, the kink of a Volterra kernel and the peak
     of a Green's function."""
     eta = kernel.eta(s)
-    keys = [_raw_key(quad, space, (kernel.fn, kernel.eta, kernel.support, v), (v,))
+    keys = [("raw", quad, space, (kernel.fn, kernel.eta, kernel.support, v), (v,))
             for v in s.tolist()]
     return _raw_parts(lambda t, r: kernel.fn(t, s[r]) * eta[r], space, quad,
                       s[:, None]) + (keys,)
@@ -624,8 +618,6 @@ class _Certification:
         self.sp = problem.space
         self.memo: dict = {}
         self.rng = np.random.default_rng(seed)
-        self.relaxed = QuadratureConfig(tol=1e-9, rel_tol=1e-10,
-                                        max_subdivisions=quad.max_subdivisions)
 
     def share(self, samples: int) -> None:
         """The kernel profiles and the functionals of the forcing, then the
@@ -746,18 +738,19 @@ class _Certification:
             detail="" if c5_ok else "cone functional negative on a slice or the forcing")
 
     def _exact_integral_rhs(self, w2: Weight, u: WeightedFunction) -> float:
-        # Fubini route: fresh inner slice integrals under an adaptive outer
-        # quadrature, a batch of slices each round; exact to quadrature
-        # tolerance
+        # Fubini route: inner slice integrals under an adaptive outer
+        # quadrature, a batch of slices each round, both at the
+        # certification's accuracy; exact to quadrature tolerance. The inner
+        # integrals share the memo with the kernel profiles
         sp, kern, nl = self.sp, self.problem.kernel, self.problem.nonlinearity
         interp = sp.grid.interpolant(u.samples[0])
 
         def g(s, x, row):
-            integral, _, keys = _kernel_slices(kern, s, sp, self.relaxed)
+            integral, _, keys = _kernel_slices(kern, s, sp, self.quad)
             inner = _memoized(self.memo, keys, "integral", integral, s.size)(w2)
             return inner * nl.fn(s, interp(x) * sp.weight(s))
 
-        return integrate_compact(g, sp.map, self.relaxed, [-1.0, 1.0])
+        return integrate_compact(g, sp.map, self.quad, [-1.0, 1.0])
 
     def _tab_sup_rhs(self, prof: ProfileIntegral, u: WeightedFunction) -> float:
         # the sup-part profile, linear between its table points (the cuts)
@@ -946,6 +939,7 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
 # the upper default asserts f^rho <= 1
 DEFAULT_UPPER_ENVELOPE = lambda t, rho: filled(rho, t)        # noqa: E731
 DEFAULT_LOWER_ENVELOPE = lambda t, rho: filled(0.0, t, rho)   # noqa: E731
+FLIP_TOL = 1e-3          # bracket width of locate_index_one_flip
 
 
 @dataclass(frozen=True)
@@ -1021,17 +1015,18 @@ def check_index_zero(report: CertificateReport, rho: float,
     return _index_checks(report, "index-zero", [rho], envelope)[0]
 
 
-def locate_index_one_flip(report: CertificateReport, lo: float, hi: float,
-                          envelope=None, tol: float = 1e-3) -> tuple:
-    """Bisect [lo, hi] for the radius where the index-one condition starts
-    to hold; requires a fail at lo and a hold at hi."""
-    if not check_index_one(report, hi, envelope).holds:
+def locate_index_one_flip(report: CertificateReport, lo: float, hi: float) -> tuple:
+    """Bisect [lo, hi] down to a bracket of width ``FLIP_TOL`` for the radius
+    where the index-one condition starts to hold, with the problem's own
+    upper envelope (or the default one, see ``check_index_one``); requires a
+    fail at lo and a hold at hi."""
+    if not check_index_one(report, hi).holds:
         raise DomainError(f"index-one condition does not hold at rho={hi}")
-    if check_index_one(report, lo, envelope).holds:
+    if check_index_one(report, lo).holds:
         raise DomainError(f"index-one condition already holds at rho={lo}")
-    while hi - lo > tol:
+    while hi - lo > FLIP_TOL:
         mid = 0.5 * (lo + hi)
-        if check_index_one(report, mid, envelope).holds:
+        if check_index_one(report, mid).holds:
             hi = mid
         else:
             lo = mid

@@ -444,12 +444,14 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
     """Weighted image bound of the kernel against the dominated nonlinearity.
 
     At a finite node t the profile is (1/phi(t)) * integral of
-    |k(t,s)eta(s)| * phi_r(s) ds over the kernel support; at an infinite
-    node it is the integral of |z(s)| * phi_r(s). Scalars collect the
-    integrals of omega*phi_r, |z_lo|*phi_r, |z_hi|*phi_r, and sup|slice|*phi_r
-    that certify integrable tails. A divergent integral yields a fail report,
-    and so does a sup|slice|*phi_r tail without a certified |s|^-3/2 bound:
-    a sup search resolves a slice only so far out.
+    |k(t,s)eta(s)| * |phi_r(s)| ds over the kernel support; at an infinite
+    node it is the integral of |z(s)| * |phi_r(s)|. Scalars collect the
+    integrals of omega*|phi_r|, |z_lo|*|phi_r|, |z_hi|*|phi_r|, and
+    sup|slice|*|phi_r| that certify integrable tails. With |phi_r| the
+    profile and the scalars are nonnegative whatever the sign of f. A
+    divergent integral yields a fail report, and so does a
+    sup|slice|*|phi_r| tail without a certified |s|^-3/2 bound: a sup
+    search resolves a slice only so far out.
     """
     quad = quad or DEFAULT_QUAD
     sp = problem.space
@@ -458,7 +460,10 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
     dom = resolve_dominator(problem.nonlinearity, w)
     if dom is None:
         raise DomainError("bound profile needs a dominator (see dominator_check)")
-    phi_r = dom(r)
+    dom_r = dom(r)
+
+    def phi_r(s):
+        return np.abs(dom_r(s))
 
     def z_integral(side: int, node: float | None = None) -> float:
         return integrate_interval(

@@ -9,7 +9,6 @@ problems from the problem registry, envelope bounds by shape.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .compactline import FULL_LINE, HALF_LINE, CompactMap, GridSpec, build_grid
@@ -168,6 +167,14 @@ class Scenario:
     @property
     def picard_tol(self) -> float:
         return float(self.tolerances.get("picard_tol", 1e-10))
+
+    @property
+    def max_iters(self) -> int:
+        return int(self.solver.get("max_iters", 200))
+
+    @property
+    def relaxation(self) -> float:
+        return float(self.solver.get("relaxation", 1.0))
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .weighted_space import WeightedFunction, norm
 from .hammerstein import HammersteinProblem, Nonlinearity, apply_T
 
 STATE_CAP = 1e12  # |u| or |u'| beyond this is treated as blow-up
+ORACLE_TOL = 1e-12    # relative and absolute step tolerance of ode_oracle
+ORACLE_PROBES = 201   # equispaced probe times of compare_with_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +244,15 @@ class OdeTrajectory:
     __call__ = u_at
 
 
-def ode_oracle(f, v0: float, T_max: float, h: float | None = None, *,
-               rtol: float = 1e-12, atol: float = 1e-12,
-               u0: float = 0.0) -> OdeTrajectory:
-    """Integrate u'' = f(t, u), u(0) = u0, u'(0) = v0 on [0, T_max].
+def ode_oracle(f, v0: float, T_max: float, h: float | None = None) -> OdeTrajectory:
+    """Integrate u'' = f(t, u), u(0) = 0, u'(0) = v0 on [0, T_max].
 
-    Classical 4th-order steps with step-doubling error control; accepted
-    values take the local extrapolation (two half steps plus the pairwise
-    difference over 15), and the conservative sum of |difference|/15 terms
-    is reported as the error estimate. Raises BlowupError when the state
-    leaves [-1e12, 1e12], turns non-finite, or the step size underflows.
+    Classical 4th-order steps with step-doubling error control at the
+    relative and absolute tolerance ``ORACLE_TOL``; accepted values take
+    the local extrapolation (two half steps plus the pairwise difference
+    over 15), and the conservative sum of |difference|/15 terms is reported
+    as the error estimate. Raises BlowupError when the state leaves
+    [-1e12, 1e12], turns non-finite, or the step size underflows.
     """
     fn = f.fn if isinstance(f, Nonlinearity) else f
     if T_max <= 0:
@@ -259,7 +260,7 @@ def ode_oracle(f, v0: float, T_max: float, h: float | None = None, *,
     step = h if h is not None else min(1.0, T_max / 100.0)
     if step <= 0:
         raise DomainError("step must be positive")
-    t, u, v = 0.0, float(u0), float(v0)
+    t, u, v = 0.0, 0.0, float(v0)
     ts, us, vs, accs = [t], [u], [v], [float(fn(t, u))]
     err_acc = 0.0
     steps = rejected = 0
@@ -269,8 +270,9 @@ def ode_oracle(f, v0: float, T_max: float, h: float | None = None, *,
         um, vm = _rk4_step(fn, t, u, v, 0.5 * step)
         u2, v2 = _rk4_step(fn, t + 0.5 * step, um, vm, 0.5 * step)
         du, dv = u2 - u1, v2 - v1
-        scale_u = atol + rtol * max(abs(u), abs(u2))
-        scale_v = atol + rtol * max(abs(v), abs(v2))
+        # absolute plus relative tolerance, both ORACLE_TOL
+        scale_u = ORACLE_TOL + ORACLE_TOL * max(abs(u), abs(u2))
+        scale_v = ORACLE_TOL + ORACLE_TOL * max(abs(v), abs(v2))
         err = max(abs(du) / (15.0 * scale_u), abs(dv) / (15.0 * scale_v))
         if not math.isfinite(err):
             raise BlowupError("state became non-finite", t=t)
@@ -293,7 +295,7 @@ def ode_oracle(f, v0: float, T_max: float, h: float | None = None, *,
                 raise BlowupError("step size underflow", t=t)
         factor = 0.9 * max(err, 1e-16) ** -0.2
         step *= min(4.0, max(0.2, factor))
-    rel = err_acc / max(abs(us[-1]), atol, 1e-300)
+    rel = err_acc / max(abs(us[-1]), ORACLE_TOL)
     return OdeTrajectory(t=np.array(ts), u=np.array(us), v=np.array(vs),
                          a=np.array(accs), T_max=T_max, err_u=err_acc,
                          rel_err=rel, steps=steps, rejected=rejected)
@@ -325,9 +327,10 @@ def _richardson_pair(t1, r1, t2, r2):
     return (t2 * r2 - t1 * r1) / (t2 - t1)
 
 
-def asymptotic_slope(source, probe_times: Sequence[float] | None = None, *,
-                     weight=None) -> SlopeEstimate:
-    """Estimated limit of u(t)/weight(t) toward +inf with an error bar.
+def asymptotic_slope(source, probe_times: Sequence[float] | None = None) -> SlopeEstimate:
+    """Estimated limit of u(t)/weight(t) toward +inf with an error bar; the
+    weight is the space weight of a weighted-space element, and t for a
+    trajectory or a bare callable (the slope proper).
 
     A weighted-space element with no probe times reads its endpoint sample
     directly (exact). Otherwise ratios at increasing probe times (default
@@ -339,19 +342,16 @@ def asymptotic_slope(source, probe_times: Sequence[float] | None = None, *,
         if probe_times is None:
             val = float(source.samples[0, -1])
             return SlopeEstimate(val, 0.0, (math.inf,), (val,), "endpoint")
-        u_eval = source.raw
-        w = weight if weight is not None else source.space.weight
+        u_eval, w = source.raw, source.space.weight
     elif isinstance(source, OdeTrajectory):
         if probe_times is None:
             t0 = source.T_max / 4.0
             probe_times = (t0, 2.0 * t0, 4.0 * t0)
-        u_eval = source.u_at
-        w = weight if weight is not None else (lambda t: t)
+        u_eval, w = source.u_at, (lambda t: t)
     elif callable(source):
         if probe_times is None:
             raise DomainError("probe times are required for a bare callable")
-        u_eval = source
-        w = weight if weight is not None else (lambda t: t)
+        u_eval, w = source, (lambda t: t)
     else:
         raise DomainError(f"cannot estimate a slope from {type(source).__name__}")
     probes = tuple(float(t) for t in probe_times)
@@ -402,14 +402,14 @@ class OracleComparison:
     sup_diff: float
     sup_ref: float
     T_max: float
-    n_probes: int
 
 
 def compare_with_oracle(problem: HammersteinProblem, u: WeightedFunction,
-                        T_max: float | None = None, n_probes: int = 201,
-                        h: float | None = None) -> tuple:
+                        T_max: float | None = None) -> tuple:
     """Relative sup distance between a candidate fixed point and the
-    independently integrated initial-value trajectory.
+    independently integrated initial-value trajectory, over
+    ``ORACLE_PROBES`` equispaced times of [0, T_max]; the trajectory starts
+    with ``ode_oracle``'s default first step, min(1, T_max/100).
 
     Returns (comparison, trajectory). The problem must carry a launch
     speed in params['v0']; the right-hand side is eta(t)*f(t, u)."""
@@ -428,15 +428,14 @@ def compare_with_oracle(problem: HammersteinProblem, u: WeightedFunction,
     def rhs(t, y):
         return float(eta(a + t)) * float(nl.fn(a + t, y))
 
-    traj = ode_oracle(rhs, v0, T_max, h)
-    probes = np.linspace(0.0, T_max, n_probes)
+    traj = ode_oracle(rhs, v0, T_max)
+    probes = np.linspace(0.0, T_max, ORACLE_PROBES)
     ref = traj.u_at(probes)
     cand = u.raw(a + probes)
     sup_ref = float(np.max(np.abs(ref)))
     sup_diff = float(np.max(np.abs(cand - ref)))
     comparison = OracleComparison(max_rel_diff=sup_diff / max(sup_ref, 1e-300),
-                                  sup_diff=sup_diff, sup_ref=sup_ref,
-                                  T_max=T_max, n_probes=n_probes)
+                                  sup_diff=sup_diff, sup_ref=sup_ref, T_max=T_max)
     return comparison, traj
 
 

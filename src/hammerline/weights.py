@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compactline import CompactMap, Grid, refining_tail_x
+from .compactline import CompactMap, Grid, GridSpec, build_grid, refining_tail_x
 from .elementwise import elementwise, exp, filled, scalar_fn
 from .errors import DomainError
 
@@ -47,10 +47,12 @@ class Weight:
         v = self.fn(t)
         return v if isinstance(v, np.ndarray) else float(v)
 
-    def derivative(self, t: float, order: int = 1) -> float:
-        if order < 1 or order > len(self.derivs):
-            raise DomainError(f"weight {self.label!r} has no derivative of order {order}")
-        return float(self.derivs[order - 1](t))
+    def derivative(self, t: float) -> float:
+        """The first derivative (order 1) at t, from the first evaluator of
+        ``derivs``."""
+        if not self.derivs:
+            raise DomainError(f"weight {self.label!r} has no derivative evaluator")
+        return float(self.derivs[0](t))
 
 
 def affine(b: float = 1.0, scale: float = 1.0) -> Weight:
@@ -248,6 +250,7 @@ def tail_limit(fn: Callable[[float], float], cmap: CompactMap, side: int = +1) -
 # equivalence
 
 RATIO_BAND = (1e-8, 1e8)
+EQUIV_NODES = 33         # grid size of the finite-node scan of weights_equivalent
 
 
 @dataclass(frozen=True)
@@ -258,8 +261,7 @@ class WeightEquivalence:
     detail: str = ""
 
 
-def weights_equivalent(w1: Weight, w2: Weight, cmap: CompactMap,
-                       grid=None) -> WeightEquivalence:
+def weights_equivalent(w1: Weight, w2: Weight, cmap: CompactMap) -> WeightEquivalence:
     """Decide whether two weights pin each other between positive bounds.
 
     The ratio w1/w2 is examined at the finite grid nodes and at both
@@ -267,19 +269,10 @@ def weights_equivalent(w1: Weight, w2: Weight, cmap: CompactMap,
     a finite end). Certified two-sided boundedness gives 'equivalent';
     a certified escape of the ratio (limit 0, divergence, or a limit outside
     the admissible band) gives 'not-equivalent'; anything else is
-    'inconclusive'. Zero-order spaces only.
-
-    ``grid`` may be a GridSpec (a grid is built on ``cmap``), a built Grid,
-    or None for the default node count.
+    'inconclusive'. Zero-order spaces only. The finite nodes are those of
+    the ``EQUIV_NODES``-point grid on ``cmap``.
     """
-    from .compactline import GridSpec, build_grid
-
-    if grid is None:
-        grid = build_grid(cmap, GridSpec(33))
-    elif isinstance(grid, GridSpec):
-        grid = build_grid(cmap, grid)
-    elif grid.map != cmap:
-        raise DomainError("grid was built on a different interval map")
+    grid = build_grid(cmap, GridSpec(EQUIV_NODES))
     lo_band, hi_band = RATIO_BAND
 
     def ratio(t: float) -> float:

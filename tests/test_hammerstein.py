@@ -320,6 +320,21 @@ def test_gravity_sup_slice_tail_is_certified(space):
     assert prof.failure is None and "sup_slice_integral" in prof.scalars
 
 
+def test_bound_profile_integrates_the_dominator_size_for_negative_f(space):
+    # gravity's monotone dominator f(t, r phi) = -gR^2/(r phi + R)^2 is
+    # negative; the bound integrates |phi_r|, so the "abs" scalars are the
+    # positive 1/2 (phi_r ~ -1/(s+2)^2 against z_hi = 1 and sup|slice| = 1)
+    import dataclasses
+
+    prob = hl.gravity_projectile_problem(space)
+    prob = dataclasses.replace(prob, kernel=dataclasses.replace(prob.kernel,
+                                                                modulus_weight=None))
+    prof = hl.c3_bound_profile(prob, 1.0)
+    assert prof.scalars["abs_z_hi_integral"] == pytest.approx(0.5, abs=1e-7)
+    assert prof.scalars["sup_slice_integral"] == pytest.approx(0.5, abs=1e-5)
+    assert min(prof.values) >= 0.0
+
+
 def test_dominator_check_requires_growth_data(space):
     bare = hl.Nonlinearity(fn=lambda t, y: y)
     with pytest.raises(DomainError):

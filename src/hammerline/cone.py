@@ -34,8 +34,7 @@ from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
                           kernel_modulus_check)
 
 POS_TOL = 1e-12          # admitted negativity slack for "nonnegative"
-SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities computed exactly
-SUP_TAB_TOL = 1e-3       # slack when a sup-part profile tabulation is involved
+SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities
 PROP_TOL = 1e-10         # superadditivity/homogeneity tolerance
 RADII = (1.0,)           # ball radii of the domination (C2) and image bound (C3)
 
@@ -83,27 +82,39 @@ def _integral_parts(g, space: Space, quad: QuadratureConfig, cuts: np.ndarray) -
     """Integrals of g(t, x, row) over the interval, one per row of the
     compact coordinates ``cuts`` (shape (rows, k), panel edges inside the
     interval), refused as divergent when |g||t| grows or settles above 0 at
-    a tail; of several refused rows, the first one's refusal is raised."""
+    a tail; of several refused rows, the first one's refusal is raised. A
+    quadrature refusal names the tail when |g||t|^(3/2) has no limit there,
+    the decay below which the angle map leaves the integrand unbounded."""
     cmap = space.map
     col = np.arange(cuts.shape[0])[:, None]
-    diverges = []
-    for side in cmap.infinite_ends():
-        ts = tail_points(cmap, side)
-        vals = tail_values(lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t),
-                           ts, (col.size, ts.size))
-        diverges.append(np.abs(classify_tail(ts, vals)[1]) > 0.0)   # nan: undecided
-    refused = np.stack(diverges, axis=1)
-    if refused.any():
+
+    def first_refused_end(power: float, refuses) -> str:
+        """'+' or '-', the end where the first row whose tail verdict
+        (kind, limit) of |g||t|^power ``refuses`` does so; '' for none."""
+        refused = []
+        for side in cmap.infinite_ends():
+            ts = tail_points(cmap, side)
+            vals = tail_values(
+                lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** power,
+                ts, (col.size, ts.size))
+            refused.append(refuses(*classify_tail(ts, vals)))
+        refused = np.stack(refused, axis=1)
+        if not refused.any():
+            return ""
         first = refused[np.argmax(refused.any(axis=1))]
-        side = cmap.infinite_ends()[int(np.argmax(first))]
-        raise DomainError(
-            "integral part diverges: integrand decays no faster than 1/|t| "
-            f"toward {'+' if side > 0 else '-'}inf")
+        return "+" if cmap.infinite_ends()[int(np.argmax(first))] > 0 else "-"
+
+    side = first_refused_end(1.0, lambda kind, lim: np.abs(lim) > 0.0)   # nan: undecided
+    if side:
+        raise DomainError("integral part diverges: integrand decays no faster than 1/|t| "
+                          f"toward {side}inf")
     ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
     try:
         return integrate_compact(g, cmap, quad, np.concatenate((ends, cuts), axis=1))
     except QuadratureError as e:
-        raise DomainError(f"integral part did not converge: {e}") from e
+        side = first_refused_end(1.5, lambda kind, lim: kind != "limit")
+        slow = f"integrand decays slower than |t|^-3/2 toward {side}inf; " if side else ""
+        raise DomainError(f"integral part did not converge: {slow}{e}") from e
 
 
 def _memoized(memo: dict | None, keys: list | None, part: str, compute, n: int):
@@ -299,21 +310,11 @@ class ProfileIntegral:
 
     s_values: tuple
     values: tuple
-    x_values: tuple
     integral: float
     positive: bool
     min_value: float
     witness_s: float
     tolerance: float = POS_TOL
-
-    def interpolant(self, cmap):
-        xs = np.asarray(self.x_values)
-        vs = np.asarray(self.values)
-
-        def at(s: float) -> float:
-            return float(np.interp(cmap.to_compact(s), xs, vs))
-
-        return at
 
 
 def _profile_s_grid(space: Space, n: int) -> list:
@@ -341,7 +342,6 @@ def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
     the slice's s.
     """
     quad = quad or DEFAULT_QUAD
-    cmap = space.map
 
     def profile(s: np.ndarray) -> np.ndarray:
         integral, sup, keys = _kernel_slices(kernel, s, space, quad)
@@ -349,14 +349,12 @@ def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
 
     s_vals = np.array(_profile_s_grid(space, s_points))
     vals = profile(s_vals)
-    integral = integrate_compact(lambda s, x, row: profile(s), cmap, quad, [-1.0, 1.0])
+    integral = integrate_compact(lambda s, x, row: profile(s), space.map, quad, [-1.0, 1.0])
     min_i = int(np.argmin(vals))
     positive = bool(vals[min_i] >= -POS_TOL) and bool(vals.max() > 0.0)
     return ProfileIntegral(
-        s_values=tuple(s_vals.tolist()), values=tuple(vals.tolist()),
-        x_values=tuple(cmap.to_compact(s_vals).tolist()),
-        integral=integral, positive=positive,
-        min_value=float(vals[min_i]), witness_s=float(s_vals[min_i]))
+        s_values=tuple(s_vals.tolist()), values=tuple(vals.tolist()), integral=integral,
+        positive=positive, min_value=float(vals[min_i]), witness_s=float(s_vals[min_i]))
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +600,6 @@ def bridge_c(report: CertificateReport, rho: float) -> float:
 # ---------------------------------------------------------------------------
 # the certifier
 
-def _ineq_tol(spec: FunctionalSpec) -> float:   # a sup part reads the table
-    return SAMPLE_INEQ_TOL if spec.kind == "weighted-integral" else SUP_TAB_TOL
-
-
 class _Certification:
     """The context the checks of one certification share (the problem, its
     functionals ``specs`` by name, the parts memo, the random stream, and
@@ -635,10 +629,6 @@ class _Certification:
         self.profiles.update(upper=profile(upper), lower=profile(lower))
         self.forcing.update(upper=eval_functional(upper, p, quad, memo=memo),
                             lower=eval_functional(lower, p, quad, memo=memo))
-        # sup-part profile of the cone functional, for the sampled inequalities
-        if cone.kind in ("weighted-sup", "difference"):
-            self.profiles["cone_sup"] = profile(
-                FunctionalSpec("weighted-sup", sup_weight=cone.sup_weight))
         self.elements = _sample_cone_elements(sp, cone, quad, samples, self.rng, memo)
         # the images refine the problem's operator, whose panels later solves keep
         self.images = [apply_T(self.problem, u, quad) for u in self.elements]
@@ -737,36 +727,27 @@ class _Certification:
                      "cone_of_forcing": alpha_p},
             detail="" if c5_ok else "cone functional negative on a slice or the forcing")
 
-    def _exact_integral_rhs(self, w2: Weight, u: WeightedFunction) -> float:
-        # Fubini route: inner slice integrals under an adaptive outer
-        # quadrature, a batch of slices each round, both at the
-        # certification's accuracy; exact to quadrature tolerance. The inner
-        # integrals share the memo with the kernel profiles
+    def _fubini_rhs(self, part: str, w: Weight, u: WeightedFunction) -> float:
+        # Fubini route: the slice part ("integral" or "sup") in the weight w
+        # times f(s, u(s)) under an adaptive outer quadrature, a batch of
+        # slices each round, both at the certification's accuracy. The slice
+        # parts share the memo with the kernel profiles
         sp, kern, nl = self.sp, self.problem.kernel, self.problem.nonlinearity
         interp = sp.grid.interpolant(u.samples[0])
 
         def g(s, x, row):
-            integral, _, keys = _kernel_slices(kern, s, sp, self.quad)
-            inner = _memoized(self.memo, keys, "integral", integral, s.size)(w2)
+            integral, sup, keys = _kernel_slices(kern, s, sp, self.quad)
+            compute = integral if part == "integral" else sup
+            inner = _memoized(self.memo, keys, part, compute, s.size)(w)
             return inner * nl.fn(s, interp(x) * sp.weight(s))
 
         return integrate_compact(g, sp.map, self.quad, [-1.0, 1.0])
 
-    def _tab_sup_rhs(self, prof: ProfileIntegral, u: WeightedFunction) -> float:
-        # the sup-part profile, linear between its table points (the cuts)
-        sp, nl = self.sp, self.problem.nonlinearity
-        xs, vs = np.asarray(prof.x_values), np.asarray(prof.values)
-        interp = sp.grid.interpolant(u.samples[0])
-        return integrate_compact(
-            lambda t, x, row: np.interp(x, xs, vs) * nl.fn(t, interp(x) * sp.weight(t)),
-            sp.map, self.quad, [-1.0, *xs, 1.0])
-
     def rhs(self, name: str, u: WeightedFunction) -> float:
-        """Inner integral of spec(slice)*f(s, u(s)), plus spec of the forcing,
-        for the functional ``name``; a sup part reads the sup-part profile."""
-        sup_prof = self.profiles.get("cone_sup" if name == "cone" else name)
-        return _combine(self.specs[name], lambda w2, _rows: self._exact_integral_rhs(w2, u),
-                        lambda _w3, _rows: self._tab_sup_rhs(sup_prof, u)) \
+        """Integral over s of spec(slice at s)*f(s, u(s)), plus spec of the
+        forcing, for the functional ``name``; both parts by the Fubini route."""
+        return _combine(self.specs[name], lambda w2, _rows: self._fubini_rhs("integral", w2, u),
+                        lambda w3, _rows: self._fubini_rhs("sup", w3, u)) \
             + self.forcing[name]
 
     def c6(self) -> ConditionEntry:
@@ -774,21 +755,20 @@ class _Certification:
         cone = self.specs["cone"]
         c6_witness = None
         c6_checked = 0
-        c6_tol = _ineq_tol(cone)
         for u, Tu in zip(self.elements, self.images):
             lhs = eval_functional(cone, Tu, self.quad, memo=self.memo)
             rhs = self.rhs("cone", u)
             c6_checked += 1
             slack = lhs - rhs
-            if slack < -c6_tol * max(1.0, abs(lhs), abs(rhs)):
+            if slack < -SAMPLE_INEQ_TOL * max(1.0, abs(lhs), abs(rhs)):
                 c6_witness = {"lhs": lhs, "rhs": rhs, "slack": slack}
                 break
         return ConditionEntry(
             "C6", "cone functional of operator images dominates the slice estimate",
-            PASS if (c6_witness is None and c6_checked) else FAIL, tolerance=c6_tol,
-            witness=c6_witness or {"samples": c6_checked},
-            detail="integral part by nested quadrature; sup part from the profile "
-                   "tabulation (tolerance reflects its resolution)")
+            PASS if (c6_witness is None and c6_checked) else FAIL,
+            tolerance=SAMPLE_INEQ_TOL, witness=c6_witness or {"samples": c6_checked},
+            detail="integral and sup parts by nested quadrature (slice parts under "
+                   "an adaptive outer integral)")
 
     def c7(self) -> ConditionEntry:
         """Functional structure plus positive integrable kernel profiles."""
@@ -817,8 +797,8 @@ class _Certification:
             b_rhs, g_rhs = self.rhs("upper", u), self.rhs("lower", u)
             b_lhs = eval_functional(upper, Tu, quad, memo=memo)
             g_lhs = eval_functional(lower, Tu, quad, memo=memo)
-            tol_b = _ineq_tol(upper) * max(1.0, abs(b_lhs), abs(b_rhs))
-            tol_g = _ineq_tol(lower) * max(1.0, abs(g_lhs), abs(g_rhs))
+            tol_b = SAMPLE_INEQ_TOL * max(1.0, abs(b_lhs), abs(b_rhs))
+            tol_g = SAMPLE_INEQ_TOL * max(1.0, abs(g_lhs), abs(g_rhs))
             if b_lhs > b_rhs + tol_b or g_lhs < g_rhs - tol_g:
                 op_worst = {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
                             "lower_lhs": g_lhs, "lower_rhs": g_rhs}

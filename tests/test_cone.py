@@ -165,9 +165,8 @@ def test_profile_integrals(problem_c2, system_c2, space, report_c2):
     assert up.integral == pytest.approx(1.0 / E, abs=1e-8)
     assert low.positive and up.positive
     assert low.min_value >= -1e-12
-    interp = low.interpolant(space.map)
-    s0 = low.s_values[len(low.s_values) // 2]
-    assert interp(s0) == pytest.approx(math.exp(-s0), abs=1e-6)
+    mid = len(low.s_values) // 2
+    assert low.values[mid] == pytest.approx(math.exp(-low.s_values[mid]), abs=1e-6)
     # the certifier's parts memo returns exactly what standalone calls compute
     ctx = report_c2.context
     for memoized, standalone in ((ctx.upper_profile, up), (ctx.lower_profile, low)):
@@ -234,6 +233,49 @@ def test_certifier_sup_search_count(problem_c2, system_c2, monkeypatch):
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=6, seed=0)
     assert sum(rows) <= 688
+
+
+def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
+    # the rule nodes of every integrate_compact call of a certification: with
+    # the sup parts of C6/C7 read from a 256-point table, integrated over its
+    # 257 panels, there were 183,057 here; by the Fubini route about 120,000
+    import hammerline.quadrature as quad_mod
+
+    nodes = []
+    real = quad_mod.panel_nodes
+
+    def counted(lo, hi):
+        theta, half = real(lo, hi)
+        nodes.append(theta.size)
+        return theta, half
+
+    monkeypatch.setattr(quad_mod, "panel_nodes", counted)
+    hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                              system_c2.lower, samples=6, seed=0)
+    assert sum(nodes) <= 125_000
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_sup_part_of_the_operator_rhs_matches_the_closed_form_profile(scale, system_c2):
+    # the sup part of the upper functional's right-hand side is the integral
+    # over s of the slice sup e^(-s-1) times f(s, u(s)) = max(u, 0) e^(-s);
+    # read from the 256-point table it was off by 4.4e-4 (c2) and 1.05e-3
+    # (c2_L4) relative
+    from scipy.integrate import quad
+
+    from conftest import make_space
+    from hammerline.cone import _Certification
+
+    problem = hl.boosted_projectile_problem(make_space(scale=scale), v0=1.0)
+    specs = {"cone": system_c2.cone, "upper": system_c2.upper, "lower": system_c2.lower}
+    ctx = _Certification(problem, specs, hl.DEFAULT_QUAD, seed=0)
+    ctx.share(4)
+    assert ctx.elements
+    for u in ctx.elements:
+        got = ctx.rhs("upper", u) - ctx.forcing["upper"]
+        want, _ = quad(lambda s: math.exp(-2.0 * s - 1.0) * max(u.raw(s), 0.0),
+                       0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
@@ -403,6 +445,23 @@ def test_an_integrable_slow_tail_is_left_to_the_quadrature(problem_c2):
         hl.eval_functional(spec(2.2), problem_c2.forcing)
     except DomainError as e:
         assert "diverges" not in str(e)
+
+
+@pytest.mark.parametrize("kind", ["full", "half"])
+def test_a_quadrature_refusal_names_a_tail_slower_than_the_angle_map_bounds(kind):
+    # (1+|t|)^-q is integrable for q > 1, but the angle map leaves it
+    # unbounded for q < 3/2: at q = 1.2 the panels near the end cannot
+    # resolve it and the refusal names the tail, not only the panel; at
+    # q = 1.4 the quadrature still converges
+    cmap = hl.CompactMap.full_line(L=1.0) if kind == "full" else hl.CompactMap.half_line()
+    space = hl.Space(grid=hl.build_grid(cmap, hl.GridSpec(m=41)), weight=FLAT, order=0)
+    ends = 2.0 if kind == "full" else 1.0
+    with pytest.raises(DomainError, match=r"decays slower than \|t\|\^-3/2 toward [+-]inf; "
+                                          r"integration did not converge"):
+        hl.eval_functional_raw(FLAT_INTEGRAL, lambda t: (1.0 + np.abs(t)) ** -1.2, space)
+    value = hl.eval_functional_raw(FLAT_INTEGRAL, lambda t: (1.0 + np.abs(t)) ** -1.4, space)
+    assert value == pytest.approx(ends / 0.4, abs=1e-9)
+
 
 def test_a_batch_refuses_with_its_first_refusing_element(problem_c2, space, full_space):
     # integral weight t+1, the space weight: an element with a nonzero end

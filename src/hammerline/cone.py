@@ -36,6 +36,7 @@ from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
 POS_TOL = 1e-12          # admitted negativity slack for "nonnegative"
 SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities
 PROP_TOL = 1e-10         # superadditivity/homogeneity tolerance
+INDEX_PROP_TOL = 1e-8    # homogeneity/additivity tolerance of the index functionals (C7)
 RADII = (1.0,)           # ball radii of the domination (C2) and image bound (C3)
 
 PASS, FAIL, NOT_CHECKED = "pass", "fail", "not-checked"
@@ -126,7 +127,8 @@ def _memoized(memo: dict | None, keys: list | None, part: str, compute, n: int):
     def part_of(w: Weight) -> np.ndarray:
         if memo is None or keys is None:
             return compute(w, np.arange(n))
-        named = [(part, weight_key(w)) + k for k in keys]
+        name = (part, weight_key(w))
+        named = [name + k for k in keys]
         todo: dict = {}
         for i, k in enumerate(named):
             if k not in memo:
@@ -600,6 +602,12 @@ def bridge_c(report: CertificateReport, rho: float) -> float:
 # ---------------------------------------------------------------------------
 # the certifier
 
+def _ineq_tol(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The slack a sampled inequality admits between the arrays lhs and rhs:
+    SAMPLE_INEQ_TOL relative to the larger of |lhs|, |rhs| and 1."""
+    return SAMPLE_INEQ_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 class _Certification:
     """The context the checks of one certification share (the problem, its
     functionals ``specs`` by name, the parts memo, the random stream, and
@@ -727,46 +735,71 @@ class _Certification:
                      "cone_of_forcing": alpha_p},
             detail="" if c5_ok else "cone functional negative on a slice or the forcing")
 
-    def _fubini_rhs(self, part: str, w: Weight, u: WeightedFunction) -> float:
+    def _fubini_part(self, part: str, w: Weight, samples: np.ndarray) -> np.ndarray:
         # Fubini route: the slice part ("integral" or "sup") in the weight w
-        # times f(s, u(s)) under an adaptive outer quadrature, a batch of
-        # slices each round, both at the certification's accuracy. The slice
-        # parts share the memo with the kernel profiles
+        # times f(s, u(s)) for the element of every row of samples, under one
+        # adaptive outer integral with a row per element, each refined as if
+        # it ran alone, a batch of slices each round, all at the
+        # certification's accuracy. The slice parts share the memo with the
+        # kernel profiles
         sp, kern, nl = self.sp, self.problem.kernel, self.problem.nonlinearity
-        interp = sp.grid.interpolant(u.samples[0])
+        interp = sp.grid.interpolant(samples)
 
         def g(s, x, row):
             integral, sup, keys = _kernel_slices(kern, s, sp, self.quad)
             compute = integral if part == "integral" else sup
             inner = _memoized(self.memo, keys, part, compute, s.size)(w)
-            return inner * nl.fn(s, interp(x) * sp.weight(s))
+            return inner * nl.fn(s, interp(x, row) * sp.weight(s))
 
-        return integrate_compact(g, sp.map, self.quad, [-1.0, 1.0])
+        return integrate_compact(g, sp.map, self.quad,
+                                 np.broadcast_to([-1.0, 1.0], (len(samples), 2)))
 
-    def rhs(self, name: str, u: WeightedFunction) -> float:
+    def rhs(self, name: str, u: WeightedFunction | Sequence[WeightedFunction]
+            ) -> float | np.ndarray:
         """Integral over s of spec(slice at s)*f(s, u(s)), plus spec of the
-        forcing, for the functional ``name``; both parts by the Fubini route."""
-        return _combine(self.specs[name], lambda w2, _rows: self._fubini_rhs("integral", w2, u),
-                        lambda w3, _rows: self._fubini_rhs("sup", w3, u)) \
-            + self.forcing[name]
+        forcing, for the functional ``name``: a float for one element, the
+        array of the values for a sequence of them, each the value it has
+        alone. Both parts go by the Fubini route (see ``_fubini_part``) and
+        through the memo, per weight and element."""
+        elements = [u] if isinstance(u, WeightedFunction) else list(u)
+        samples = np.array([e.samples[0] for e in elements])
+        keys = [("fubini", self.quad, self.sp, row.tobytes()) for row in samples]
+        values = _combine(self.specs[name],
+                          lambda w2, rows: self._fubini_part("integral", w2, samples[rows]),
+                          lambda w3, rows: self._fubini_part("sup", w3, samples[rows]),
+                          self.memo, keys, len(elements)) + self.forcing[name]
+        return float(values[0]) if isinstance(u, WeightedFunction) else values
+
+    def _first_violation(self, check) -> dict | None:
+        """The witness of the first sample, in sample order, that violates
+        a sampled operator inequality; None when none does. check(elements,
+        images) gives, for a batch of samples and their images, the mask
+        of the violating ones and the witness columns (name -> values). The
+        samples run in two rounds, the first alone and then the rest as one
+        batch, so a check that fails on the first sample evaluates no other."""
+        for batch in (slice(0, 1), slice(1, None)):
+            if self.elements[batch]:
+                bad, columns = check(self.elements[batch], self.images[batch])
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    return {k: float(v[i]) for k, v in columns.items()}
+        return None
 
     def c6(self) -> ConditionEntry:
         """Cone functional of images dominates the slice estimate."""
         cone = self.specs["cone"]
-        c6_witness = None
-        c6_checked = 0
-        for u, Tu in zip(self.elements, self.images):
-            lhs = eval_functional(cone, Tu, self.quad, memo=self.memo)
-            rhs = self.rhs("cone", u)
-            c6_checked += 1
+
+        def check(us: list, images: list) -> tuple:
+            lhs = eval_functional(cone, images, self.quad, memo=self.memo)
+            rhs = self.rhs("cone", us)
             slack = lhs - rhs
-            if slack < -SAMPLE_INEQ_TOL * max(1.0, abs(lhs), abs(rhs)):
-                c6_witness = {"lhs": lhs, "rhs": rhs, "slack": slack}
-                break
+            return slack < -_ineq_tol(lhs, rhs), {"lhs": lhs, "rhs": rhs, "slack": slack}
+
+        c6_witness = self._first_violation(check)
         return ConditionEntry(
             "C6", "cone functional of operator images dominates the slice estimate",
-            PASS if (c6_witness is None and c6_checked) else FAIL,
-            tolerance=SAMPLE_INEQ_TOL, witness=c6_witness or {"samples": c6_checked},
+            PASS if (c6_witness is None and self.elements) else FAIL,
+            tolerance=SAMPLE_INEQ_TOL, witness=c6_witness or {"samples": len(self.elements)},
             detail="integral and sup parts by nested quadrature (slice parts under "
                    "an adaptive outer integral)")
 
@@ -790,20 +823,21 @@ class _Certification:
             quad, memo=memo), 2)
         add_worst = float(np.max(np.abs(guv - gu - np.roll(gu, -1)) / np.maximum(1.0, np.abs(guv)),
                                  initial=0.0))
-        if hom_worst > 1e-8 or add_worst > 1e-8:
+        if hom_worst > INDEX_PROP_TOL or add_worst > INDEX_PROP_TOL:
             c7_detail.append("homogeneity/additivity violated on samples")
-        op_worst = None
-        for u, Tu in zip(samples, self.images):
-            b_rhs, g_rhs = self.rhs("upper", u), self.rhs("lower", u)
-            b_lhs = eval_functional(upper, Tu, quad, memo=memo)
-            g_lhs = eval_functional(lower, Tu, quad, memo=memo)
-            tol_b = SAMPLE_INEQ_TOL * max(1.0, abs(b_lhs), abs(b_rhs))
-            tol_g = SAMPLE_INEQ_TOL * max(1.0, abs(g_lhs), abs(g_rhs))
-            if b_lhs > b_rhs + tol_b or g_lhs < g_rhs - tol_g:
-                op_worst = {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
-                            "lower_lhs": g_lhs, "lower_rhs": g_rhs}
-                c7_detail.append("operator inequality violated on a sample")
-                break
+
+        def check(us: list, images: list) -> tuple:
+            b_rhs, g_rhs = self.rhs("upper", us), self.rhs("lower", us)
+            b_lhs = eval_functional(upper, images, quad, memo=memo)
+            g_lhs = eval_functional(lower, images, quad, memo=memo)
+            bad = ((b_lhs > b_rhs + _ineq_tol(b_lhs, b_rhs))
+                   | (g_lhs < g_rhs - _ineq_tol(g_lhs, g_rhs)))
+            return bad, {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
+                         "lower_lhs": g_lhs, "lower_rhs": g_rhs}
+
+        op_worst = self._first_violation(check)
+        if op_worst is not None:
+            c7_detail.append("operator inequality violated on a sample")
         c7_ok = not c7_detail and math.isfinite(upper_prof.integral) \
             and math.isfinite(lower_prof.integral)
         c7_witness.update({"homogeneity_worst": hom_worst, "additivity_worst": add_worst,
@@ -880,9 +914,9 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     raised for a failed hypothesis.
 
     Each integral and sup part of a functional, on a kernel slice or an
-    element, is computed once per call and read back wherever it repeats
-    (the sampled property checks P1-P3 excepted); the values are those of
-    separate calls.
+    element, and each Fubini part of a C6/C7 right-hand side is computed
+    once per call and read back wherever it repeats (the sampled property
+    checks P1-P3 excepted); the values are those of separate calls.
     """
     quad = quad or DEFAULT_QUAD
     sp = problem.space

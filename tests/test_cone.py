@@ -278,6 +278,95 @@ def test_sup_part_of_the_operator_rhs_matches_the_closed_form_profile(scale, sys
         assert got == pytest.approx(want, rel=1e-10)
 
 
+def _certification(problem, system, samples):
+    """A fresh certification context, shared up to the sampled images."""
+    from hammerline.cone import _Certification
+
+    specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
+    ctx = _Certification(problem, specs, hl.DEFAULT_QUAD, seed=0)
+    ctx.share(samples)
+    return ctx
+
+
+@pytest.mark.parametrize("name", ["cone", "upper", "lower"])
+def test_a_batch_of_right_hand_sides_equals_the_loop(name, problem_c2, system_c2):
+    # one outer integral with a row per element: each element's right-hand
+    # side equals the one it gets alone, bit for bit, from its own context
+    batch_ctx, loop_ctx = (_certification(problem_c2, system_c2, 6) for _ in range(2))
+    batch = batch_ctx.rhs(name, batch_ctx.elements)
+    alone = [loop_ctx.rhs(name, u) for u in loop_ctx.elements]
+    assert all(type(v) is float for v in alone)
+    assert batch.shape == (6,)
+    assert batch.tolist() == alone
+
+
+@pytest.mark.parametrize("zeroed", [[1], [2, 5], [0, 3]])
+def test_the_first_violating_sample_is_the_witness(zeroed, problem_c2, system_c2):
+    # a zero image has cone, upper and lower functional 0, below the
+    # positive right-hand sides of the cone and lower inequalities: C6 and
+    # C7 fail at the first zeroed sample, also when a later one of the same
+    # round fails too
+    ctx = _certification(problem_c2, system_c2, 6)
+    for k in zeroed:
+        ctx.images[k] = 0.0 * ctx.images[k]
+    c6, c7 = ctx.c6(), ctx.c7()
+    ref = _certification(problem_c2, system_c2, 6)
+    rhs = {name: ref.rhs(name, ref.elements[zeroed[0]]) for name in ("cone", "upper", "lower")}
+    assert c6.status == c7.status == "fail"
+    assert c6.witness == {"lhs": 0.0, "rhs": rhs["cone"], "slack": 0.0 - rhs["cone"]}
+    assert c7.witness["operator_witness"] == {"upper_lhs": 0.0, "upper_rhs": rhs["upper"],
+                                              "lower_lhs": 0.0, "lower_rhs": rhs["lower"]}
+
+
+def test_a_check_failing_on_the_first_sample_evaluates_no_other(monkeypatch):
+    # verify-gravity fails C6 and C7 on its first sample (the slacks of all
+    # 8 are negative): only that sample's right-hand sides are computed
+    import hammerline.cone as cone_mod
+
+    scn = hl.load_scenario(SCENARIO_DIR / "gravity_projectile.json")
+    space = hl.build_space(scn)
+    problem, system = hl.build_problem(scn, space), hl.build_system(scn)
+    handed = []
+
+    def counted(self, name, u, _real=cone_mod._Certification.rhs):
+        handed.append((name, 1 if isinstance(u, hl.WeightedFunction) else len(u)))
+        return _real(self, name, u)
+
+    monkeypatch.setattr(cone_mod._Certification, "rhs", counted)
+    report = hl.verify_cone_hypotheses(problem, system.cone, system.upper, system.lower,
+                                       samples=scn.samples, quad=hl.build_quad(scn),
+                                       seed=scn.seed)
+    assert scn.samples == 8
+    assert [k for k, e in sorted(report.entries.items()) if e.status != "pass"] == \
+        ["C2", "C3", "C6", "C7"]
+    assert handed == [("cone", 1), ("upper", 1), ("lower", 1)]
+
+
+def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
+    # count guard: C6 and C7 check their samples in two rounds, each
+    # right-hand side part of a round one outer integral, and C7's upper sup
+    # parts are memo hits on C6's; with a loop over the 8 samples this
+    # certification made 25 sup_on_grid and 113 integrate_compact calls,
+    # batched 19 and 75
+    import hammerline.cone as cone_mod
+    import hammerline.hammerstein as hammerstein_mod
+    import hammerline.quadrature as quad_mod
+
+    calls = {"sup_on_grid": 0, "integrate_compact": 0}
+    for name, modules in (("sup_on_grid", (cone_mod, hammerstein_mod)),
+                          ("integrate_compact", (cone_mod, hammerstein_mod, quad_mod))):
+        for mod in modules:
+            def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                              system_c2.lower, samples=8, seed=0)
+    assert calls["sup_on_grid"] <= 19
+    assert calls["integrate_compact"] <= 75
+
+
 def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
     # the table and each refinement round of the profile integral are one
     # batch of slices: the cone profile made 205 array calls of kernel.fn

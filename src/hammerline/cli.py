@@ -24,9 +24,10 @@ from .cone import (eval_functional, eval_functional_raw, find_solution_windows,
                    locate_index_one_flip, report_to_jsonable,
                    windows_to_jsonable, verify_cone_hypotheses)
 from .solver import (anderson_solve, compare_with_oracle, solution_to_csv)
-from .scenario import (Scenario, build_envelope, build_problem, build_quad,
-                       build_space, build_system, build_weight, build_map,
+from .scenario import (SCENARIO_SCHEMA, Scenario, build_envelope, build_problem,
+                       build_quad, build_space, build_system, build_weight, build_map,
                        load_scenario, rho_grid, scenario_to_jsonable)
+from .schema import best_match
 
 COMMANDS = ("solve", "verify", "windows", "classify", "demo-projectile")
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
@@ -68,6 +69,9 @@ def _apply_overrides(scn: Scenario, grid_size, tol, seed, out_dir) -> Scenario:
         tols["picard_tol"] = float(tol)
         changes["tolerances"] = tols
     if seed is not None:
+        message = best_match(seed, SCENARIO_SCHEMA["properties"]["seed"])
+        if message is not None:
+            raise ScenarioError(f"--seed does not match the schema: {message}")
         changes["seed"] = int(seed)
     if out_dir is not None:
         changes["output_dir"] = str(out_dir)

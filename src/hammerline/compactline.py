@@ -237,44 +237,27 @@ def barycentric_interpolate(x_nodes: np.ndarray, weights: np.ndarray,
     table = np.atleast_2d(values)
     shape = np.broadcast(xq, row).shape
     xs = xq.ravel() if xq.shape == shape else np.broadcast_to(xq, shape).ravel()
-    if table.shape[0] == 1 or np.size(row) == 1:   # one row for every point
-        rows = np.full(xs.size, 0 if table.shape[0] == 1 else row, dtype=int)
-        out = _interpolate(x_nodes, weights, table, xs, rows, [xs.size])
-    else:
-        rows = np.broadcast_to(row, shape).ravel()
-        order = None
-        if (rows[1:] < rows[:-1]).any():
-            order = np.argsort(rows, kind="stable")
-            xs, rows = xs[order], rows[order]
-        ends = [*(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), xs.size]
-        out = _interpolate(x_nodes, weights, table, xs, rows, ends)
-        if order is not None:
-            out[order] = out.copy()
+    rows = np.broadcast_to(0 if table.shape[0] == 1 else row, shape).ravel()
+    out = _interpolate(x_nodes, weights, table, xs, rows)
     return float(out[0]) if one and np.ndim(row) == 0 else out.reshape(shape)
 
 
 _BLOCK = 1024   # query points per (points x nodes) temporary
 
 
-def _interpolate(x_nodes, weights, table, xs, rows, ends) -> np.ndarray:
-    """The interpolants of the rows ``rows`` (one per point, in runs that
-    end at ``ends``) of ``table`` at the points xs, in blocks of points.
-    Each run of a row in a block is one product with that row, so no copy
-    of the table is gathered per point."""
+def _interpolate(x_nodes, weights, table, xs, rows) -> np.ndarray:
+    """The interpolants of the rows ``rows`` (one per point) of ``table`` at
+    the points xs, in blocks of points: one product per block with the
+    rows gathered per point (a one-row table is broadcast, not copied)."""
     out = np.empty(xs.size)
-    run = 0
     for a in range(0, xs.size, _BLOCK):
         b = min(a + _BLOCK, xs.size)
         c = xs[a:b, None] - x_nodes
         hit, col = divmod(np.flatnonzero(c == 0.0), x_nodes.size)
         c[hit, col] = 1.0
         np.divide(weights, c, out=c)
-        lo = a
-        while lo < b:
-            hi = min(ends[run], b)
-            np.einsum("ij,j->i", c[lo - a:hi - a], table[rows[lo]], out=out[lo:hi])
-            lo = hi
-            run += hi == ends[run]
+        vals = np.broadcast_to(table, c.shape) if table.shape[0] == 1 else table[rows[a:b]]
+        np.einsum("ij,ij->i", c, vals, out=out[a:b])
         out[a:b] /= c.sum(axis=1)
         if hit.size:
             out[a + hit] = table[rows[a + hit], col]

@@ -31,21 +31,36 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
-def _gauss_kronrod() -> tuple:
-    """Nodes on [-1, 1]; weight columns Kronrod (a panel's value) and Kronrod
-    minus Gauss (its estimate, in absolute value). The Kronrod nodes between
-    the Gauss ones are QUADPACK's qk21 (Piessens et al., 1983)."""
-    gx, gw = np.polynomial.legendre.leggauss(10)
-    kx = np.array([0.99565716302580808, 0.93015749135570823, 0.78081772658641690,
-                   0.56275713466860468, 0.29439286270146020])
-    x = np.sort(np.concatenate((gx, kx, -kx, [0.0])))
-    # the Kronrod weights integrate the Legendre polynomials of degree <= 20
-    wk = np.linalg.solve(np.polynomial.legendre.legvander(x, 20).T, 2.0 * np.eye(21)[0])
-    wg = np.where(np.isin(x, gx), np.interp(x, gx, gw), 0.0)
-    return x, np.stack((wk, wk - wg), axis=1)
-
-
-RULE_X, RULE_W = _gauss_kronrod()
+# The Gauss-Kronrod 10/21 rule on [-1, 1], a row per node: the node, its
+# Kronrod weight (a panel's value) and Kronrod minus Gauss weight (its
+# estimate, in absolute value). The Kronrod nodes between the Gauss ones are
+# QUADPACK's qk21 (Piessens et al., 1983); the Kronrod weights solve the
+# Legendre moment equations up to degree 20, which
+# tests/test_quadrature.py recomputes with numpy.polynomial.legendre.
+_RULE = np.array([
+    (-0.9956571630258081, 0.011694638867372348, 0.011694638867372348),
+    (-0.9739065285171717, 0.03255816230796454, -0.0341131820007236),
+    (-0.9301574913557082, 0.054755896574352265, 0.054755896574352265),
+    (-0.8650633666889845, 0.07503967481091997, -0.07441167433966042),
+    (-0.7808177265864169, 0.09312545458369738, 0.09312545458369738),
+    (-0.6794095682990244, 0.10938715880229767, -0.10969920371368434),
+    (-0.5627571346686047, 0.12349197626206587, 0.12349197626206587),
+    (-0.4333953941292472, 0.1347092173114735, -0.134557501998523),
+    (-0.2943928627014602, 0.14277593857705975, 0.14277593857705975),
+    (-0.14887433898163122, 0.1477391049013385, -0.1477851198134143),
+    (0.0, 0.14944555400291695, 0.14944555400291695),
+    (0.14887433898163122, 0.14773910490133846, -0.14778511981341436),
+    (0.2943928627014602, 0.14277593857706017, 0.14277593857706017),
+    (0.4333953941292472, 0.1347092173114733, -0.1345575019985232),
+    (0.5627571346686047, 0.12349197626206587, 0.12349197626206587),
+    (0.6794095682990244, 0.10938715880229766, -0.10969920371368436),
+    (0.7808177265864169, 0.09312545458369757, 0.09312545458369757),
+    (0.8650633666889845, 0.07503967481091993, -0.07441167433966046),
+    (0.9301574913557082, 0.054755896574352016, 0.054755896574352016),
+    (0.9739065285171717, 0.03255816230796473, -0.034113182000723406),
+    (0.9956571630258081, 0.011694638867371876, 0.011694638867371876),
+])
+RULE_X, RULE_W = _RULE[:, 0].copy(), _RULE[:, 1:].copy()
 _RULE_ROWS = np.ascontiguousarray(RULE_W.T)   # einsum's fast layout of the weights
 
 

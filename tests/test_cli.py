@@ -153,6 +153,19 @@ def test_invalid_scenario_exits_one_without_artifacts(tmp_path, capsys):
     assert "v0" in err["error"]["message"]
 
 
+def test_negative_seed_override_exits_one_without_artifacts(tmp_path, capsys):
+    # validated as the scenario's own seed field (minimum 0), before any run
+    out = tmp_path / "never"
+    rc = hl.main(["--scenario", C2, "--command", "verify", "--out", str(out),
+                  "--seed", "-1"])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "ScenarioError"
+    assert err["error"]["message"] == ("--seed does not match the schema: "
+                                       "-1 is less than the minimum of 0")
+
+
 def test_unparseable_scenario_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

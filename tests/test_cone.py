@@ -623,8 +623,10 @@ def test_batched_property_checks_equal_the_loop(seed, system_c2, space):
 
 
 def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
-    # u, v, u+v and lam*u are one batch, -u a second: two integrals and two
-    # sup searches, where a loop over the 8 pairs made about 40 of each
+    # u, v, u+v and lam*u are one batch, and f(-u) is read from the parts of
+    # u: one sup search and one integral per part of the functional, where a
+    # loop over the 8 pairs made about 40 of each (the sup functional is
+    # two-sided nonnegative on every pair, so its f(-u) is read 8 times)
     import hammerline.cone as cone_mod
 
     calls = {"sup_on_grid": 0, "integrate_compact": 0}
@@ -633,10 +635,31 @@ def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(cone_mod, name, counted)
-    out = hl.check_functional_properties(system_c2.cone, space, n_pairs=8, seed=0)
-    assert out.passed
-    assert 0 < calls["sup_on_grid"] <= 4
-    assert 0 < calls["integrate_compact"] <= 4
+    for spec, parts in ((system_c2.cone, (1, 1)), (system_c2.upper, (1, 0)),
+                        (system_c2.lower, (0, 1))):
+        calls.update(sup_on_grid=0, integrate_compact=0)
+        out = hl.check_functional_properties(spec, space, n_pairs=8, seed=0)
+        assert out.passed == (spec is not system_c2.upper)
+        assert (calls["sup_on_grid"], calls["integrate_compact"]) == parts
+
+
+@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "boosted_projectile_c3.json",
+                                  "gravity_projectile.json"])
+def test_f_of_minus_u_from_the_parts_of_u_equals_the_direct_value(name):
+    # P3's f(-u) is read from the memoized parts of u, for signed and
+    # nonnegative elements alike
+    from hammerline.cone import _at_negated
+
+    scn = hl.load_scenario(SCENARIO_DIR / name)
+    space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
+    rng = np.random.default_rng(2)
+    elements = ([hl.lift(space, rng.normal(size=space.m)) for _ in range(4)]
+                + _random_elements(space, 3, n=4))
+    for spec in (system.cone, system.upper, system.lower):
+        memo = {}
+        hl.eval_functional(spec, elements, quad, memo=memo)
+        direct = hl.eval_functional(spec, [-1.0 * u for u in elements], quad)
+        assert np.array_equal(_at_negated(spec, elements, quad, memo), direct)
 
 
 def _cone_draw_loop(space, cone, quad, n, rng):

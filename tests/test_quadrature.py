@@ -5,6 +5,7 @@ import pytest
 
 import hammerline as hl
 from hammerline.errors import QuadratureError
+from hammerline.quadrature import RULE_W, RULE_X
 
 HALF = hl.CompactMap.half_line(a=0.0, L=1.0)
 FULL = hl.CompactMap.full_line(L=1.0)
@@ -15,6 +16,25 @@ def _counted(fn, sizes):
         sizes.append(np.size(t))
         return fn(t)
     return counted
+
+
+def _gauss_kronrod() -> tuple:
+    """Nodes on [-1, 1]; weight columns Kronrod and Kronrod minus Gauss. The
+    Kronrod nodes between the Gauss ones are QUADPACK's qk21, and the
+    Kronrod weights integrate the Legendre polynomials of degree <= 20."""
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    kx = np.array([0.99565716302580808, 0.93015749135570823, 0.78081772658641690,
+                   0.56275713466860468, 0.29439286270146020])
+    x = np.sort(np.concatenate((gx, kx, -kx, [0.0])))
+    wk = np.linalg.solve(np.polynomial.legendre.legvander(x, 20).T, 2.0 * np.eye(21)[0])
+    wg = np.where(np.isin(x, gx), np.interp(x, gx, gw), 0.0)
+    return x, np.stack((wk, wk - wg), axis=1)
+
+
+def test_the_rule_table_is_the_legendre_moment_solution():
+    x, w = _gauss_kronrod()
+    assert RULE_X.shape == (21,) and RULE_W.shape == (21, 2)
+    assert np.array_equal(RULE_X, x) and np.array_equal(RULE_W, w)
 
 
 def test_exponential_decay_integrates_to_one():

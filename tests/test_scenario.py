@@ -95,15 +95,33 @@ def test_schema_errors_read_as_jsonschema_reports_them(bad):
     assert str(got.value) == f"scenario does not match the schema: {want.value.message}"
 
 
-def test_import_and_load_leave_jsonschema_and_scipy_out():
-    # both are test references only: a command must not pay for importing them
-    code = ("import sys, hammerline\n"
-            f"hammerline.load_scenario({str(SCENARIO_DIR / 'gravity_projectile.json')!r})\n"
-            "print(sorted({'jsonschema', 'scipy'} & set(sys.modules)))")
+# test references only: a command must not pay for importing them
+TEST_ONLY_MODULES = {"jsonschema", "scipy", "numpy.random", "numpy.polynomial"}
+
+
+def _imported_test_modules(statement: str) -> str:
+    """The last stdout line of a fresh interpreter that imports hammerline,
+    runs ``statement`` and prints the test-only modules then imported."""
+    code = (f"import sys, hammerline\n{statement}\n"
+            f"print(sorted({TEST_ONLY_MODULES!r} & set(sys.modules)))")
     src = os.path.dirname(os.path.dirname(hl.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_and_load_leave_jsonschema_and_scipy_out():
+    gravity = str(SCENARIO_DIR / "gravity_projectile.json")
+    assert _imported_test_modules(f"hammerline.load_scenario({gravity!r})") == "[]"
+
+
+def test_verify_leaves_numpy_random_and_polynomial_out(tmp_path):
+    # the certifier draws from its own PCG64, and the rule is a literal table
+    gravity = str(SCENARIO_DIR / "gravity_projectile.json")
+    run = (f"assert hammerline.main(['--scenario', {gravity!r}, '--command', 'verify', "
+           f"'--out', {str(tmp_path)!r}]) == 0")
+    assert _imported_test_modules(run) == "[]"
+    assert (tmp_path / "report.json").exists()
 
 
 def test_schema_version_is_pinned():

@@ -61,6 +61,13 @@ def _plot_script(csv_name: str) -> str:
 
 
 def _apply_overrides(scn: Scenario, grid_size, tol, seed, out_dir) -> Scenario:
+    fields = SCENARIO_SCHEMA["properties"]
+    for flag, value, schema in (("--grid-size", grid_size, fields["grid_size"]),
+                                ("--tol", tol, fields["tolerances"]["properties"]["picard_tol"]),
+                                ("--seed", seed, fields["seed"])):
+        message = None if value is None else best_match(value, schema)
+        if message is not None:
+            raise ScenarioError(f"{flag} does not match the schema: {message}")
     changes = {}
     if grid_size is not None:
         changes["grid_size"] = int(grid_size)
@@ -69,9 +76,6 @@ def _apply_overrides(scn: Scenario, grid_size, tol, seed, out_dir) -> Scenario:
         tols["picard_tol"] = float(tol)
         changes["tolerances"] = tols
     if seed is not None:
-        message = best_match(seed, SCENARIO_SCHEMA["properties"]["seed"])
-        if message is not None:
-            raise ScenarioError(f"--seed does not match the schema: {message}")
         changes["seed"] = int(seed)
     if out_dir is not None:
         changes["output_dir"] = str(out_dir)

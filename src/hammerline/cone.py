@@ -3,7 +3,9 @@
 Three functionals drive the analysis: a cone functional (integral part minus
 sup part) whose nonnegativity set is the cone, an upper functional (weighted
 sup) and a lower functional (weighted integral) that measure radii. The
-certifier samples every hypothesis the fixed-point-index machinery needs,
+certifier checks every hypothesis the fixed-point-index machinery needs (the
+functionals' structure is a lemma of their kinds, ``KIND_LEMMAS``; the
+operator inequalities are sampled on random cone elements as a cross-check),
 records pass/fail with witnesses and tolerances, and the window search turns
 a certified report plus envelope bounds into solution-count statements.
 
@@ -36,13 +38,29 @@ from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
 
 POS_TOL = 1e-12          # admitted negativity slack for "nonnegative"
 SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities
-PROP_TOL = 1e-10         # superadditivity/homogeneity tolerance
-INDEX_PROP_TOL = 1e-8    # homogeneity/additivity tolerance of the index functionals (C7)
+PROP_TOL = 1e-10         # tolerance of the sampled property oracle
 RADII = (1.0,)           # ball radii of the domination (C2) and image bound (C3)
 
 PASS, FAIL, NOT_CHECKED = "pass", "fail", "not-checked"
 
 FUNCTIONAL_KINDS = ("weighted-integral", "weighted-sup", "difference")
+
+# The structure of each kind, with positive weights (the ``Weight``
+# contract): the integral part I is linear and the sup part S a weighted sup
+# norm. property -> kind -> (holds, the lemma or the counterexample).
+KIND_LEMMAS = {
+    "superadditive": {"difference": (True, "I is additive and S subadditive"),
+                      "weighted-integral": (True, "I is additive"),
+                      "weighted-sup": (False, "a weighted sup is only subadditive")},
+    "homogeneous": dict.fromkeys(FUNCTIONAL_KINDS, (True, "I and S are positively homogeneous")),
+    "definite": {"difference": (True, "f(u) >= 0 and f(-u) >= 0 add up to -2 S(u) >= 0, "
+                                      "so S(u) = 0 and u = 0"),
+                 "weighted-integral": (False, "a weighted integral vanishes on sign-changing u"),
+                 "weighted-sup": (False, "a weighted sup is >= 0 everywhere")},
+    "additive": {"difference": (False, "S is only subadditive"),
+                 "weighted-integral": (True, "I is linear"),
+                 "weighted-sup": (False, "a weighted sup is only subadditive")},
+}
 
 
 @dataclass(frozen=True)
@@ -308,8 +326,8 @@ def _kernel_slices(kernel: Kernel, s: np.ndarray, space: Space,
 class ProfileIntegral:
     """Functional of the kernel slices as a function of s, plus its integral.
 
-    positivity means: every tabulated value >= -POS_TOL and the largest is
-    strictly positive (degenerate all-zero profiles are rejected)."""
+    positivity means: every recorded value (sorted by s) >= -POS_TOL and the
+    largest is strictly positive (degenerate all-zero profiles are rejected)."""
 
     s_values: tuple
     values: tuple
@@ -320,39 +338,30 @@ class ProfileIntegral:
     tolerance: float = POS_TOL
 
 
-def _profile_s_grid(space: Space, n: int) -> list:
-    cmap = space.map
-    lo, _ = cmap.interval()
-    far = cmap.from_compact(1.0 - 1e-4)
-    if math.isfinite(lo):
-        offs = np.geomspace(1e-6, far - lo, n - 1)
-        return [lo] + [lo + o for o in offs]
-    half = (n - 1) // 2
-    offs = np.geomspace(1e-6, far, half)
-    return sorted([-o for o in offs] + [0.0] + [o for o in offs])
-
-
 def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
                                quad: QuadratureConfig | None = None, *,
-                               space: Space, s_points: int = 256,
-                               memo: dict | None = None) -> ProfileIntegral:
-    """Tabulate s -> spec(k(.,s)eta(s)) on a log-spaced grid and integrate it.
+                               space: Space, memo: dict | None = None) -> ProfileIntegral:
+    """Integrate s -> spec(k(.,s)eta(s)) over the interval, and record the
+    profile at every point the integral evaluated it: the quadrature's nodes
+    plus each finite end of the interval, which no node reaches.
 
-    The integral re-evaluates the profile at the quadrature's own points, so
-    its accuracy is the quadrature tolerance, not the table resolution. The
-    table is one batch of slices, and so is each refinement round of the
-    integral (see ``_raw_parts``). Slice parts go through ``memo`` keyed by
-    the slice's s.
+    Each refinement round of the integral is one batch of slices (see
+    ``_raw_parts``), the first with the finite ends added. Slice parts go
+    through ``memo`` keyed by the slice's s.
     """
     quad = quad or DEFAULT_QUAD
+    ends = [v for v in space.map.interval() if math.isfinite(v)]
+    seen: list = []   # the (s, value) columns of each round
 
-    def profile(s: np.ndarray) -> np.ndarray:
-        integral, sup, keys = _kernel_slices(kernel, s, space, quad)
-        return _combine(spec, integral, sup, memo, keys, s.size)
+    def profile(s: np.ndarray, x, row) -> np.ndarray:
+        at = np.concatenate((s, [] if seen else ends))
+        integral, sup, keys = _kernel_slices(kernel, at, space, quad)
+        seen.append(np.stack((at, _combine(spec, integral, sup, memo, keys, at.size))))
+        return seen[-1][1, :s.size]
 
-    s_vals = np.array(_profile_s_grid(space, s_points))
-    vals = profile(s_vals)
-    integral = integrate_compact(lambda s, x, row: profile(s), space.map, quad, [-1.0, 1.0])
+    integral = integrate_compact(profile, space.map, quad, [-1.0, 1.0])
+    points = np.hstack(seen)
+    s_vals, vals = points[:, np.argsort(points[0])]
     min_i = int(np.argmin(vals))
     positive = bool(vals[min_i] >= -POS_TOL) and bool(vals.max() > 0.0)
     return ProfileIntegral(
@@ -387,8 +396,8 @@ class ReportContext:
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
-    """Pass/fail entries for the nine hypotheses, sampled properties,
-    computed scalars, bridge data, and reproducibility metadata."""
+    """Pass/fail entries for the nine hypotheses and P1-P3, computed
+    scalars, bridge data, and reproducibility metadata."""
 
     entries: dict
     properties: dict
@@ -553,11 +562,11 @@ class PropertyChecks:
 
 def check_functional_properties(spec: FunctionalSpec, space: Space,
                                 n_pairs: int = 50, seed: int = 0,
-                                quad: QuadratureConfig | None = None,
                                 tolerance: float = PROP_TOL) -> PropertyChecks:
     """Sampled superadditivity, positive homogeneity, and the two-sided
-    nonnegativity falsification search for a difference functional."""
-    quad = quad or DEFAULT_QUAD
+    nonnegativity falsification search, on random nonnegative elements: the
+    oracle that tests ``eval_functional`` against ``KIND_LEMMAS``, which the
+    certifier reads in place of these samples."""
     rng = Generator(seed)
     us = _nonneg_elements(space, rng, n_pairs)
     vs = _nonneg_elements(space, rng, n_pairs)
@@ -565,12 +574,13 @@ def check_functional_properties(spec: FunctionalSpec, space: Space,
     memo: dict = {}
     fu, fv, fuv, flam = np.split(eval_functional(
         spec, us + vs + [u + v for u, v in zip(us, vs)]
-        + [lam * u for lam, u in zip(lams.tolist(), us)], quad, memo=memo), 4)
+        + [lam * u for lam, u in zip(lams.tolist(), us)], memo=memo), 4)
     p1_worst = float(np.max(fu + fv - fuv, initial=-math.inf))
     p2_worst = float(np.max(np.abs(flam - lams * fu) / np.maximum(1.0, np.abs(fu)),
                             initial=0.0))
     nonzero = np.array([norm(u) > 0.0 for u in us], dtype=bool)
-    p3_bad = int(np.sum((fu >= 0.0) & nonzero & (_at_negated(spec, us, quad, memo) >= 0.0)))
+    negated = _at_negated(spec, us, DEFAULT_QUAD, memo)
+    p3_bad = int(np.sum((fu >= 0.0) & nonzero & (negated >= 0.0)))
     passed = (p1_worst <= tolerance) and (p2_worst <= tolerance) and (p3_bad == 0)
     return PropertyChecks(n_pairs, p1_worst, p2_worst, p3_bad, tolerance, passed)
 
@@ -823,24 +833,13 @@ class _Certification:
         """Functional structure plus positive integrable kernel profiles."""
         _, upper, lower = self.specs.values()
         upper_prof, lower_prof = self.profiles["upper"], self.profiles["lower"]
-        quad, memo, samples = self.quad, self.memo, self.elements
+        quad, memo = self.quad, self.memo
         c7_detail = [f"{name} kernel profile not positive" for name, prof in
                      (("upper", upper_prof), ("lower", lower_prof)) if not prof.positive]
-        c7_witness = {"upper_profile_min": upper_prof.min_value,
-                      "lower_profile_min": lower_prof.min_value}
-        lams = self.rng.uniform(0.0, 3.0, len(samples))
-        bu, blam = np.split(eval_functional(
-            upper, samples + [lam * u for lam, u in zip(lams.tolist(), samples)],
-            quad, memo=memo), 2)
-        hom_worst = float(np.max(np.abs(blam - lams * bu) / np.maximum(1.0, np.abs(bu)),
-                                 initial=0.0))
-        gu, guv = np.split(eval_functional(
-            lower, samples + [u + v for u, v in zip(samples, samples[1:] + samples[:1])],
-            quad, memo=memo), 2)
-        add_worst = float(np.max(np.abs(guv - gu - np.roll(gu, -1)) / np.maximum(1.0, np.abs(guv)),
-                                 initial=0.0))
-        if hom_worst > INDEX_PROP_TOL or add_worst > INDEX_PROP_TOL:
-            c7_detail.append("homogeneity/additivity violated on samples")
+        for name, prop in (("upper", "homogeneous"), ("lower", "additive")):
+            holds, reason = KIND_LEMMAS[prop][self.specs[name].kind]
+            if not holds:
+                c7_detail.append(f"{name} functional not {prop}: {reason}")
 
         def check(us: list, images: list) -> tuple:
             b_rhs, g_rhs = self.rhs("upper", us), self.rhs("lower", us)
@@ -856,12 +855,13 @@ class _Certification:
             c7_detail.append("operator inequality violated on a sample")
         c7_ok = not c7_detail and math.isfinite(upper_prof.integral) \
             and math.isfinite(lower_prof.integral)
-        c7_witness.update({"homogeneity_worst": hom_worst, "additivity_worst": add_worst,
-                           "operator_witness": op_worst})
         return ConditionEntry(
             "C7", "index functionals structured, kernel profiles positive and integrable",
             PASS if c7_ok else FAIL, tolerance=SAMPLE_INEQ_TOL,
-            witness=c7_witness, detail="; ".join(c7_detail))
+            witness={"upper_profile_min": upper_prof.min_value,
+                     "lower_profile_min": lower_prof.min_value,
+                     "operator_witness": op_worst},
+            detail="; ".join(c7_detail))
 
     def c8(self) -> ConditionEntry:
         """Reference cone element with positive lower functional (the forcing)."""
@@ -892,25 +892,18 @@ class _Certification:
             detail="" if "b" in self.bridges else
             "no closed-form bridge detected; heuristic sampling only")
 
-    def properties(self, samples: int, seed: int) -> dict:
-        """P1-P3: sampled properties of the cone functional."""
-        props = check_functional_properties(self.specs["cone"], self.sp,
-                                            n_pairs=max(8, samples), seed=seed + 1,
-                                            quad=self.quad)
-        return {
-            "P1": ConditionEntry("P1", "superadditivity on nonnegative pairs",
-                                 PASS if props.p1_worst <= props.tolerance else FAIL,
-                                 tolerance=props.tolerance,
-                                 witness={"worst": props.p1_worst}),
-            "P2": ConditionEntry("P2", "positive homogeneity",
-                                 PASS if props.p2_worst <= props.tolerance else FAIL,
-                                 tolerance=props.tolerance,
-                                 witness={"worst": props.p2_worst}),
-            "P3": ConditionEntry("P3", "two-sided nonnegativity only at zero",
-                                 PASS if props.p3_counterexamples == 0 else FAIL,
-                                 witness={"counterexamples": props.p3_counterexamples},
-                                 detail="falsification search, not a proof"),
-        }
+    def properties(self) -> dict:
+        """P1-P3 of the cone functional, lemmas of its kind (``KIND_LEMMAS``)."""
+        kind = self.specs["cone"].kind
+
+        def entry(key: str, title: str, prop: str) -> ConditionEntry:
+            holds, reason = KIND_LEMMAS[prop][kind]
+            return ConditionEntry(key, title, PASS if holds else FAIL,
+                                  detail=f"{kind} functional: {reason}")
+
+        return {"P1": entry("P1", "superadditivity on nonnegative pairs", "superadditive"),
+                "P2": entry("P2", "positive homogeneity", "homogeneous"),
+                "P3": entry("P3", "two-sided nonnegativity only at zero", "definite")}
 
 
 def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
@@ -923,16 +916,17 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
 
     Regularity (kernel integrability and translation modulus, dominated
     nonnegative nonlinearity, weighted image bound, forcing membership) is
-    probed on lattices; cone nonnegativity of slices and forcing on a
-    log-spaced s-grid; the operator inequalities for the three functionals
-    on ``samples`` random cone elements; the reference-element and bridge
-    conditions by direct computation. Failures carry witnesses; nothing is
-    raised for a failed hypothesis.
+    probed on lattices; cone nonnegativity of slices at the profile
+    integral's points, and of the forcing; the operator inequalities on
+    ``samples`` random cone elements; the functionals' structure (P1-P3,
+    C7's homogeneity and additivity) from their kinds (``KIND_LEMMAS``); the
+    reference-element and bridge conditions by direct computation. Failures
+    carry witnesses; nothing is raised for a failed hypothesis.
 
     Each integral and sup part of a functional, on a kernel slice or an
     element, and each Fubini part of a C6/C7 right-hand side is computed
-    once per call and read back wherever it repeats (the sampled property
-    checks P1-P3 excepted); the values are those of separate calls.
+    once per call and read back wherever it repeats; the values are those
+    of separate calls.
     """
     quad = quad or DEFAULT_QUAD
     sp = problem.space
@@ -958,7 +952,7 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     context = ReportContext(problem, cone, upper, lower, quad, ctx.profiles["cone"],
                             ctx.profiles["upper"], ctx.profiles["lower"])
     return CertificateReport(entries={e.key: e for e in entries},
-                             properties=ctx.properties(samples, seed),
+                             properties=ctx.properties(),
                              scalars=scalars, bridges=ctx.bridges, meta=meta,
                              context=context)
 

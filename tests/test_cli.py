@@ -14,6 +14,7 @@ SCENARIO_DIR = REPO_DIR / "scenarios"
 C2 = str(SCENARIO_DIR / "boosted_projectile_c2.json")
 C3 = str(SCENARIO_DIR / "boosted_projectile_c3.json")
 CLASSIFY = str(SCENARIO_DIR / "classify_weights.json")
+GRAVITY = str(SCENARIO_DIR / "gravity_projectile.json")
 
 
 def run(tmp_path, command, scenario=C2, *extra):
@@ -164,6 +165,25 @@ def test_negative_seed_override_exits_one_without_artifacts(tmp_path, capsys):
     assert err["error"]["type"] == "ScenarioError"
     assert err["error"]["message"] == ("--seed does not match the schema: "
                                        "-1 is less than the minimum of 0")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-size", "3", "3 is less than the minimum of 8"),
+    ("--tol", "0", "0.0 is less than or equal to the minimum of 0"),
+    ("--tol", "-1", "-1.0 is less than or equal to the minimum of 0"),
+])
+def test_out_of_schema_override_exits_one_without_artifacts(flag, value, message, tmp_path,
+                                                            capsys):
+    # validated as the scenario's own field (grid_size, tolerances.picard_tol),
+    # before any run
+    out = tmp_path / "never"
+    rc = hl.main(["--scenario", GRAVITY, "--command", "solve", "--out", str(out),
+                  flag, value])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "ScenarioError"
+    assert err["error"]["message"] == f"{flag} does not match the schema: {message}"
 
 
 def test_unparseable_scenario_exits_one(tmp_path, capsys):

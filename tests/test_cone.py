@@ -202,7 +202,7 @@ def test_shared_memo_skips_repeated_slice_sups(problem_c2, system_c2, space,
     first = hl.kernel_functional_integral(system_c2.upper, problem_c2.kernel,
                                           space=space, memo=memo)
     searched = sum(rows)
-    assert searched > 256
+    assert searched >= len(first.values)
     # an equal builder weight, not the same object, names the same parts
     twin = hl.FunctionalSpec("weighted-sup", sup_weight=hl.exponential(c=1.0, rate=1.0))
     second = hl.kernel_functional_integral(twin, problem_c2.kernel,
@@ -224,21 +224,24 @@ def test_memo_never_stores_a_refused_part(problem_c2):
 
 def test_certifier_sup_search_count(problem_c2, system_c2, monkeypatch):
     # each slice and element sup part is searched once per certification,
-    # counted by rows (a batch of slices is one search of many rows): without
-    # the parts memo the certifier searched 1,110 rows here, with it 688
+    # counted by rows (a batch of slices is one search of many rows): with a
+    # 256-point table per kernel profile beside its integral the certifier
+    # searched 613 rows here; with the profiles read at the integral's own
+    # points, 320
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
 
     rows = _count_sup_searches(monkeypatch, cone_mod, hammerstein_mod)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=6, seed=0)
-    assert sum(rows) <= 688
+    assert sum(rows) <= 359
 
 
 def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
     # the rule nodes of every integrate_compact call of a certification: with
-    # the sup parts of C6/C7 read from a 256-point table, integrated over its
-    # 257 panels, there were 183,057 here; by the Fubini route about 120,000
+    # a 256-point table per kernel profile and sampled P1-P3 and C7 structure
+    # there were 119,280 here; with the profiles read at the integral's own
+    # points and the structure read from the functional kinds, 37,926
     import hammerline.quadrature as quad_mod
 
     nodes = []
@@ -252,7 +255,7 @@ def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
     monkeypatch.setattr(quad_mod, "panel_nodes", counted)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=6, seed=0)
-    assert sum(nodes) <= 125_000
+    assert sum(nodes) <= 39_700
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])
@@ -347,7 +350,7 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
     # right-hand side part of a round one outer integral, and C7's upper sup
     # parts are memo hits on C6's; with a loop over the 8 samples this
     # certification made 25 sup_on_grid and 113 integrate_compact calls,
-    # batched 19 and 75
+    # batched 19 and 75, and without the 256-point profile tables 16 and 72
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
     import hammerline.quadrature as quad_mod
@@ -363,14 +366,14 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
             monkeypatch.setattr(mod, name, counted)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=8, seed=0)
-    assert calls["sup_on_grid"] <= 19
-    assert calls["integrate_compact"] <= 75
+    assert calls["sup_on_grid"] <= 16
+    assert calls["integrate_compact"] <= 72
 
 
 def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
-    # the table and each refinement round of the profile integral are one
-    # batch of slices: the cone profile made 205 array calls of kernel.fn
-    # here; evaluated one s at a time, its 403 slices made about 16,000
+    # each refinement round of the profile integral is one batch of slices:
+    # the cone profile made 163 array calls of kernel.fn here; evaluated one
+    # s at a time, its 148 slices made 5,861
     import dataclasses
 
     calls = []
@@ -383,8 +386,8 @@ def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, s
     calls.clear()   # the construction's float-or-array probe does not count
     prof = hl.kernel_functional_integral(system_c2.cone, kernel, space=space)
     assert prof.integral == pytest.approx(0.5 - 1.0 / E, abs=1e-8)
-    assert len(calls) <= 240
-    assert max(calls) >= 256   # a call covers every slice of the table
+    assert len(calls) <= 190
+    assert max(calls) >= 22   # a call covers the 21 nodes of the first round and s = 0
 
 
 # -- batched slice functionals against a loop over s -----------------------
@@ -409,8 +412,8 @@ def _green_setup():
 @pytest.mark.parametrize("name", ["c2", "green"])
 def test_batched_profiles_equal_a_loop_of_slice_functionals(name, problem_c2,
                                                             system_c2, space):
-    # the table is one batch of slices; a loop of scalar calls gives the
-    # same values bit for bit
+    # each round of the profile integral is one batch of slices; a loop of
+    # scalar calls over the recorded points gives the same values bit for bit
     from conftest import kernel_slice
 
     if name == "c2":
@@ -420,9 +423,10 @@ def test_batched_profiles_equal_a_loop_of_slice_functionals(name, problem_c2,
         space, kernel, sup_spec, integral_spec = _green_setup()
         closed = {"weighted-sup": 1.0, "weighted-integral": math.pi}
     for spec in (sup_spec, integral_spec):
-        prof = hl.kernel_functional_integral(spec, kernel, space=space, s_points=97)
+        prof = hl.kernel_functional_integral(spec, kernel, space=space)
         assert prof.integral == pytest.approx(closed[spec.kind], abs=1e-8)
         assert prof.positive
+        assert list(prof.s_values) == sorted(prof.s_values)
         loop = []
         for s in prof.s_values:
             fn, kinks = kernel_slice(kernel, s)
@@ -430,13 +434,22 @@ def test_batched_profiles_equal_a_loop_of_slice_functionals(name, problem_c2,
         assert np.array_equal(np.array(prof.values), np.array(loop))
 
 
+def _first_round_nodes(space):
+    """The s of the profile integral's first round: the rule's nodes on the
+    one panel of the whole interval, in the angle coordinate."""
+    from hammerline.quadrature import panel_nodes
+
+    lo, hi = space.map.to_angle(np.array([-1.0, 1.0]))
+    theta, _ = panel_nodes(np.array([lo]), np.array([hi]))
+    return space.map.from_angle(theta.ravel())[0].tolist()
+
+
 def test_batched_profile_refuses_as_the_loop_does(space):
     # one slice grows like t^2, so its ratio to the sup weight t + 1 diverges
-    from hammerline.cone import _profile_s_grid
     from conftest import kernel_slice
 
-    s_vals = _profile_s_grid(space, 256)
-    bad_s = s_vals[100]
+    s_vals = _first_round_nodes(space)
+    bad_s = s_vals[10]
     kernel = hl.Kernel(fn=lambda t, s: np.maximum(t - s, 0.0) * np.where(s == bad_s, t, 1.0),
                        support="volterra", name="one-bad-slice")
     spec = hl.FunctionalSpec("weighted-sup", sup_weight=hl.affine(b=1.0))
@@ -447,7 +460,7 @@ def test_batched_profile_refuses_as_the_loop_does(space):
             fn, kinks = kernel_slice(kernel, s)
             hl.eval_functional_raw(spec, fn, space, kinks=kinks)
     assert str(batch.value) == str(loop.value) == "sup part unbounded for this slice"
-    fn, kinks = kernel_slice(kernel, s_vals[99])
+    fn, kinks = kernel_slice(kernel, s_vals[9])
     assert hl.eval_functional_raw(spec, fn, space, kinks=kinks) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -738,6 +751,26 @@ def test_report_has_closed_bridge_with_cone_coefficient(report_c2):
     assert hl.bridge_c(report_c2, 1.0) == pytest.approx(c["coefficient"])
 
 
+@pytest.mark.parametrize("name, failing", [
+    ("boosted_projectile_c2.json", []),
+    ("boosted_projectile_c2_L4.json", []),
+    ("boosted_projectile_c3.json", ["C5", "C8"]),
+    ("gravity_projectile.json", ["C2", "C3", "C6", "C7"]),
+])
+def test_bundled_scenarios_fail_exactly_their_entries(name, failing):
+    scn = hl.load_scenario(SCENARIO_DIR / name)
+    space = hl.build_space(scn)
+    problem, system = hl.build_problem(scn, space), hl.build_system(scn)
+    report = hl.verify_cone_hypotheses(problem, system.cone, system.upper, system.lower,
+                                       samples=scn.samples, quad=hl.build_quad(scn),
+                                       seed=scn.seed)
+    assert [k for k, e in sorted(report.entries.items()) if e.status != "pass"] == failing
+    assert all(e.status == "pass" for e in report.properties.values())
+    if "C5" in failing:
+        # the slice at the finite end s = 0, which no quadrature node reaches
+        assert report.entry("C5").witness["profile_witness_s"] == 0.0
+
+
 def test_negative_cone_functional_fails_c5(report_c3):
     assert not report_c3.certified
     assert report_c3.entry("C5").status == "fail"
@@ -787,6 +820,61 @@ def test_property_checks_on_the_cone_functional(system_c2, space):
     assert out.p2_worst <= 1e-10
     assert out.p3_counterexamples == 0
     assert out.pairs == 40
+
+
+@pytest.mark.parametrize("kind", ["difference", "weighted-integral", "weighted-sup"])
+def test_the_kind_table_holds_where_it_says_so(kind, system_c2, space):
+    # the certifier reads P1-P3 and C7's structure from KIND_LEMMAS; on
+    # random elements the sampled oracle and eval_functional agree with it
+    from hammerline.cone import KIND_LEMMAS, PROP_TOL
+
+    spec = {"difference": system_c2.cone, "weighted-sup": system_c2.upper,
+            "weighted-integral": system_c2.lower}[kind]
+    holds = {prop: KIND_LEMMAS[prop][kind][0] for prop in KIND_LEMMAS}
+    out = hl.check_functional_properties(spec, space, n_pairs=8, seed=5)
+    assert holds["homogeneous"] and out.p2_worst <= PROP_TOL
+    if holds["superadditive"]:
+        assert out.p1_worst <= PROP_TOL
+    if holds["definite"]:
+        assert out.p3_counterexamples == 0
+    if holds["additive"]:
+        us, vs = _random_elements(space, 6, n=4), _random_elements(space, 7, n=4)
+        fu, fv, fuv = np.split(hl.eval_functional(
+            spec, us + vs + [u + v for u, v in zip(us, vs)]), 3)
+        assert np.abs(fuv - fu - fv).max() <= PROP_TOL * np.abs(fuv).max()
+
+
+def test_the_kind_table_fails_where_a_counterexample_exists(problem_c2, system_c2, space):
+    from hammerline.cone import KIND_LEMMAS, POS_TOL, _Certification
+
+    def fails(prop, kind):
+        return not KIND_LEMMAS[prop][kind][0]
+
+    sup, integral = system_c2.upper, system_c2.lower
+    x = space.grid.x
+    u, v = (hl.lift(space, np.exp(-((x - c) / 0.1) ** 2)) for c in (-0.5, 0.5))
+    # a weighted sup is not superadditive: two separated bumps
+    assert fails("superadditive", "weighted-sup")
+    fu, fv, fuv = hl.eval_functional(sup, [u, v, u + v])
+    assert fu + fv > fuv + 0.5 * min(fu, fv)
+    # a weighted integral is not definite: a sign-changing u with zero
+    # integral is two-sided nonnegative
+    assert fails("definite", "weighted-integral")
+    gu, gv = hl.eval_functional(integral, [u, v])
+    w = gv * u - gu * v
+    assert w.norm() > 0.1
+    assert hl.eval_functional(integral, [w, -1.0 * w]).min() >= -POS_TOL
+    # a weighted sup is not definite: any nonzero u
+    assert fails("definite", "weighted-sup")
+    assert hl.eval_functional(sup, u) > 0.0 and hl.eval_functional(sup, -1.0 * u) > 0.0
+    # a cone functional of such a kind gets failing entries that give the reason
+    specs = {"cone": sup, "upper": sup, "lower": integral}
+    props = _Certification(problem_c2, specs, hl.DEFAULT_QUAD, seed=0).properties()
+    assert {k: e.status for k, e in props.items()} == {"P1": "fail", "P2": "pass",
+                                                       "P3": "fail"}
+    assert props["P1"].detail == "weighted-sup functional: " \
+        + KIND_LEMMAS["superadditive"]["weighted-sup"][1]
+    assert all(e.tolerance is None and e.witness is None for e in props.values())
 
 
 # -- index checks ------------------------------------------------------------

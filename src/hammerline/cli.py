@@ -66,6 +66,8 @@ def _apply_overrides(scn: Scenario, grid_size, tol, seed, out_dir) -> Scenario:
                                 ("--tol", tol, fields["tolerances"]["properties"]["picard_tol"]),
                                 ("--seed", seed, fields["seed"])):
         message = None if value is None else best_match(value, schema)
+        if message is None and isinstance(value, float) and not math.isfinite(value):
+            message = f"{value!r} is not a finite number"   # nan passes every bound
         if message is not None:
             raise ScenarioError(f"{flag} does not match the schema: {message}")
     changes = {}

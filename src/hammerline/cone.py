@@ -29,8 +29,8 @@ from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_compact,
                          integrate_interval, sup_on_grid)
 from .schema import best_match
-from .weights import (Weight, classify_tail, tail_points, tail_trend, tail_values,
-                      weight_key)
+from .weights import (Weight, classify_tail, same_weight, tail_points, tail_trend,
+                      tail_values, weight_key)
 from .weighted_space import Space, WeightedFunction, norm, spaces_compatible
 from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
                           c3_bound_profile, dominator_check, kernel_limits,
@@ -618,7 +618,32 @@ def bridge_b(report: CertificateReport, rho: float) -> float:
     return rho / info["coefficient"]
 
 
+def _detect_bridge_c(upper: FunctionalSpec, lower: FunctionalSpec, space: Space,
+                     quad: QuadratureConfig) -> tuple:
+    """Closed-form radius bridge c = integral of w_up/w_low over the
+    interval, where w_up is the upper functional's sup weight and w_low the
+    lower functional's integral weight: by Hoelder, every u has lower
+    radius integral of u/w_low <= (upper radius) * c. Returns the bridge
+    (None when there is none) and the reason there is none ("" otherwise)."""
+    if upper.kind != "weighted-sup" or lower.kind != "weighted-integral":
+        return None, (f"no bridge c: the upper functional is {upper.kind} and the lower "
+                      f"{lower.kind}, not weighted-sup and weighted-integral")
+    if same_weight(upper.sup_weight, lower.integral_weight):
+        # decided here: the quadrature reads w/w as inf/inf = nan where w overflows
+        return None, ("no bridge c: the upper sup weight is the lower integral weight, "
+                      "and their ratio 1 has no finite integral over an unbounded interval")
+    try:
+        c = eval_functional_raw(lower, upper.sup_weight, space, quad)
+    except DomainError as e:
+        return None, f"no bridge c: {e}"
+    return {"form": "closed", "coefficient": c,
+            "detail": "coefficient = integral of upper sup weight / lower integral weight; "
+                      "lower radius <= coefficient * upper radius (Hoelder)"}, ""
+
+
 def bridge_c(report: CertificateReport, rho: float) -> float:
+    """Lower-functional radius bound c(rho) for elements with upper
+    functional at most rho: gamma(u) <= c * beta(u) (``_detect_bridge_c``)."""
     info = report.bridges.get("c")
     if not info:
         raise DomainError("no radius bridge c available in this report")
@@ -874,23 +899,17 @@ class _Certification:
             detail="reference element: the forcing term")
 
     def c9(self) -> ConditionEntry:
-        """Radius bridge; the bridges found are kept as ``bridges``."""
+        """Radius bridges decided from the weights; those found are kept as
+        ``bridges``."""
         cone, upper, lower = self.specs.values()
         b_info = _detect_bridge_b(cone, lower, self.sp.grid)
-        self.bridges = {} if b_info is None else {"b": b_info}
-        bu = eval_functional(upper, self.elements, self.quad, memo=self.memo)
-        gu = eval_functional(lower, self.elements, self.quad, memo=self.memo)
-        ratios = gu[bu > 0.0] / bu[bu > 0.0]
-        if ratios.size:
-            self.bridges["c"] = {"form": "heuristic", "coefficient": float(ratios.max()),
-                                 "detail": "largest sampled ratio lower/upper; not a "
-                                           "certified bound"}
+        c_info, c_reason = _detect_bridge_c(upper, lower, self.sp, self.quad)
+        self.bridges = {k: v for k, v in (("b", b_info), ("c", c_info)) if v is not None}
         return ConditionEntry(
             "C9", "radius bridge between the two index functionals",
-            PASS if "b" in self.bridges else NOT_CHECKED,
+            PASS if self.bridges else NOT_CHECKED,
             witness={"bridges": {k: v["form"] for k, v in self.bridges.items()}},
-            detail="" if "b" in self.bridges else
-            "no closed-form bridge detected; heuristic sampling only")
+            detail=c_reason)
 
     def properties(self) -> dict:
         """P1-P3 of the cone functional, lemmas of its kind (``KIND_LEMMAS``)."""
@@ -920,8 +939,9 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     integral's points, and of the forcing; the operator inequalities on
     ``samples`` random cone elements; the functionals' structure (P1-P3,
     C7's homogeneity and additivity) from their kinds (``KIND_LEMMAS``); the
-    reference-element and bridge conditions by direct computation. Failures
-    carry witnesses; nothing is raised for a failed hypothesis.
+    reference element by direct computation; the radius bridges b and c from
+    the weights, with no samples (C9). Failures carry witnesses; nothing is
+    raised for a failed hypothesis.
 
     Each integral and sup part of a functional, on a kernel slice or an
     element, and each Fubini part of a C6/C7 right-hand side is computed
@@ -1082,8 +1102,8 @@ class IndexWindow:
 
 # each pattern: the condition at each radius (index-zero: expansion,
 # index-one: contraction) and the bridge each radius clears from the one
-# before, rho_k+1 > b(rho_k) (closed form) or c(rho_k) (sampled); its margin
-# names, bridge form and count of solutions (one fewer than its radii) follow
+# before, rho_k+1 > b(rho_k) or c(rho_k) (both closed form, see C9); its
+# margin names and count of solutions (one fewer than its radii) follow
 _PATTERNS = (("S1", ("index-zero", "index-one"), "b"),
              ("S2", ("index-one", "index-zero"), "c"),
              ("S3", ("index-zero", "index-one", "index-zero"), "bc"),
@@ -1098,13 +1118,12 @@ def windows_to_jsonable(windows: list) -> list:
 
 
 def find_solution_windows(report: CertificateReport, envelopes: tuple = (None, None),
-                          rho_values=None, *,
-                          allow_heuristic_bridges: bool = False) -> list:
+                          rho_values=None) -> list:
     """All certified radius windows over the scan grid, best margins first.
 
-    Requires a fully certified report. Patterns needing the sampled bridge c
-    are emitted only with ``allow_heuristic_bridges`` (flagged in the
-    result); the closed-form bridge b gates the rest. Each condition is
+    Requires a fully certified report. A pattern runs when the report has
+    each of its bridges; both are decided in closed form from the weights
+    (C9), so every window's ``bridge_form`` is "closed". Each condition is
     evaluated once over the whole scan.
     """
     if not report.certified:
@@ -1117,22 +1136,19 @@ def find_solution_windows(report: CertificateReport, envelopes: tuple = (None, N
     held = {kind: [(c.rho, c.margin) for c in _index_checks(report, kind, rho_values, env)
                    if c.holds]
             for kind, env in zip(("index-one", "index-zero"), envelopes)}
-    usable = {"b": "b" in report.bridges and report.bridges["b"]["form"] == "closed",
-              "c": "c" in report.bridges and allow_heuristic_bridges}
     windows: list = []
     for pattern, kinds, links in _PATTERNS:
-        if not all(usable[b] for b in links):
+        if not all(b in report.bridges for b in links):
             continue
         names = [_MARGIN_NAMES[k] for k in kinds] + ["bridge"] * len(links)
         names = [f"{n}_{names[:i].count(n) + 1}" if names.count(n) > 1 else n
                  for i, n in enumerate(names)]   # a repeated name is numbered
-        form = {"b": "closed", "c": "heuristic"}[links[0]] if len(set(links)) == 1 else "mixed"
         for picked in itertools.product(*(held[k] for k in kinds)):
             radii, margins = zip(*picked)
             margins += tuple((hi - (bridge_b if b == "b" else bridge_c)(report, lo)) / max(lo, hi)
                              for b, lo, hi in zip(links, radii, radii[1:]))
             if all(v > 0.0 for v in margins):
-                windows.append(IndexWindow(pattern, radii, dict(zip(names, margins)), form,
+                windows.append(IndexWindow(pattern, radii, dict(zip(names, margins)), "closed",
                                            len(radii) - 1))
     windows.sort(key=lambda wdw: (-wdw.min_margin, wdw.pattern, wdw.radii))
     return windows

@@ -212,13 +212,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
+def _no_constant(name: str):
+    """Refuse the NaN, Infinity and -Infinity literals that ``json`` accepts
+    and JSON does not."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_no_constant)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # json.JSONDecodeError, or a refused constant
         raise ScenarioError(f"scenario file is not valid JSON: {e}") from e
     return scenario_from_dict(data)
 

@@ -171,6 +171,8 @@ def test_negative_seed_override_exits_one_without_artifacts(tmp_path, capsys):
     ("--grid-size", "3", "3 is less than the minimum of 8"),
     ("--tol", "0", "0.0 is less than or equal to the minimum of 0"),
     ("--tol", "-1", "-1.0 is less than or equal to the minimum of 0"),
+    ("--tol", "nan", "nan is not a finite number"),
+    ("--tol", "inf", "inf is not a finite number"),
 ])
 def test_out_of_schema_override_exits_one_without_artifacts(flag, value, message, tmp_path,
                                                             capsys):

@@ -241,7 +241,8 @@ def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
     # the rule nodes of every integrate_compact call of a certification: with
     # a 256-point table per kernel profile and sampled P1-P3 and C7 structure
     # there were 119,280 here; with the profiles read at the integral's own
-    # points and the structure read from the functional kinds, 37,926
+    # points and the structure read from the functional kinds, 37,926; with
+    # C9's bridges read from the weights instead of the samples, 37,044
     import hammerline.quadrature as quad_mod
 
     nodes = []
@@ -255,7 +256,7 @@ def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
     monkeypatch.setattr(quad_mod, "panel_nodes", counted)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=6, seed=0)
-    assert sum(nodes) <= 39_700
+    assert sum(nodes) <= 38_800
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])
@@ -350,7 +351,8 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
     # right-hand side part of a round one outer integral, and C7's upper sup
     # parts are memo hits on C6's; with a loop over the 8 samples this
     # certification made 25 sup_on_grid and 113 integrate_compact calls,
-    # batched 19 and 75, and without the 256-point profile tables 16 and 72
+    # batched 19 and 75, without the 256-point profile tables 16 and 72, and
+    # with C9's bridges read from the weights, not the samples, 16 and 71
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
     import hammerline.quadrature as quad_mod
@@ -367,7 +369,7 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=8, seed=0)
     assert calls["sup_on_grid"] <= 16
-    assert calls["integrate_compact"] <= 72
+    assert calls["integrate_compact"] <= 71
 
 
 def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
@@ -746,9 +748,86 @@ def test_report_has_closed_bridge_with_cone_coefficient(report_c2):
     assert b["form"] == "closed"
     assert b["coefficient"] == pytest.approx(2.0, abs=1e-12)
     assert hl.bridge_b(report_c2, 0.9) == pytest.approx(0.45, abs=1e-12)
-    c = report_c2.bridges["c"]
-    assert c["form"] == "heuristic"
-    assert hl.bridge_c(report_c2, 1.0) == pytest.approx(c["coefficient"])
+    # upper sup weight and lower integral weight are both e^t: no bridge c
+    assert "c" not in report_c2.bridges
+    assert report_c2.entry("C9").detail.startswith(
+        "no bridge c: the upper sup weight is the lower integral weight")
+    with pytest.raises(DomainError):
+        hl.bridge_c(report_c2, 1.0)
+
+
+def _sup(w):
+    return hl.FunctionalSpec("weighted-sup", sup_weight=w)
+
+
+def _integral(w):
+    return hl.FunctionalSpec("weighted-integral", integral_weight=w)
+
+
+def test_closed_bridge_c_on_the_half_line(report_c2, space):
+    # integral over [0, oo) of (t + 1) e^(-t) = 2
+    from hammerline.cone import _detect_bridge_c
+
+    info, reason = _detect_bridge_c(_sup(hl.affine(b=1.0)), _integral(hl.exponential()),
+                                    space, hl.DEFAULT_QUAD)
+    assert reason == ""
+    assert info["form"] == "closed"
+    assert info["coefficient"] == pytest.approx(2.0, abs=1e-10)
+    report = dataclasses.replace(report_c2, bridges={"c": info})
+    for rho in (0.35, 0.7, 2.0):
+        assert hl.bridge_c(report, rho) == pytest.approx(2.0 * rho, abs=1e-10)
+
+
+def test_closed_bridge_c_on_the_full_line():
+    # integral over the line of 1 / (1 + t^2) = pi
+    from hammerline.cone import _detect_bridge_c
+
+    grid = hl.build_grid(hl.CompactMap.full_line(L=1.0), hl.GridSpec(41))
+    space = hl.Space(grid, hl.exponential(rate=0.0))
+    info, reason = _detect_bridge_c(_sup(hl.exponential(rate=0.0)),
+                                    _integral(hl.custom(lambda t: 1.0 + t * t)),
+                                    space, hl.DEFAULT_QUAD)
+    assert reason == ""
+    assert info["coefficient"] == pytest.approx(math.pi, abs=1e-10)
+
+
+def test_no_bridge_c_for_a_divergent_weight_ratio(space):
+    # e^t / (t + 1) grows: the refusal of the integral is the reason
+    from hammerline.cone import _detect_bridge_c
+
+    info, reason = _detect_bridge_c(_sup(hl.exponential()), _integral(hl.affine(b=1.0)),
+                                    space, hl.DEFAULT_QUAD)
+    assert info is None
+    assert reason.startswith("no bridge c: ") and "diverges" in reason
+
+
+def test_no_bridge_c_for_the_bundled_weights():
+    # the scenario's one radius weight is both the upper sup weight and the
+    # lower integral weight, decided without an integral
+    from hammerline.cone import _detect_bridge_c
+
+    scn = hl.load_scenario(SCENARIO_DIR / "boosted_projectile_c2.json")
+    system = hl.build_system(scn)
+    info, reason = _detect_bridge_c(system.upper, system.lower, hl.build_space(scn),
+                                    hl.build_quad(scn))
+    assert info is None
+    assert reason == ("no bridge c: the upper sup weight is the lower integral weight, "
+                      "and their ratio 1 has no finite integral over an unbounded interval")
+
+
+def test_cone_elements_beat_every_finite_bridge_c(space, system_c2):
+    # u_T(t) = e^t / (1 + e^(2(t - T))) is in the c2 cone, and its ratio
+    # lower/upper grows with T (about T), so no c with gamma <= c * beta
+    # exists; 3.066 was the largest ratio that 8 random cone elements gave
+    ratios = []
+    for T in (2.0, 4.0, 6.0):
+        u = hl.from_raw(space, lambda t: 1.0 / (math.exp(-t) + math.exp(t - 2.0 * T)),
+                        {"hi": 0.0})
+        assert hl.eval_functional(system_c2.cone, u) >= 0.0
+        ratios.append(hl.eval_functional(system_c2.lower, u)
+                      / hl.eval_functional(system_c2.upper, u))
+    assert ratios[1] > 3.066264205653987
+    assert ratios[0] < ratios[1] < ratios[2]
 
 
 @pytest.mark.parametrize("name, failing", [
@@ -766,6 +845,7 @@ def test_bundled_scenarios_fail_exactly_their_entries(name, failing):
                                        seed=scn.seed)
     assert [k for k, e in sorted(report.entries.items()) if e.status != "pass"] == failing
     assert all(e.status == "pass" for e in report.properties.values())
+    assert set(report.bridges) == {"b"}
     if "C5" in failing:
         # the slice at the finite end s = 0, which no quadrature node reaches
         assert report.entry("C5").witness["profile_witness_s"] == 0.0
@@ -954,16 +1034,6 @@ def test_windows_scan_respects_bridge_inequality(report_c2):
     assert all(w.radii != (0.9, 0.4) for w in wins)
 
 
-def test_heuristic_bridges_stay_flagged(report_c2):
-    base = hl.find_solution_windows(report_c2, rho_values=[0.7, 0.9])
-    more = hl.find_solution_windows(report_c2, rho_values=[0.7, 0.9],
-                                    allow_heuristic_bridges=True)
-    assert len(more) >= len(base)
-    for w in more:
-        if w.pattern in ("S2", "S4"):
-            assert w.bridge_form in ("heuristic", "mixed")
-
-
 def test_windows_refuse_uncertified_report(report_c3):
     with pytest.raises(hl.CertificateNotPassing) as exc:
         hl.find_solution_windows(report_c3)
@@ -989,22 +1059,32 @@ BANDED = (lambda t, rho: rho * (10.0 if rho > 3.0 else 0.5),
 
 
 @pytest.mark.parametrize("which", ["c2", "c2_L4"])
+def test_without_bridge_c_only_s1_windows(which, report_c2, report_L4):
+    # the envelopes under which S2-S4 have windows once a bridge c exists
+    report = report_c2 if which == "c2" else report_L4
+    scan = _scenario_scan(f"boosted_projectile_{which}.json")
+    wins = hl.find_solution_windows(report, BANDED, scan)
+    assert wins
+    assert {w.pattern for w in wins} == {"S1"}
+
+
+@pytest.mark.parametrize("which", ["c2", "c2_L4"])
 def test_window_table_matches_the_four_loop_enumerator(which, report_c2, report_L4):
     report = report_c2 if which == "c2" else report_L4
+    # the c2 weights have no bridge c; this coefficient only drives the
+    # enumerator through S2-S4
+    report = dataclasses.replace(report, bridges={
+        **report.bridges, "c": {"form": "closed", "coefficient": 3.066264205653987}})
     scan = _scenario_scan(f"boosted_projectile_{which}.json")
     for envelopes in ((None, None), BANDED):
         for radii in (scan, [0.4, 0.7, 0.9]):
-            for heuristic in (False, True):
-                got = hl.find_solution_windows(report, envelopes, radii,
-                                               allow_heuristic_bridges=heuristic)
-                want = oracle_windows(report, envelopes, radii,
-                                      allow_heuristic_bridges=heuristic)
-                assert want, (which, radii, heuristic)
-                # every field of every window, margins bit for bit
-                assert [dataclasses.asdict(w) for w in got] == \
-                    [dataclasses.asdict(w) for w in want]
-    patterns = {w.pattern for w in hl.find_solution_windows(
-        report, BANDED, scan, allow_heuristic_bridges=True)}
+            got = hl.find_solution_windows(report, envelopes, radii)
+            want = oracle_windows(report, envelopes, radii)
+            assert want, (which, radii)
+            # every field of every window, margins bit for bit
+            assert [dataclasses.asdict(w) for w in got] == \
+                [dataclasses.asdict(w) for w in want]
+    patterns = {w.pattern for w in hl.find_solution_windows(report, BANDED, scan)}
     assert patterns == {"S1", "S2", "S3", "S4"}
 
 

@@ -166,6 +166,16 @@ def test_load_scenario_file_errors(tmp_path):
         hl.load_scenario(bad)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_scenario_refuses_non_finite_literals(tmp_path, literal):
+    # json accepts these three literals; JSON has no such numbers
+    path = tmp_path / "scenario.json"
+    text = json.dumps(minimal_dict(tolerances={"quad_tol": 1e-10}))
+    path.write_text(text.replace("1e-10", literal))
+    with pytest.raises(ScenarioError, match=f"not valid JSON: {literal} is not a JSON number"):
+        hl.load_scenario(path)
+
+
 # -- construction ----------------------------------------------------------------
 
 def test_build_weight_by_label():

@@ -13,8 +13,7 @@ import numpy as np
 import hammerline as hl
 
 
-def oracle_windows(report, envelopes=(None, None), rho_values=None,
-                   allow_heuristic_bridges=False):
+def oracle_windows(report, envelopes=(None, None), rho_values=None):
     """All certified windows over the radii, best margins first."""
     up_env, low_env = envelopes
     if rho_values is None:
@@ -22,8 +21,8 @@ def oracle_windows(report, envelopes=(None, None), rho_values=None,
     rho_values = sorted(float(r) for r in rho_values)
     ones = {r: hl.check_index_one(report, r, up_env) for r in rho_values}
     zeros = {r: hl.check_index_zero(report, r, low_env) for r in rho_values}
-    has_b = "b" in report.bridges and report.bridges["b"]["form"] == "closed"
-    has_c_heur = "c" in report.bridges and allow_heuristic_bridges
+    has_b = "b" in report.bridges
+    has_c = "c" in report.bridges
     ones_hold = [r for r in rho_values if ones[r].holds]
     zeros_hold = [r for r in rho_values if zeros[r].holds]
     windows = []
@@ -39,15 +38,15 @@ def oracle_windows(report, envelopes=(None, None), rho_values=None,
                       "bridge": (r2 - b1) / max(r1, r2)}
                 if margins_ok(ms):
                     windows.append(hl.IndexWindow("S1", (r1, r2), ms, "closed", 1))
-    if has_c_heur:
+    if has_c:
         cf = report.bridges["c"]["coefficient"]
         for r1 in ones_hold:
             for r2 in zeros_hold:
                 ms = {"contraction": ones[r1].margin, "expansion": zeros[r2].margin,
                       "bridge": (r2 - cf * r1) / max(r1, r2)}
                 if margins_ok(ms):
-                    windows.append(hl.IndexWindow("S2", (r1, r2), ms, "heuristic", 1))
-    if has_b and has_c_heur:
+                    windows.append(hl.IndexWindow("S2", (r1, r2), ms, "closed", 1))
+    if has_b and has_c:
         cf = report.bridges["c"]["coefficient"]
         for r1 in zeros_hold:
             b1 = hl.bridge_b(report, r1)
@@ -61,7 +60,7 @@ def oracle_windows(report, envelopes=(None, None), rho_values=None,
                           "bridge_1": (r2 - b1) / max(r1, r2),
                           "bridge_2": (r3 - cf * r2) / max(r2, r3)}
                     if margins_ok(ms):
-                        windows.append(hl.IndexWindow("S3", (r1, r2, r3), ms, "mixed", 2))
+                        windows.append(hl.IndexWindow("S3", (r1, r2, r3), ms, "closed", 2))
         for r1 in ones_hold:
             for r2 in zeros_hold:
                 if r2 <= cf * r1:
@@ -74,6 +73,6 @@ def oracle_windows(report, envelopes=(None, None), rho_values=None,
                           "bridge_1": (r2 - cf * r1) / max(r1, r2),
                           "bridge_2": (r3 - b2) / max(r2, r3)}
                     if margins_ok(ms):
-                        windows.append(hl.IndexWindow("S4", (r1, r2, r3), ms, "mixed", 2))
+                        windows.append(hl.IndexWindow("S4", (r1, r2, r3), ms, "closed", 2))
     windows.sort(key=lambda wdw: (-wdw.min_margin, wdw.pattern, wdw.radii))
     return windows

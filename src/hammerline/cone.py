@@ -26,8 +26,8 @@ from ._pcg64 import Generator
 from .compactline import Grid
 from .elementwise import elementwise, filled
 from .errors import DomainError, QuadratureError
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_compact,
-                         integrate_interval, sup_on_grid)
+from .quadrature import (DEFAULT_QUAD, QuadratureConfig, _integral_parts, integrate_compact,
+                         sup_on_grid)
 from .schema import best_match
 from .weights import (Weight, classify_tail, same_weight, tail_points, tail_trend,
                       tail_values, weight_key)
@@ -98,45 +98,6 @@ class ConeSystem:
 # ---------------------------------------------------------------------------
 # functional evaluation
 
-def _integral_parts(g, space: Space, quad: QuadratureConfig, cuts: np.ndarray) -> np.ndarray:
-    """Integrals of g(t, x, row) over the interval, one per row of the
-    compact coordinates ``cuts`` (shape (rows, k), panel edges inside the
-    interval), refused as divergent when |g||t| grows or settles above 0 at
-    a tail; of several refused rows, the first one's refusal is raised. A
-    quadrature refusal names the tail when |g||t|^(3/2) has no limit there,
-    the decay below which the angle map leaves the integrand unbounded."""
-    cmap = space.map
-    col = np.arange(cuts.shape[0])[:, None]
-
-    def first_refused_end(power: float, refuses) -> str:
-        """'+' or '-', the end where the first row whose tail verdict
-        (kind, limit) of |g||t|^power ``refuses`` does so; '' for none."""
-        refused = []
-        for side in cmap.infinite_ends():
-            ts = tail_points(cmap, side)
-            vals = tail_values(
-                lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** power,
-                ts, (col.size, ts.size))
-            refused.append(refuses(*classify_tail(ts, vals)))
-        refused = np.stack(refused, axis=1)
-        if not refused.any():
-            return ""
-        first = refused[np.argmax(refused.any(axis=1))]
-        return "+" if cmap.infinite_ends()[int(np.argmax(first))] > 0 else "-"
-
-    side = first_refused_end(1.0, lambda kind, lim: np.abs(lim) > 0.0)   # nan: undecided
-    if side:
-        raise DomainError("integral part diverges: integrand decays no faster than 1/|t| "
-                          f"toward {side}inf")
-    ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
-    try:
-        return integrate_compact(g, cmap, quad, np.concatenate((ends, cuts), axis=1))
-    except QuadratureError as e:
-        side = first_refused_end(1.5, lambda kind, lim: kind != "limit")
-        slow = f"integrand decays slower than |t|^-3/2 toward {side}inf; " if side else ""
-        raise DomainError(f"integral part did not converge: {slow}{e}") from e
-
-
 def _memoized(memo: dict | None, keys: list | None, part: str, compute, n: int):
     """``compute`` (a part as a function of its weight and of the rows, an
     index array, of a batch of n) for every row, each read from ``memo`` on
@@ -187,7 +148,7 @@ def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) ->
     interp = grid.interpolant(samples)
 
     def integral(w2: Weight, rows: np.ndarray) -> np.ndarray:
-        return _integral_parts(lambda t, x, r: interp(x, rows[r]) * phi(t) / w2(t), space,
+        return _integral_parts(lambda t, x, r: interp(x, rows[r]) * phi(t) / w2(t), cmap,
                                quad, np.empty((rows.size, 0)))
 
     def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
@@ -258,7 +219,7 @@ def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> t
     cuts = cmap.to_compact(kinks)
 
     def integral(w2: Weight, rows: np.ndarray) -> np.ndarray:
-        return _integral_parts(lambda t, x, r: fn(t, rows[r]) / w2(t), space, quad,
+        return _integral_parts(lambda t, x, r: fn(t, rows[r]) / w2(t), cmap, quad,
                                cuts[rows])
 
     def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
@@ -374,6 +335,8 @@ def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
 
 @dataclass(frozen=True)
 class ConditionEntry:
+    """One checked hypothesis of a report: its status, tolerance and witness."""
+
     key: str
     title: str
     status: str
@@ -384,6 +347,8 @@ class ConditionEntry:
 
 @dataclass(frozen=True)
 class ReportContext:
+    """The live objects a report was computed from, which the index checks read."""
+
     problem: HammersteinProblem
     cone: FunctionalSpec
     upper: FunctionalSpec
@@ -552,6 +517,8 @@ def _at_negated(spec: FunctionalSpec, us: list, quad: QuadratureConfig,
 
 @dataclass(frozen=True)
 class PropertyChecks:
+    """Result of the sampled property oracle ``check_functional_properties``."""
+
     pairs: int
     p1_worst: float            # max of f(u)+f(v)-f(u+v) over nonneg pairs
     p2_worst: float            # max |f(lam*u) - lam*f(u)| over samples
@@ -659,6 +626,24 @@ def _ineq_tol(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return SAMPLE_INEQ_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
+def _alone_on_refusal(run, points: np.ndarray, refusal) -> list:
+    """run(points), a value per point of the 1-d array, as one batch; when
+    the batch raises ``refusal``, run on each point alone, so that each
+    refusal is attributed to its point. A (point, value or refusal) pair
+    per point, in order."""
+    try:
+        return list(zip(points.tolist(), run(points)))
+    except refusal:
+        pass
+    out = []
+    for p in points.tolist():
+        try:
+            out.append((p, run(np.array([p]))[0]))
+        except refusal as e:
+            out.append((p, e))
+    return out
+
+
 class _Certification:
     """The context the checks of one certification share (the problem, its
     functionals ``specs`` by name, the parts memo, the random stream, and
@@ -693,27 +678,38 @@ class _Certification:
         self.images = [apply_T(self.problem, u, quad) for u in self.elements]
 
     def c1(self) -> ConditionEntry:
-        """Slice integrability, membership, translation modulus."""
-        sp, kern = self.sp, self.problem.kernel
-        sub_detail = []
-        probe_integrals = {}
+        """Slice integrability, membership, translation modulus. The three
+        slice integrals are one batch, and so are the three slice limits
+        (see ``_alone_on_refusal``)."""
+        sp, kern, cmap = self.sp, self.problem.kernel, self.sp.map
+        a, b = cmap.interval()
         ts = sp.grid.t[sp.grid.finite_mask()]
-        for t in ts[np.linspace(1, ts.size - 1, 3).astype(int)]:
-            hi = t if kern.support == VOLTERRA else None
-            try:
-                probe_integrals[f"t={t:.6g}"] = integrate_interval(
-                    lambda s: abs(kern.fn(t, s) * kern.eta(s)), sp.map, self.quad, hi=hi,
-                    node=t)
-            except QuadratureError as e:
-                sub_detail.append(f"slice integral failed at t={t:.6g}: {e}")
-        slice_limits = {}
-        for s in (sp.map.from_compact(x) for x in (-0.5, 0.0, 0.7)):
-            try:
-                lim = kernel_limits(kern, sp.weight, s, grid=sp.grid)
-                slice_limits[f"s={s:.6g}"] = {"z_lo": lim.z_lo, "z_hi": lim.z_hi,
-                                              "sup": lim.sup}
-            except DomainError as e:
-                sub_detail.append(f"slice at s={s:.6g} not in the space: {e}")
+
+        def integrals(t: np.ndarray) -> list:
+            hi = t if kern.support == VOLTERRA else np.full(t.shape, b)
+            edges = cmap.to_compact(np.stack((np.full(t.shape, a), hi), axis=1))
+            return integrate_compact(lambda s, x, row: np.abs(kern.fn(t[row], s) * kern.eta(s)),
+                                     cmap, self.quad, edges, node=t).tolist()
+
+        def limits(s: np.ndarray) -> list:
+            lim = kernel_limits(kern, sp.weight, s, grid=sp.grid)
+            return [{"z_lo": lo, "z_hi": hi, "sup": sup} for lo, hi, sup in
+                    zip(lim.z_lo.tolist(), lim.z_hi.tolist(), lim.sup.tolist())]
+
+        sub_detail = []
+        probe_integrals, slice_limits = {}, {}
+        for t, v in _alone_on_refusal(integrals, ts[np.linspace(1, ts.size - 1, 3).astype(int)],
+                                      QuadratureError):
+            if isinstance(v, QuadratureError):
+                sub_detail.append(f"slice integral failed at t={t:.6g}: {v}")
+            else:
+                probe_integrals[f"t={t:.6g}"] = v
+        for s, v in _alone_on_refusal(limits, cmap.from_compact(np.array([-0.5, 0.0, 0.7])),
+                                      DomainError):
+            if isinstance(v, DomainError):
+                sub_detail.append(f"slice at s={s:.6g} not in the space: {v}")
+            else:
+                slice_limits[f"s={s:.6g}"] = v
         mod = None
         if kern.modulus_weight is not None:
             mod = kernel_modulus_check(kern, sp.weight, kern.modulus_weight, sp.grid)
@@ -984,10 +980,15 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
 DEFAULT_UPPER_ENVELOPE = lambda t, rho: filled(rho, t)        # noqa: E731
 DEFAULT_LOWER_ENVELOPE = lambda t, rho: filled(0.0, t, rho)   # noqa: E731
 FLIP_TOL = 1e-3          # bracket width of locate_index_one_flip
+# bisection steps per radius batch of locate_index_one_flip: 2^4 + 1 radii,
+# fewer than the window scan's, so the flip search sets no memory peak
+_FLIP_LEVELS = 4
 
 
 @dataclass(frozen=True)
 class IndexCheck:
+    """One index condition evaluated at one radius."""
+
     kind: str                 # 'index-one' | 'index-zero'
     rho: float
     holds: bool
@@ -1063,17 +1064,39 @@ def locate_index_one_flip(report: CertificateReport, lo: float, hi: float) -> tu
     """Bisect [lo, hi] down to a bracket of width ``FLIP_TOL`` for the radius
     where the index-one condition starts to hold, with the problem's own
     upper envelope (or the default one, see ``check_index_one``); requires a
-    fail at lo and a hold at hi."""
-    if not check_index_one(report, hi).holds:
-        raise DomainError(f"index-one condition does not hold at rho={hi}")
-    if check_index_one(report, lo).holds:
-        raise DomainError(f"index-one condition already holds at rho={lo}")
-    while hi - lo > FLIP_TOL:
+    fail at lo and a hold at hi.
+
+    The radii the bisection can reach in ``_FLIP_LEVELS`` steps, built by
+    its own midpoint recursion, are one ``_index_checks`` call, hi and lo
+    added to the first; the walk down that tree then takes the steps of a
+    sequential bisection, and a bracket still wider than ``FLIP_TOL`` after
+    them starts the next tree. A refusal at any radius of a tree is raised,
+    also where the walk would not reach it; every such radius lies in
+    [lo, hi].
+    """
+    def tree(lo: float, hi: float, levels: int) -> list:
+        if levels == 0 or not hi - lo > FLIP_TOL:
+            return []
         mid = 0.5 * (lo + hi)
-        if check_index_one(report, mid).holds:
-            hi = mid
-        else:
-            lo = mid
+        return [mid] + tree(lo, mid, levels - 1) + tree(mid, hi, levels - 1)
+
+    ends = [hi, lo]
+    while ends or hi - lo > FLIP_TOL:
+        radii = ends + tree(lo, hi, _FLIP_LEVELS)
+        holds = dict(zip(radii, [c.holds for c in _index_checks(report, "index-one", radii)]))
+        if ends and not holds[hi]:
+            raise DomainError(f"index-one condition does not hold at rho={hi}")
+        if ends and holds[lo]:
+            raise DomainError(f"index-one condition already holds at rho={lo}")
+        ends = []
+        for _ in range(_FLIP_LEVELS):
+            if not hi - lo > FLIP_TOL:
+                break
+            mid = 0.5 * (lo + hi)
+            if holds[mid]:
+                hi = mid
+            else:
+                lo = mid
     return lo, hi
 
 

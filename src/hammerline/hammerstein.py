@@ -18,8 +18,8 @@ import numpy as np
 from .compactline import CompactMap, Grid, barycentric_matrix
 from .elementwise import elementwise, exp, filled, positive_part
 from .errors import DomainError, QuadratureError, TailLimitError
-from .quadrature import (DEFAULT_QUAD, RULE_W, QuadratureConfig, integrate_compact,
-                         integrate_interval, integrate_panels, panel_nodes, splice,
+from .quadrature import (DEFAULT_QUAD, RULE_W, QuadratureConfig, _integral_parts,
+                         integrate_compact, integrate_panels, panel_nodes, splice,
                          sup_on_grid)
 from .weights import (Weight, classify_tail, tail_limit, tail_points,
                       tail_values)
@@ -100,6 +100,8 @@ class Nonlinearity:
 
 @dataclass(frozen=True, eq=False)
 class HammersteinProblem:
+    """Kernel, nonlinearity and forcing on one space, with its operator per config."""
+
     kernel: Kernel
     nonlinearity: Nonlinearity
     forcing: WeightedFunction
@@ -331,6 +333,8 @@ def apply_T(problem: HammersteinProblem, u: WeightedFunction,
 
 @dataclass(frozen=True)
 class ModulusReport:
+    """Result of ``kernel_modulus_check``: the largest passing delta per eps."""
+
     passed: bool
     eps_grid: tuple
     delta_by_eps: dict
@@ -400,6 +404,8 @@ def resolve_dominator(nl: Nonlinearity, phi: Weight):
 
 @dataclass(frozen=True)
 class DominatorReport:
+    """Result of ``dominator_check`` at one radius, with its worst point."""
+
     passed: bool
     r: float
     worst: dict | None = None
@@ -431,6 +437,8 @@ def dominator_check(nl: Nonlinearity, phi: Weight, r: float, grid: Grid) -> Domi
 
 @dataclass(frozen=True)
 class BoundProfile:
+    """Result of ``c3_bound_profile``: the weighted image bound and its scalars."""
+
     ok: bool
     r: float
     values: tuple           # aligned with the grid nodes (endpoint columns too)
@@ -448,8 +456,14 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
     node it is the integral of |z(s)| * |phi_r(s)|. Scalars collect the
     integrals of omega*|phi_r|, |z_lo|*|phi_r|, |z_hi|*|phi_r|, and
     sup|slice|*|phi_r| that certify integrable tails. With |phi_r| the
-    profile and the scalars are nonnegative whatever the sign of f. A
-    divergent integral yields a fail report, and so does a
+    profile and the scalars are nonnegative whatever the sign of f.
+
+    The finite nodes are one integral with a row per node, cut at the
+    node's kinks (a row padded by repeating its last edge); a refusal names
+    its node. The three scalars over the whole interval are another, whose
+    tails are decided before it runs (see ``quadrature._integral_parts``),
+    and an infinite node's value is the |z| scalar of its end. A divergent
+    integral yields a fail report with no values, and so does a
     sup|slice|*|phi_r| tail without a certified |s|^-3/2 bound: a sup
     search resolves a slice only so far out.
     """
@@ -465,28 +479,44 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
     def phi_r(s):
         return np.abs(dom_r(s))
 
-    def z_integral(side: int, node: float | None = None) -> float:
-        return integrate_interval(
-            lambda s: abs(slice_endpoint_values(kern, w, s, cmap)[side]) * phi_r(s),
-            cmap, quad, node=node)
+    finite = grid.finite_mask()
+    t_nodes = grid.t[finite]
+    a, b = cmap.interval()
+    rows = []   # each node's panel edges, in the original coordinate
+    for ti in t_nodes.tolist():
+        hi = ti if kern.support == VOLTERRA else b
+        kinks = kern.kink_locator(ti) if kern.kink_locator else ()
+        rows.append([a, *(k for k in kinks if a < k < hi), hi])
+    width = max(map(len, rows))
+    edges = cmap.to_compact(np.array([row + row[-1:] * (width - len(row)) for row in rows]))
 
-    values = []
+    def node_integrand(s, x, row):
+        return np.abs(kern.fn(t_nodes[row], s) * kern.eta(s)) * phi_r(s)
+
+    factors = {}   # each scalar's integrand is its factor times |phi_r|
+    if kern.modulus_weight is not None:
+        factors["modulus_dominator_integral"] = elementwise(kern.modulus_weight)
+    factors["abs_z_lo_integral"] = lambda s: np.abs(slice_endpoint_values(kern, w, s, cmap)[0])
+    factors["abs_z_hi_integral"] = lambda s: np.abs(slice_endpoint_values(kern, w, s, cmap)[1])
+
+    def scalar_integrand(s, x, row):   # row broadcasts against s at the tail probes
+        s, row = np.broadcast_arrays(s, row)
+        out = np.empty(s.shape)
+        for k, factor in enumerate(factors.values()):
+            at = row == k
+            if at.any():
+                out[at] = factor(s[at])
+        return out * phi_r(s)
+
     try:
-        for ti in grid.t:
-            if math.isinf(ti):
-                values.append(z_integral(0 if ti < 0 else 1, ti))
-                continue
-            kinks = tuple(kern.kink_locator(ti)) if kern.kink_locator else ()
-            raw = integrate_interval(
-                lambda s: abs(kern.fn(ti, s) * kern.eta(s)) * phi_r(s), cmap, quad,
-                hi=ti if kern.support == VOLTERRA else None, breakpoints=kinks, node=ti)
-            values.append(raw / w(ti))
-        scalars = {}
-        if kern.modulus_weight is not None:
-            scalars["modulus_dominator_integral"] = integrate_interval(
-                lambda s: kern.modulus_weight(s) * phi_r(s), cmap, quad)
-        scalars["abs_z_lo_integral"] = z_integral(0)
-        scalars["abs_z_hi_integral"] = z_integral(1)
+        raw = integrate_compact(node_integrand, cmap, quad, edges, node=t_nodes)
+        scalars = dict(zip(factors, _integral_parts(scalar_integrand, cmap, quad,
+                                                    np.empty((len(factors), 0))).tolist()))
+        values = np.empty(grid.m)
+        # w of a float: an array call may round otherwise (np.exp, math.exp)
+        values[finite] = raw / np.array([w(ti) for ti in t_nodes.tolist()])
+        values[grid.t == -math.inf] = scalars["abs_z_lo_integral"]
+        values[grid.t == math.inf] = scalars["abs_z_hi_integral"]
 
         def sup_slice(s: np.ndarray) -> np.ndarray:
             return kernel_limits(kern, w, s, grid=grid).sup * phi_r(s)
@@ -501,12 +531,13 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
         scalars["sup_slice_integral"] = integrate_compact(
             lambda s, x, row: sup_slice(s), cmap, quad, [-1.0, 1.0])
     except (QuadratureError, DomainError) as e:
-        return BoundProfile(False, r, tuple(values), math.inf, {}, failure=str(e))
+        return BoundProfile(False, r, (), math.inf, {}, failure=str(e))
 
+    values = tuple(values.tolist())
     sup = max(values)
     ok = all(math.isfinite(v) for v in values) and \
         all(math.isfinite(v) for v in scalars.values())
-    return BoundProfile(ok, r, tuple(values), sup, scalars,
+    return BoundProfile(ok, r, values, sup, scalars,
                         None if ok else "non-finite profile or scalar")
 
 

@@ -4,8 +4,9 @@ Every integral, the rows of the Nystrom operator included, sums a
 Gauss-Kronrod 10/21 rule over panels and bisects the worst panel until its
 estimate passes. Integrals over the interval run in the angle of
 ``CompactMap.from_angle``, with the map's jacobian folded into the
-integrand. Sup searches combine grid values with golden-section refinement
-inside each bracket.
+integrand; ``_integral_parts`` refuses one over the whole interval whose
+tail the tail model decides divergent before it runs. Sup searches combine
+grid values with golden-section refinement inside each bracket.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ import numpy as np
 from .compactline import CompactMap, Grid
 from .elementwise import elementwise
 from .errors import DomainError, QuadratureError
+from .weights import classify_tail, tail_points, tail_values
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Accuracy and panel budget of every adaptive integral."""
+
     tol: float = 1e-10          # absolute tolerance of an integral
     rel_tol: float = 1e-11
     max_subdivisions: int = 2000   # panels an integral may use
@@ -142,11 +146,12 @@ def integrate_panels(parts: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.
 
 
 def integrate_compact(fn: Callable, cmap: CompactMap, cfg: QuadratureConfig | None,
-                      edges, node: float | None = None):
+                      edges, node: float | np.ndarray | None = None):
     """Integrals of fn, one per row of the compact coordinates ``edges``
     (shape batch + (k,)): from the least to the greatest of the row, with
-    panels starting between consecutive ones. A float for one row of
-    edges, an array of the batch's shape otherwise.
+    panels starting between consecutive ones, 0.0 for a row whose edges are
+    all equal. A float for one row of edges, an array of the batch's shape
+    otherwise.
 
     fn(t, x, row) is the integrand of t, also given the compact coordinate
     x of t and the row (in the flattened batch) whose integral it belongs
@@ -154,30 +159,39 @@ def integrate_compact(fn: Callable, cmap: CompactMap, cfg: QuadratureConfig | No
     Each row keeps its own panels, refined as if it were integrated alone.
     The integrals run in the angle of ``CompactMap.from_angle``, where a
     tail as slow as |t|^-3/2 is bounded. A nan value raises
-    QuadratureError; refusals carry ``node``.
+    QuadratureError; a refusal carries the ``node`` of its row (a float for
+    every row, or an array of the batch's shape).
     """
     edges = np.asarray(edges, dtype=float)
     angles = np.sort(cmap.to_angle(edges.reshape(-1, edges.shape[-1])), axis=1)
     cut = np.diff(angles, axis=1) > 0.0
-    owner = np.nonzero(cut)[0]
+    # the rows that hold a panel, and each panel's owner among them
+    held, owner = np.unique(np.nonzero(cut)[0], return_inverse=True)
+    values = np.zeros(angles.shape[0])
+
+    def node_of(r: int):
+        return node if np.ndim(node) == 0 else float(np.ravel(node)[held[r]])
 
     def parts(lo, hi, owner, keep, fresh):
         theta, half = panel_nodes(lo[fresh], hi[fresh])
         t, x, jac = cmap.from_angle(theta.ravel())
-        row = np.repeat(owner[fresh], RULE_X.size)
+        row = np.repeat(held[owner[fresh]], RULE_X.size)
         # an overflow to inf is a value, refined or refused like any other
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             f = (np.asarray(fn(t, x, row), dtype=float) * jac).reshape(theta.shape)
-            if np.isnan(f).any():
-                raise QuadratureError("integration returned nan", node=node,
+            nan = np.isnan(f).any(axis=1)
+            if nan.any():
+                raise QuadratureError("integration returned nan",
+                                      node=node_of(owner[fresh][np.argmax(nan)]),
                                       estimate=math.nan)
             # einsum sums each panel in one order whatever the panel count
             # (a matrix product switches BLAS routines with it)
             return (half[:, None] * np.einsum("pk,ck->pc", f, _RULE_ROWS))[:, None]
 
-    values, _ = integrate_panels(parts, angles[:, :-1][cut], angles[:, 1:][cut], owner,
-                                 cfg or DEFAULT_QUAD, lambda r: node)
-    values = values[:, 0].reshape(edges.shape[:-1])
+    if held.size:
+        values[held] = integrate_panels(parts, angles[:, :-1][cut], angles[:, 1:][cut],
+                                        owner, cfg or DEFAULT_QUAD, node_of)[0][:, 0]
+    values = values.reshape(edges.shape[:-1])
     return values if values.ndim else float(values)
 
 
@@ -204,6 +218,46 @@ def integrate_interval(fn: Callable[[float], float], cmap: CompactMap,
     fn = elementwise(fn, at=at)
     cuts = [cmap.to_compact(p) for p in breakpoints if lo < p < hi]
     return integrate_compact(lambda t, x, row: fn(t), cmap, cfg, [xlo, *cuts, xhi], node)
+
+
+def _integral_parts(g: Callable, cmap: CompactMap, cfg: QuadratureConfig,
+                    cuts: np.ndarray) -> np.ndarray:
+    """Integrals of g(t, x, row) over the interval, one per row of the
+    compact coordinates ``cuts`` (shape (rows, k), panel edges inside the
+    interval), refused as divergent when |g||t| grows or settles above 0 at
+    a tail, before any integration; of several refused rows, the first
+    one's refusal is raised. A quadrature refusal names the tail when
+    |g||t|^(3/2) has no limit there, the decay below which the angle map
+    leaves the integrand unbounded."""
+    col = np.arange(cuts.shape[0])[:, None]
+
+    def first_refused_end(power: float, refuses) -> str:
+        """'+' or '-', the end where the first row whose tail verdict
+        (kind, limit) of |g||t|^power ``refuses`` does so; '' for none."""
+        refused = []
+        for side in cmap.infinite_ends():
+            ts = tail_points(cmap, side)
+            vals = tail_values(
+                lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** power,
+                ts, (col.size, ts.size))
+            refused.append(refuses(*classify_tail(ts, vals)))
+        refused = np.stack(refused, axis=1)
+        if not refused.any():
+            return ""
+        first = refused[np.argmax(refused.any(axis=1))]
+        return "+" if cmap.infinite_ends()[int(np.argmax(first))] > 0 else "-"
+
+    side = first_refused_end(1.0, lambda kind, lim: np.abs(lim) > 0.0)   # nan: undecided
+    if side:
+        raise DomainError("integral part diverges: integrand decays no faster than 1/|t| "
+                          f"toward {side}inf")
+    ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
+    try:
+        return integrate_compact(g, cmap, cfg, np.concatenate((ends, cuts), axis=1))
+    except QuadratureError as e:
+        side = first_refused_end(1.5, lambda kind, lim: kind != "limit")
+        slow = f"integrand decays slower than |t|^-3/2 toward {side}inf; " if side else ""
+        raise DomainError(f"integral part did not converge: {slow}{e}") from e
 
 
 # ---------------------------------------------------------------------------

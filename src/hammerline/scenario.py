@@ -146,6 +146,8 @@ SCENARIO_SCHEMA = {
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario file checked against the schema: problem, space, weights and runs."""
+
     name: str
     interval: dict
     grid_size: int

@@ -315,6 +315,8 @@ def gravity_energy_drift(traj: OdeTrajectory, g: float, R: float,
 
 @dataclass(frozen=True)
 class SlopeEstimate:
+    """Limit of u/weight toward +inf (``asymptotic_slope``), with its error bar."""
+
     value: float
     error_bar: float
     probes: tuple
@@ -398,6 +400,8 @@ def escape_constants(g: float, R: float, v0: float) -> EscapeConstants:
 
 @dataclass(frozen=True)
 class OracleComparison:
+    """Distance between a fixed point and the ODE oracle's trajectory."""
+
     max_rel_diff: float
     sup_diff: float
     sup_ref: float

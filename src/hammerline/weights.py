@@ -255,6 +255,8 @@ EQUIV_NODES = 33         # grid size of the finite-node scan of weights_equivale
 
 @dataclass(frozen=True)
 class WeightEquivalence:
+    """Verdict of ``weights_equivalent`` with the endpoint ratios behind it."""
+
     verdict: str                 # 'equivalent' | 'not-equivalent' | 'inconclusive'
     left: float | None           # endpoint ratio value/limit (None when unknown)
     right: float | None

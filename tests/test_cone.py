@@ -10,7 +10,7 @@ import pytest
 import hammerline as hl
 from hammerline.errors import DomainError
 
-from conftest import make_system
+from conftest import make_space, make_system
 from window_oracle import oracle_windows
 
 E = math.e
@@ -242,7 +242,8 @@ def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
     # a 256-point table per kernel profile and sampled P1-P3 and C7 structure
     # there were 119,280 here; with the profiles read at the integral's own
     # points and the structure read from the functional kinds, 37,926; with
-    # C9's bridges read from the weights instead of the samples, 37,044
+    # C9's bridges read from the weights instead of the samples, 37,044; with
+    # C3's infinite node read from its |z| scalar, not integrated twice, 36,897
     import hammerline.quadrature as quad_mod
 
     nodes = []
@@ -256,7 +257,7 @@ def test_certifier_quadrature_node_count(problem_c2, system_c2, monkeypatch):
     monkeypatch.setattr(quad_mod, "panel_nodes", counted)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=6, seed=0)
-    assert sum(nodes) <= 38_800
+    assert sum(nodes) <= 38_650
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])
@@ -351,8 +352,9 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
     # right-hand side part of a round one outer integral, and C7's upper sup
     # parts are memo hits on C6's; with a loop over the 8 samples this
     # certification made 25 sup_on_grid and 113 integrate_compact calls,
-    # batched 19 and 75, without the 256-point profile tables 16 and 72, and
-    # with C9's bridges read from the weights, not the samples, 16 and 71
+    # batched 19 and 75, without the 256-point profile tables 16 and 72,
+    # with C9's bridges read from the weights, not the samples, 16 and 71,
+    # and with C1's probes and C3's node rows and scalars as batches, 14 and 28
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
     import hammerline.quadrature as quad_mod
@@ -368,8 +370,8 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
             monkeypatch.setattr(mod, name, counted)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=8, seed=0)
-    assert calls["sup_on_grid"] <= 16
-    assert calls["integrate_compact"] <= 71
+    assert calls["sup_on_grid"] <= 14
+    assert calls["integrate_compact"] <= 28
 
 
 def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
@@ -641,15 +643,17 @@ def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
     # u, v, u+v and lam*u are one batch, and f(-u) is read from the parts of
     # u: one sup search and one integral per part of the functional, where a
     # loop over the 8 pairs made about 40 of each (the sup functional is
-    # two-sided nonnegative on every pair, so its f(-u) is read 8 times)
+    # two-sided nonnegative on every pair, so its f(-u) is read 8 times);
+    # the integral parts run in quadrature._integral_parts
     import hammerline.cone as cone_mod
+    import hammerline.quadrature as quad_mod
 
     calls = {"sup_on_grid": 0, "integrate_compact": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(cone_mod, name), _name=name, **kwargs):
+    for name, mod in (("sup_on_grid", cone_mod), ("integrate_compact", quad_mod)):
+        def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(cone_mod, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     for spec, parts in ((system_c2.cone, (1, 1)), (system_c2.upper, (1, 0)),
                         (system_c2.lower, (0, 1))):
         calls.update(sup_on_grid=0, integrate_compact=0)
@@ -731,6 +735,74 @@ def test_report_is_fully_certified(report_c2):
         assert report_c2.entry(key).status == "pass", key
     for key in ("P1", "P2", "P3"):
         assert report_c2.properties[key].status == "pass", key
+
+
+def _c1_probe_loop(problem, quad):
+    """C1's slice integrals and slice limits one probe at a time, each
+    refusal named by its probe: the reference of the batched probes."""
+    sp, kern = problem.space, problem.kernel
+    integrals, limits, detail = {}, {}, []
+    ts = sp.grid.t[sp.grid.finite_mask()]
+    for t in ts[np.linspace(1, ts.size - 1, 3).astype(int)]:
+        try:
+            integrals[f"t={t:.6g}"] = hl.integrate_interval(
+                lambda s: abs(kern.fn(t, s) * kern.eta(s)), sp.map, quad,
+                hi=t if kern.support == hl.VOLTERRA else None, node=t)
+        except hl.QuadratureError as e:
+            detail.append(f"slice integral failed at t={t:.6g}: {e}")
+    for s in (sp.map.from_compact(x) for x in (-0.5, 0.0, 0.7)):
+        try:
+            lim = hl.kernel_limits(kern, sp.weight, s, grid=sp.grid)
+            limits[f"s={s:.6g}"] = {"z_lo": lim.z_lo, "z_hi": lim.z_hi, "sup": lim.sup}
+        except DomainError as e:
+            detail.append(f"slice at s={s:.6g} not in the space: {e}")
+    return integrals, limits, detail
+
+
+def _c1(problem, quad):
+    from hammerline.cone import _Certification
+
+    system = make_system()
+    specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
+    return _Certification(problem, specs, quad, seed=0).c1()
+
+
+@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
+def test_batched_c1_probes_equal_the_probe_loop(name):
+    # the three slice integrals are one batch and the three slice limits
+    # another: each value is the one its own call gives, bit for bit
+    scn = hl.load_scenario(SCENARIO_DIR / name)
+    problem, quad = hl.build_problem(scn, hl.build_space(scn)), hl.build_quad(scn)
+    entry = _c1(problem, quad)
+    integrals, limits, detail = _c1_probe_loop(problem, quad)
+    assert entry.status == "pass" and detail == []
+    assert entry.witness["slice_integrals"] == integrals
+    assert entry.witness["slice_limits"] == limits
+
+
+def test_a_refused_c1_batch_names_each_refused_probe():
+    # the slice integral at the last probe t (about 648) meets a nan, and
+    # the slice at the last probe s (17/3) is unbounded toward +inf: each
+    # batch refuses, its probes run alone, and C1 names the refused ones
+    # and keeps the others' values, as the probe loop does
+    space = make_space()
+
+    def k(t, s):
+        return np.where(t > 100.0, np.nan, 1.0) * np.exp(-s)
+
+    kernel = hl.Kernel(fn=k, name="refusing",
+                       tilde_slice=lambda t, s: np.exp(-s) / (t + 1.0),
+                       slice_endpoints=lambda s: (np.exp(-s), np.where(s > 3.0, np.inf, 0.0)))
+    nl = hl.Nonlinearity(fn=lambda t, y: np.maximum(y, 0.0) * np.exp(-t), monotone_in_y=True)
+    forcing = hl.from_tilde(space, [lambda t: np.exp(-t)], endpoints={"hi": 0.0})
+    problem = hl.HammersteinProblem(kernel, nl, forcing, space)
+    entry = _c1(problem, hl.DEFAULT_QUAD)
+    integrals, limits, detail = _c1_probe_loop(problem, hl.DEFAULT_QUAD)
+    assert entry.status == "fail"
+    assert len(integrals) == 2 and len(limits) == 2 and len(detail) == 2
+    assert entry.detail == "; ".join(detail)
+    assert entry.witness["slice_integrals"] == integrals
+    assert entry.witness["slice_limits"] == limits
 
 
 def test_report_scalars_match_closed_forms(report_c2):
@@ -1008,6 +1080,48 @@ def test_flip_location_requires_a_straddle(report_c2):
         hl.locate_index_one_flip(report_c2, 0.7, 0.9)   # holds at both
     with pytest.raises(DomainError):
         hl.locate_index_one_flip(report_c2, 0.1, 0.2)   # fails at both
+
+
+def _flip_loop(report, lo, hi):
+    """The sequential bisection of ``locate_index_one_flip``, one
+    ``check_index_one`` per radius: the reference of the tree search."""
+    from hammerline.cone import FLIP_TOL
+
+    assert hl.check_index_one(report, hi).holds and not hl.check_index_one(report, lo).holds
+    while hi - lo > FLIP_TOL:
+        mid = 0.5 * (lo + hi)
+        if hl.check_index_one(report, mid).holds:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("which", ["c2", "c2_L4"])
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.6), (0.05, 5.0)])
+def test_flip_search_equals_the_sequential_bisection(which, lo, hi, report_c2, report_L4):
+    # the reachable midpoints are evaluated ahead, 4 levels per call (7
+    # bisection steps for the narrow bracket, 13 for the wide one), and the
+    # walk reads them: the bracket is the sequential one, bit for bit
+    report = report_c2 if which == "c2" else report_L4
+    assert hl.locate_index_one_flip(report, lo, hi) == _flip_loop(report, lo, hi)
+
+
+def test_flip_search_is_two_lockstep_searches(report_c2, monkeypatch):
+    # count guard: a 7-step bisection is two sup_on_grid calls, hi, lo and
+    # 15 midpoints, then 7 midpoints, where the sequential bisection made 9
+    import hammerline.cone as cone_mod
+
+    rows = []
+    real = cone_mod.sup_on_grid
+
+    def counted(fn_x, grid, end_vals, kinks):
+        rows.append(len(kinks))
+        return real(fn_x, grid, end_vals, kinks)
+
+    monkeypatch.setattr(cone_mod, "sup_on_grid", counted)
+    hl.locate_index_one_flip(report_c2, 0.5, 0.6)
+    assert rows == [17, 7]
 
 
 # -- solution windows ---------------------------------------------------------

@@ -135,6 +135,30 @@ def test_a_batch_of_integrals_keeps_each_row_as_alone():
                           edges)
 
 
+def test_a_batch_tags_a_refusal_with_its_rows_node_and_gives_an_empty_row_zero():
+    # a row whose edges are all equal holds no panel and integrates to 0.0,
+    # beside rows that hold panels; a refused row names its own node
+    from hammerline.quadrature import integrate_compact
+
+    edges = np.array([[-1.0, 1.0], [0.5, 0.5], [-1.0, 0.0]])
+    got = integrate_compact(lambda t, x, row: np.exp(-t), HALF, None, edges,
+                            node=np.array([1.0, 2.0, 3.0]))
+    assert got[1] == 0.0
+    assert got[0] == integrate_compact(lambda t, x, row: np.exp(-t), HALF, None, edges[0])
+    assert got[2] == integrate_compact(lambda t, x, row: np.exp(-t), HALF, None, edges[2])
+    assert integrate_compact(lambda t, x, row: t, HALF, None, [[0.2, 0.2]]).tolist() == [0.0]
+    nodes = np.array([10.0, 20.0, 30.0])
+    for bad, why in ((2, "returned nan"), (0, "did not converge")):
+        def fn(t, x, row, bad=bad, why=why):
+            if why == "returned nan":
+                return np.where(row == bad, np.nan, np.exp(-t))
+            return np.where(row == bad, 1.0 / (1.0 + t), np.exp(-t))
+
+        with pytest.raises(QuadratureError, match=why) as exc:
+            integrate_compact(fn, HALF, None, np.broadcast_to([-1.0, 1.0], (3, 2)), node=nodes)
+        assert exc.value.node == nodes[bad]
+
+
 def test_tighter_config_is_accepted():
     cfg = hl.QuadratureConfig(tol=1e-12, rel_tol=1e-13)
     val = hl.integrate_interval(lambda t: t * math.exp(-t), HALF, cfg)

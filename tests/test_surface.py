@@ -1,6 +1,7 @@
-"""The package's public surface holds only what some caller uses.
+"""The package's public surface holds only what some caller uses, and
+documents itself.
 
-Two scans of the source tree:
+Three scans of the source tree:
 
 - every optional parameter of a public function or method in
   ``src/hammerline`` is set by at least one call in ``src/``, ``tests/``,
@@ -9,7 +10,9 @@ Two scans of the source tree:
 - ``__all__`` is exactly what ``__init__.py`` imports plus ``__version__``,
   and every exported name that is not a constant is written somewhere
   outside the package (tests, scripts, README, perfbench): a type that only
-  comes back from a call is reached through that call, not exported.
+  comes back from a call is reached through that call, not exported;
+- every dataclass in ``src/hammerline`` has a docstring: for one without,
+  ``dataclasses`` builds ``__doc__`` from ``inspect.signature`` at import.
 """
 
 import ast
@@ -122,3 +125,20 @@ def test_all_is_the_imports_and_each_export_has_a_user():
               if not name.isupper() and not name.startswith("__")
               and not re.search(rf"\b{re.escape(name)}\b", text)]
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_has_a_docstring():
+    undocumented = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                    for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and ast.get_docstring(node) is None]
+    assert undocumented == []

@@ -13,12 +13,12 @@ from .errors import (BlowupError, DomainError, QuadratureError, ScenarioError,
 from .compactline import (FULL_LINE, HALF_LINE, INF, CompactMap, Grid,
                           GridSpec, barycentric_interpolate, build_grid,
                           refining_tail_x)
-from .weights import (Weight, affine, check_weight, custom, exponential, power,
-                      tail_limit, tail_trend, weights_equivalent)
-from .weighted_space import (NORM_KINDS, TAGS, Space, WeightedFunction,
-                             asymptotic_limits, classify_asymptotic,
-                             from_raw, from_tilde, lift, norm,
-                             spaces_compatible)
+from .weights import (TAGS, Weight, affine, check_weight, classify_asymptotic,
+                      custom, exponential, power, tail_limit, tail_trend,
+                      weights_equivalent)
+from .weighted_space import (NORM_KINDS, Space, WeightedFunction,
+                             asymptotic_limits, from_raw, from_tilde, lift,
+                             norm, spaces_compatible)
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, golden_section_max,
                          inf_on_grid, integrate_interval, sup_on_grid)
 from .hammerstein import (FULL, VOLTERRA, HammersteinProblem, Kernel,
@@ -58,12 +58,12 @@ __all__ = [
     "FULL_LINE", "HALF_LINE", "INF", "CompactMap", "Grid", "GridSpec",
     "barycentric_interpolate", "build_grid", "refining_tail_x",
     # weights
-    "Weight", "affine", "check_weight", "custom", "exponential", "power",
-    "tail_limit", "tail_trend", "weights_equivalent",
+    "TAGS", "Weight", "affine", "check_weight", "classify_asymptotic",
+    "custom", "exponential", "power", "tail_limit", "tail_trend",
+    "weights_equivalent",
     # weighted space
-    "NORM_KINDS", "TAGS", "Space", "WeightedFunction", "asymptotic_limits",
-    "classify_asymptotic", "from_raw", "from_tilde", "lift", "norm",
-    "spaces_compatible",
+    "NORM_KINDS", "Space", "WeightedFunction", "asymptotic_limits",
+    "from_raw", "from_tilde", "lift", "norm", "spaces_compatible",
     # quadrature
     "DEFAULT_QUAD", "QuadratureConfig", "golden_section_max", "inf_on_grid",
     "integrate_interval", "sup_on_grid",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import (BlowupError, DomainError, QuadratureError, ScenarioError,
                      TailLimitError)
-from .weighted_space import classify_asymptotic
+from .weights import classify_asymptotic
 from .cone import (eval_functional, eval_functional_raw, find_solution_windows,
                    locate_index_one_flip, report_to_jsonable,
                    windows_to_jsonable, verify_cone_hypotheses)

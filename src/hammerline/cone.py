@@ -29,8 +29,7 @@ from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, _integral_parts, integrate_compact,
                          sup_on_grid)
 from .schema import best_match
-from .weights import (Weight, classify_tail, same_weight, tail_points, tail_trend,
-                      tail_values, weight_key)
+from .weights import Weight, read_ends, same_weight, weight_key
 from .weighted_space import Space, WeightedFunction, norm, spaces_compatible
 from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
                           c3_bound_profile, dominator_check, kernel_limits,
@@ -39,7 +38,7 @@ from .hammerstein import (HammersteinProblem, Kernel, VOLTERRA, apply_T,
 POS_TOL = 1e-12          # admitted negativity slack for "nonnegative"
 SAMPLE_INEQ_TOL = 1e-5   # slack for sampled inequalities
 PROP_TOL = 1e-10         # tolerance of the sampled property oracle
-RADII = (1.0,)           # ball radii of the domination (C2) and image bound (C3)
+RADIUS = 1.0             # ball radius of the domination (C2) and image bound (C3)
 
 PASS, FAIL, NOT_CHECKED = "pass", "fail", "not-checked"
 
@@ -153,8 +152,7 @@ def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) ->
 
     def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
         ends = {}
-        for x in cmap.infinite_ends():
-            kind, ratio = tail_trend(lambda t: phi(t) / w3(t), cmap, x)
+        for x, (kind, ratio) in read_ends(lambda t: phi(t) / w3(t), cmap).items():
             if kind == "unknown":
                 raise DomainError("weight ratio has no certified endpoint behavior")
             if math.isinf(ratio):
@@ -164,7 +162,7 @@ def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) ->
                 raise DomainError(
                     "sup part ill-conditioned: the space weight outgrows the "
                     "sup weight toward the endpoint")
-            ends[x] = np.abs(samples[rows, 0 if x < 0 else -1]) * abs(ratio)
+            ends[x] = np.abs(samples[rows, 0 if x < 0 else -1]) * abs(float(ratio))
 
         def fn_x(x):   # x of shape batch + (n,), batch () for a batch of one
             t = cmap.from_compact(x)
@@ -229,10 +227,7 @@ def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> t
             return np.abs(fn(t, rows[r])) / w3(t)
 
         ends, refusals = {}, []
-        for x in cmap.infinite_ends():
-            ts = tail_points(cmap, x)
-            kind, lim = classify_tail(ts, tail_values(lambda t: h(t, col), ts,
-                                                      (rows.size, ts.size)))
+        for x, (kind, lim) in read_ends(lambda t: h(t, col), cmap, (rows.size,)).items():
             refusals.append(np.where(kind == "unknown", "sup part endpoint behavior undecided",
                                      np.where(np.isinf(lim), "sup part unbounded for this slice",
                                               "")))
@@ -350,11 +345,6 @@ class ReportContext:
     """The live objects a report was computed from, which the index checks read."""
 
     problem: HammersteinProblem
-    cone: FunctionalSpec
-    upper: FunctionalSpec
-    lower: FunctionalSpec
-    quad: QuadratureConfig
-    cone_profile: ProfileIntegral
     upper_profile: ProfileIntegral
     lower_profile: ProfileIntegral
 
@@ -736,31 +726,27 @@ class _Certification:
             i, j = divmod(int(np.argmax(bad)), ys.size)
             c2_witness = {"t": float(ts[i]), "y": float(ys[j]), "value": float(vals[i, j])}
         c2_ok = c2_witness is None
-        dom_reports = {}
-        for r in RADII:
-            try:
-                rep = dominator_check(nl, w, r, grid)
-            except DomainError as e:
-                c2_ok = False
-                dom_reports[f"r={r:g}"] = str(e)
-                continue
-            dom_reports[f"r={r:g}"] = "pass" if rep.passed else rep.worst
+        try:
+            rep = dominator_check(nl, w, RADIUS, grid)
+            dom = "pass" if rep.passed else rep.worst
             if not rep.passed:
                 c2_ok = False
                 c2_witness = c2_witness or rep.worst
+        except DomainError as e:
+            c2_ok, dom = False, str(e)
         return ConditionEntry(
             "C2", "nonlinearity nonnegative and dominated on weighted balls",
             PASS if c2_ok else FAIL, tolerance=POS_TOL,
-            witness={"negativity": c2_witness, "dominator": dom_reports})
+            witness={"negativity": c2_witness, "dominator": {f"r={RADIUS:g}": dom}})
 
     def c3(self) -> ConditionEntry:
         """Weighted image bound with integrable tails."""
-        profs = [c3_bound_profile(self.problem, r, self.quad) for r in RADII]
+        prof = c3_bound_profile(self.problem, RADIUS, self.quad)
         return ConditionEntry(
             "C3", "weighted kernel image bound finite with integrable tails",
-            PASS if all(prof.ok for prof in profs) else FAIL,
+            PASS if prof.ok else FAIL,
             witness={f"r={prof.r:g}": {"sup": prof.sup, "scalars": prof.scalars,
-                                       "failure": prof.failure} for prof in profs})
+                                       "failure": prof.failure}})
 
     def c4(self) -> ConditionEntry:
         """Forcing membership (finiteness is constructional; record the data)."""
@@ -965,8 +951,7 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
         "seed": seed,
         "quad_tol": quad.tol,
     }
-    context = ReportContext(problem, cone, upper, lower, quad, ctx.profiles["cone"],
-                            ctx.profiles["upper"], ctx.profiles["lower"])
+    context = ReportContext(problem, ctx.profiles["upper"], ctx.profiles["lower"])
     return CertificateReport(entries={e.key: e for e in entries},
                              properties=ctx.properties(),
                              scalars=scalars, bridges=ctx.bridges, meta=meta,
@@ -1002,7 +987,7 @@ class IndexCheck:
 def _envelope_extreme(env, rho: np.ndarray, space: Space, mode: str) -> np.ndarray:
     """sup (mode "sup") or inf of env(., rho)/rho over the interval for every
     radius of the 1-d array rho: one lockstep search for all of them, and
-    one tail classification per infinite end."""
+    one reading of the ends."""
     grid, cmap = space.grid, space.map
     env = elementwise(env, 2)
     sign, col = (1.0 if mode == "sup" else -1.0), rho[:, None]
@@ -1010,12 +995,10 @@ def _envelope_extreme(env, rho: np.ndarray, space: Space, mode: str) -> np.ndarr
     def ratio(t):   # negated for an inf, which classify_tail mirrors exactly
         return sign * (env(t, col) / col)
 
-    ends = {}
-    for x in cmap.infinite_ends():
-        ts = tail_points(cmap, x)
-        kind, ends[x] = classify_tail(ts, tail_values(ratio, ts, (rho.size, ts.size)))
-        if (kind == "unknown").any():
-            raise DomainError("envelope endpoint behavior undecided")
+    verdicts = read_ends(ratio, cmap, (rho.size,))
+    if any((kind == "unknown").any() for kind, _ in verdicts.values()):
+        raise DomainError("envelope endpoint behavior undecided")
+    ends = {x: value for x, (_, value) in verdicts.items()}
     return sign * sup_on_grid(lambda x: ratio(cmap.from_compact(x)), grid, ends,
                               np.empty((rho.size, 0)))
 

@@ -4,11 +4,11 @@ Every callable of a problem (kernel, density, weight, nonlinearity,
 envelopes, raw slices, sup-search integrands) takes floats or numpy arrays
 and returns the broadcast shape of its arguments: a float for floats, an
 array for arrays. The bundled builders are written that way, with a plain
-``math`` path for floats, since the ODE oracle's RK4 right-hand side and
-the ``tail_trend`` probes call them one point at a time. A callable
-written for floats only is wrapped once by ``elementwise``, which calls it
-point by point on arrays and directly on floats, so it gives the values
-of the scalar calls.
+``math`` path for floats, since the ODE oracle's RK4 right-hand side
+calls them one point at a time; a reading at +-inf (``weights.read_ends``)
+passes its tail points as one array. A callable written for floats only
+is wrapped once by ``elementwise``, which calls it point by point on
+arrays and directly on floats, so it gives the values of the scalar calls.
 """
 
 from __future__ import annotations

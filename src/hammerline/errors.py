@@ -9,6 +9,19 @@ class TailLimitError(DomainError):
     """A required endpoint limit did not settle on the refining tail grid."""
 
 
+class IntegralPartError(DomainError):
+    """An integral over the whole interval refused before or by its
+    quadrature (``quadrature._integral_parts``): the message is ``subject``
+    then ``detail``, and ``row`` is the refused row of the batch."""
+
+    subject = "integral part"
+
+    def __init__(self, detail: str, row: int):
+        super().__init__(f"{self.subject} {detail}")
+        self.detail = detail
+        self.row = row
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge.
 

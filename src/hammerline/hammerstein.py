@@ -17,12 +17,11 @@ import numpy as np
 
 from .compactline import CompactMap, Grid, barycentric_matrix
 from .elementwise import elementwise, exp, filled, positive_part
-from .errors import DomainError, QuadratureError, TailLimitError
+from .errors import DomainError, IntegralPartError, QuadratureError, TailLimitError
 from .quadrature import (DEFAULT_QUAD, RULE_W, QuadratureConfig, _integral_parts,
                          integrate_compact, integrate_panels, panel_nodes, splice,
                          sup_on_grid)
-from .weights import (Weight, classify_tail, tail_limit, tail_points,
-                      tail_values)
+from .weights import Weight, read_ends, tail_limit
 from .weighted_space import Space, WeightedFunction, from_tilde, spaces_compatible
 
 VOLTERRA = "volterra"
@@ -148,25 +147,17 @@ def slice_endpoint_values(kernel: Kernel, weight: Weight, s,
         if isinstance(s, np.ndarray):
             return lo, hi
         return float(lo), float(hi)
+    lo_end, _ = cmap.interval()
+    ends = [slice_tilde(kernel, weight, lo_end, s)] if math.isfinite(lo_end) else []
     s_col = np.asarray(s, dtype=float)[..., None]
-
-    def limit(side: int):
-        ts = tail_points(cmap, side)
-        vals = tail_values(lambda t: slice_tilde(kernel, weight, t, s_col), ts,
-                           s_col.shape[:-1] + ts.shape)
-        kind, value = classify_tail(ts, vals)
+    for side, (kind, value) in read_ends(lambda t: slice_tilde(kernel, weight, t, s_col),
+                                         cmap, s_col.shape[:-1]).items():
         if (kind != "limit").any():
             raise TailLimitError(
                 f"no finite limit toward {'+inf' if side > 0 else '-inf'} "
                 f"(trend: {kind.flat[np.argmax(kind != 'limit')]})")
-        return value if isinstance(s, np.ndarray) else float(value)
-
-    lo_end, _ = cmap.interval()
-    if math.isfinite(lo_end):
-        lo = slice_tilde(kernel, weight, lo_end, s)
-    else:
-        lo = limit(-1)
-    return lo, limit(+1)
+        ends.append(value if isinstance(s, np.ndarray) else float(value))
+    return tuple(ends)
 
 
 class KernelLimits(NamedTuple):
@@ -463,7 +454,8 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
     its node. The three scalars over the whole interval are another, whose
     tails are decided before it runs (see ``quadrature._integral_parts``),
     and an infinite node's value is the |z| scalar of its end. A divergent
-    integral yields a fail report with no values, and so does a
+    integral yields a fail report with no values (a refused scalar's
+    failure names it), and so does a
     sup|slice|*|phi_r| tail without a certified |s|^-3/2 bound: a sup
     search resolves a slice only so far out.
     """
@@ -521,17 +513,15 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
         def sup_slice(s: np.ndarray) -> np.ndarray:
             return kernel_limits(kern, w, s, grid=grid).sup * phi_r(s)
 
-        for side in cmap.infinite_ends():
-            ts = tail_points(cmap, side)
-            vals = tail_values(lambda s: np.abs(sup_slice(s)) * np.abs(s) ** 1.5,
-                               ts, ts.shape)
-            if classify_tail(ts, vals)[0] != "limit":
-                raise DomainError(
-                    "sup|slice| * phi_r has no certified integrable tail")
+        tails = read_ends(lambda s: np.abs(sup_slice(s)) * np.abs(s) ** 1.5, cmap).values()
+        if any(kind != "limit" for kind, _ in tails):
+            raise DomainError("sup|slice| * phi_r has no certified integrable tail")
         scalars["sup_slice_integral"] = integrate_compact(
             lambda s, x, row: sup_slice(s), cmap, quad, [-1.0, 1.0])
     except (QuadratureError, DomainError) as e:
-        return BoundProfile(False, r, (), math.inf, {}, failure=str(e))
+        failure = (f"{list(factors)[e.row]} {e.detail}" if isinstance(e, IntegralPartError)
+                   else str(e))
+        return BoundProfile(False, r, (), math.inf, {}, failure=failure)
 
     values = tuple(values.tolist())
     sup = max(values)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .compactline import CompactMap, Grid
 from .elementwise import elementwise
-from .errors import DomainError, QuadratureError
-from .weights import classify_tail, tail_points, tail_values
+from .errors import DomainError, IntegralPartError, QuadratureError
+from .weights import read_ends
 
 
 @dataclass(frozen=True)
@@ -226,38 +226,37 @@ def _integral_parts(g: Callable, cmap: CompactMap, cfg: QuadratureConfig,
     compact coordinates ``cuts`` (shape (rows, k), panel edges inside the
     interval), refused as divergent when |g||t| grows or settles above 0 at
     a tail, before any integration; of several refused rows, the first
-    one's refusal is raised. A quadrature refusal names the tail when
-    |g||t|^(3/2) has no limit there, the decay below which the angle map
-    leaves the integrand unbounded."""
+    one's IntegralPartError is raised, its ``row`` that row. A quadrature
+    refusal (its ``row`` the worst integral's) names the tail
+    when |g||t|^(3/2) has no limit there, the decay below which the angle
+    map leaves the integrand unbounded."""
     col = np.arange(cuts.shape[0])[:, None]
 
-    def first_refused_end(power: float, refuses) -> str:
-        """'+' or '-', the end where the first row whose tail verdict
-        (kind, limit) of |g||t|^power ``refuses`` does so; '' for none."""
-        refused = []
-        for side in cmap.infinite_ends():
-            ts = tail_points(cmap, side)
-            vals = tail_values(
-                lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** power,
-                ts, (col.size, ts.size))
-            refused.append(refuses(*classify_tail(ts, vals)))
-        refused = np.stack(refused, axis=1)
+    def first_refused_end(power: float, refuses) -> tuple:
+        """(row, end) of the first row whose tail verdicts (kind, limit) of
+        |g||t|^power ``refuses``, and its first such end, '+' or '-';
+        (None, '') for none."""
+        ends = read_ends(lambda t: np.abs(g(t, cmap.to_compact(t), col)) * np.abs(t) ** power,
+                         cmap, (col.size,))
+        refused = np.stack([refuses(*verdict) for verdict in ends.values()], axis=1)
         if not refused.any():
-            return ""
-        first = refused[np.argmax(refused.any(axis=1))]
-        return "+" if cmap.infinite_ends()[int(np.argmax(first))] > 0 else "-"
+            return None, ""
+        row = int(np.argmax(refused.any(axis=1)))
+        return row, "+" if list(ends)[int(np.argmax(refused[row]))] > 0 else "-"
 
-    side = first_refused_end(1.0, lambda kind, lim: np.abs(lim) > 0.0)   # nan: undecided
+    row, side = first_refused_end(1.0, lambda kind, lim: np.abs(lim) > 0.0)   # nan: undecided
     if side:
-        raise DomainError("integral part diverges: integrand decays no faster than 1/|t| "
-                          f"toward {side}inf")
-    ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
-    try:
-        return integrate_compact(g, cmap, cfg, np.concatenate((ends, cuts), axis=1))
-    except QuadratureError as e:
-        side = first_refused_end(1.5, lambda kind, lim: kind != "limit")
-        slow = f"integrand decays slower than |t|^-3/2 toward {side}inf; " if side else ""
-        raise DomainError(f"integral part did not converge: {slow}{e}") from e
+        detail, cause = f"diverges: integrand decays no faster than 1/|t| toward {side}inf", None
+    else:
+        ends = np.broadcast_to([-1.0, 1.0], (col.size, 2))
+        try:
+            return integrate_compact(g, cmap, cfg, np.concatenate((ends, cuts), axis=1),
+                                     node=col[:, 0].astype(float))
+        except QuadratureError as e:
+            side = first_refused_end(1.5, lambda kind, lim: kind != "limit")[1]
+            slow = f"integrand decays slower than |t|^-3/2 toward {side}inf; " if side else ""
+            detail, row, cause = f"did not converge: {slow}{e}", int(e.node), e
+    raise IntegralPartError(detail, row) from cause
 
 
 # ---------------------------------------------------------------------------

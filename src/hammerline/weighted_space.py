@@ -11,16 +11,13 @@ interpolation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .compactline import CompactMap, Grid
 from .errors import DomainError
-from .elementwise import elementwise
-from .weights import (Weight, check_positive, classify_tail, same_weight, tail_limit,
-                      tail_points, tail_values)
+from .weights import Weight, check_positive, same_weight, tail_limit
 
 NORM_KINDS = ("phi", "sup-tilde")
 
@@ -185,75 +182,3 @@ def asymptotic_limits(u: WeightedFunction) -> tuple:
     extension value at -inf; the right entry is the extension value at +inf.
     """
     return (float(u.samples[0, 0]), float(u.samples[0, -1]))
-
-
-# ---------------------------------------------------------------------------
-# growth comparison of positive functions
-
-TAGS = ("greater", "less", "comparable", "comparable-with-limit",
-        "equivalent", "lower-bounded", "upper-bounded", "undetermined")
-# the decision thresholds of classify_asymptotic (see there)
-CLASSIFY_AGREE_REL, CLASSIFY_BIG, CLASSIFY_SMALL = 1e-4, 1e6, 1e-6
-
-
-@dataclass(frozen=True)
-class AsymptoticRelation:
-    """Outcome of the tail comparison of two positive functions.
-
-    tag meanings for r = f/g along the refining tail:
-      'greater'               r certified to escape to +inf
-      'less'                  r certified to settle to 0
-      'comparable'            r stayed inside the band at every probe
-      'comparable-with-limit' r settles to a finite positive limit
-      'equivalent'            r settles to 1
-      'lower-bounded'         r nondecreasing (inf certified positive)
-      'upper-bounded'         r nonincreasing (sup certified finite)
-      'undetermined'          none of the above could be certified
-    """
-
-    tag: str
-    limit: float | None = None
-    ratios: tuple = ()
-    probes: tuple = ()
-    detail: str = ""
-
-
-def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float],
-                        cmap: CompactMap, *, side: int = +1) -> AsymptoticRelation:
-    """Compare the tail growth of two positive functions along the map.
-
-    f and g (floats or arrays, see ``elementwise``) are evaluated once at
-    the tail points; a value that is nan, negative (or 0 for g) or fails to
-    evaluate raises. ``classify_tail`` decides the ratio f/g: an escape to
-    +inf is 'greater', a limit 0 'less', a limit within
-    ``CLASSIFY_AGREE_REL`` of 1 'equivalent' and any other limit
-    'comparable-with-limit'. An undecided ratio is graded to 'comparable'
-    (every probe inside [``CLASSIFY_SMALL``, ``CLASSIFY_BIG``]), one-sided
-    bounds, or 'undetermined'.
-    """
-    ts = tail_points(cmap, side)
-    fv, gv = (tail_values(elementwise(h), ts, ts.shape) for h in (f, g))
-    for name, v in (("f", fv), ("g", gv)):
-        bad = np.isnan(v) | (v < 0.0) | ((v == 0.0) & (name == "g"))
-        if bad.any():
-            raise DomainError(f"{name}(t)={v[bad][0]} at t={ts[bad][0]}: "
-                              "comparison needs positive functions")
-    with np.errstate(all="ignore"):
-        ratios = fv / gv   # nan for inf / inf
-    kind, value = (x.item() for x in classify_tail(ts, ratios))
-    rel = partial(AsymptoticRelation, ratios=tuple(ratios.tolist()), probes=tuple(ts.tolist()))
-    if kind == "diverges":
-        return rel("greater" if value > 0 else "less")
-    if kind == "limit":
-        tag = ("less" if value == 0.0 else "equivalent" if abs(value - 1.0) <= CLASSIFY_AGREE_REL
-               else "comparable-with-limit")
-        return rel(tag, value)
-    if np.isnan(ratios).any():
-        return rel("undetermined", detail="ratio of two overflowing values")
-    if ((CLASSIFY_SMALL <= ratios) & (ratios <= CLASSIFY_BIG)).all():
-        return rel("comparable")
-    if (np.diff(ratios) >= 0.0).all():
-        return rel("lower-bounded")
-    if (np.diff(ratios) <= 0.0).all():
-        return rel("upper-bounded")
-    return rel("undetermined")

@@ -1,21 +1,27 @@
-"""Weight functions and comparability of weights on an unbounded interval.
+"""Weight functions, the reading of functions at +-inf, and comparability
+of weights on an unbounded interval.
 
 A weight is a positive continuous function used to rescale unbounded
 functions; two weights generate the same rescaled space exactly when their
-ratio stays pinned between positive bounds out to the endpoints.
+ratio stays pinned between positive bounds out to the endpoints. Every
+value or refusal at an infinite end is a ``read_ends`` reading (a batch of
+rows evaluated in one array call at each end's tail points and classified
+by one tail model, ``classify_tail``), but ``classify_asymptotic``'s, which
+checks f and g apart before it classifies their ratio.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .compactline import CompactMap, Grid, GridSpec, build_grid, refining_tail_x
 from .elementwise import elementwise, exp, filled, scalar_fn
-from .errors import DomainError
+from .errors import DomainError, TailLimitError
 
 FD_REL_TOL = 1e-6        # allowed relative gap of a derivative to central differences
 TAIL_K_HI = 12           # the tail grid ends at the compact coordinate 1 - 10^-12
@@ -217,10 +223,26 @@ def _power_tail(ts: np.ndarray, r: np.ndarray) -> tuple:
             np.select(hits, (ext[:, 1], 0.0, np.copysign(math.inf, d[:, -1])), math.nan))
 
 
+def read_ends(fn: Callable, cmap: CompactMap, shape: tuple = (), sides=None) -> dict:
+    """{end: (kind, value)} for each infinite end of cmap (or each of
+    ``sides``), in order: the ``classify_tail`` verdicts, arrays of the row
+    shape ``shape``, of fn at that end. fn takes one end's tail points (a
+    1-d array) and gives every row's values there (shape ``shape`` +
+    (points,)); an evaluation that raises reads "unknown" (``tail_values``).
+    """
+    out = {}
+    for side in cmap.infinite_ends() if sides is None else sides:
+        ts = tail_points(cmap, side)
+        out[side] = classify_tail(ts, tail_values(fn, ts, shape + ts.shape))
+    return out
+
+
 def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1):
     """Classify the endpoint behavior of fn along the refining tail grid.
 
-    fn is called one point at a time. Returns one of
+    A reading of one row at one end (``read_ends``): fn gets the tail points
+    as one array (a float-only fn is wrapped, see ``elementwise``). Returns
+    one of
       ("limit", L)      the values settle (after one Richardson elimination
                         of the 1/t term, or by the exponent fit of a power
                         tail) to the finite value L,
@@ -228,17 +250,12 @@ def tail_trend(fn: Callable[[float], float], cmap: CompactMap, side: int = +1):
       ("unknown", None) no decision (oscillation, slower than any power,
                         evaluation failure).
     """
-    ts = tail_points(cmap, side)
-    vals = tail_values(lambda t: [float(fn(v)) for v in t.tolist()], ts, ts.shape)
-    kind, value = classify_tail(ts, vals)
-    kind = str(kind)
-    return (kind, None if kind == "unknown" else float(value))
+    kind, value = (x.item() for x in read_ends(elementwise(fn), cmap, sides=(side,))[side])
+    return (kind, None if kind == "unknown" else value)
 
 
 def tail_limit(fn: Callable[[float], float], cmap: CompactMap, side: int = +1) -> float:
     """Finite endpoint limit of fn, or TailLimitError if it does not settle."""
-    from .errors import TailLimitError
-
     kind, val = tail_trend(fn, cmap, side)
     if kind != "limit":
         raise TailLimitError(
@@ -277,7 +294,7 @@ def weights_equivalent(w1: Weight, w2: Weight, cmap: CompactMap) -> WeightEquiva
     grid = build_grid(cmap, GridSpec(EQUIV_NODES))
     lo_band, hi_band = RATIO_BAND
 
-    def ratio(t: float) -> float:
+    def ratio(t):
         return w1(t) / w2(t)
 
     for t in grid.t[grid.finite_mask()]:
@@ -293,23 +310,87 @@ def weights_equivalent(w1: Weight, w2: Weight, cmap: CompactMap) -> WeightEquiva
             return WeightEquivalence("not-equivalent", None, None,
                                      f"ratio {r:g} outside band at t={t}")
 
-    ends = []
     lo_end, _ = cmap.interval()
-    for side, finite_end in ((-1, lo_end), (+1, None)):
-        if side == -1 and math.isfinite(lo_end):
-            ends.append(("limit", ratio(lo_end)))
-            continue
-        ends.append(tail_trend(ratio, cmap, side))
-
-    vals = []
-    for kind, val in ends:
-        if kind == "unknown":
-            return WeightEquivalence("inconclusive", None, None,
-                                     "endpoint ratio trend undecided")
-        vals.append(val)
-    left, right = vals
+    ends = [("limit", ratio(lo_end))] if math.isfinite(lo_end) else []
+    ends += [(k.item(), v.item()) for k, v in read_ends(ratio, cmap).values()]
+    if any(kind == "unknown" for kind, _ in ends):
+        return WeightEquivalence("inconclusive", None, None,
+                                 "endpoint ratio trend undecided")
+    left, right = vals = [v for _, v in ends]
     for v in vals:
         if math.isinf(v) or not (lo_band <= v <= hi_band):
             return WeightEquivalence("not-equivalent", left, right,
                                      "endpoint ratio escapes the admissible band")
     return WeightEquivalence("equivalent", left, right)
+
+
+# ---------------------------------------------------------------------------
+# growth comparison of positive functions
+
+TAGS = ("greater", "less", "comparable", "comparable-with-limit",
+        "equivalent", "lower-bounded", "upper-bounded", "undetermined")
+# the decision thresholds of classify_asymptotic (see there)
+CLASSIFY_AGREE_REL, CLASSIFY_BIG, CLASSIFY_SMALL = 1e-4, 1e6, 1e-6
+
+
+@dataclass(frozen=True)
+class AsymptoticRelation:
+    """Outcome of the tail comparison of two positive functions.
+
+    tag meanings for r = f/g along the refining tail:
+      'greater'               r certified to escape to +inf
+      'less'                  r certified to settle to 0
+      'comparable'            r stayed inside the band at every probe
+      'comparable-with-limit' r settles to a finite positive limit
+      'equivalent'            r settles to 1
+      'lower-bounded'         r nondecreasing (inf certified positive)
+      'upper-bounded'         r nonincreasing (sup certified finite)
+      'undetermined'          none of the above could be certified
+    """
+
+    tag: str
+    limit: float | None = None
+    ratios: tuple = ()
+    probes: tuple = ()
+    detail: str = ""
+
+
+def classify_asymptotic(f: Callable[[float], float], g: Callable[[float], float],
+                        cmap: CompactMap, *, side: int = +1) -> AsymptoticRelation:
+    """Compare the tail growth of two positive functions along the map.
+
+    f and g (floats or arrays, see ``elementwise``) are evaluated once at
+    the tail points; a value that is nan, negative (or 0 for g) or fails to
+    evaluate raises. ``classify_tail`` decides the ratio f/g: an escape to
+    +inf is 'greater', a limit 0 'less', a limit within
+    ``CLASSIFY_AGREE_REL`` of 1 'equivalent' and any other limit
+    'comparable-with-limit'. An undecided ratio is graded to 'comparable'
+    (every probe inside [``CLASSIFY_SMALL``, ``CLASSIFY_BIG``]), one-sided
+    bounds, or 'undetermined'.
+    """
+    ts = tail_points(cmap, side)
+    fv, gv = (tail_values(elementwise(h), ts, ts.shape) for h in (f, g))
+    for name, v in (("f", fv), ("g", gv)):
+        bad = np.isnan(v) | (v < 0.0) | ((v == 0.0) & (name == "g"))
+        if bad.any():
+            raise DomainError(f"{name}(t)={v[bad][0]} at t={ts[bad][0]}: "
+                              "comparison needs positive functions")
+    with np.errstate(all="ignore"):
+        ratios = fv / gv   # nan for inf / inf
+    kind, value = (x.item() for x in classify_tail(ts, ratios))
+    rel = partial(AsymptoticRelation, ratios=tuple(ratios.tolist()), probes=tuple(ts.tolist()))
+    if kind == "diverges":
+        return rel("greater" if value > 0 else "less")
+    if kind == "limit":
+        tag = ("less" if value == 0.0 else "equivalent" if abs(value - 1.0) <= CLASSIFY_AGREE_REL
+               else "comparable-with-limit")
+        return rel(tag, value)
+    if np.isnan(ratios).any():
+        return rel("undetermined", detail="ratio of two overflowing values")
+    if ((CLASSIFY_SMALL <= ratios) & (ratios <= CLASSIFY_BIG)).all():
+        return rel("comparable")
+    if (np.diff(ratios) >= 0.0).all():
+        return rel("lower-bounded")
+    if (np.diff(ratios) <= 0.0).all():
+        return rel("upper-bounded")
+    return rel("undetermined")

@@ -93,11 +93,12 @@ def test_sup_functional_with_diverging_ratio_is_refused(problem_c2, space):
 
 
 def test_sup_functional_with_underflowing_weight_is_refused(problem_c2):
-    # e^(-t) underflows at the deep tail probes, so the endpoint ratio trend
-    # cannot be certified and the evaluation refuses instead of guessing
+    # e^(-t) underflows to 0 at the deep tail probes, so the ratio
+    # phi / e^(-t) reads inf there, a certified divergence, and the
+    # evaluation refuses instead of guessing
     bad = hl.FunctionalSpec(kind="weighted-sup",
                             sup_weight=hl.exponential(c=1.0, rate=-1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="sup part ill-conditioned"):
         hl.eval_functional(bad, problem_c2.forcing)
 
 
@@ -608,6 +609,47 @@ def test_a_batch_refuses_with_its_first_refusing_element(problem_c2, space, full
     with pytest.raises(DomainError) as batch:
         hl.eval_functional(sup, [zero, problem_c2.forcing])
     assert "ill-conditioned" in str(alone.value) and str(batch.value) == str(alone.value)
+
+
+# one weight 1 + |t| on the full line, for the refusal order below
+ABS_LINE = hl.custom(lambda t: 1.0 + np.abs(t), label="one-plus-abs")
+
+
+def test_an_element_sup_part_refuses_its_first_end_diverging_before_the_next_undecided():
+    # phi / sup weight is (1 + |t|) e^-t toward -inf, a divergence, and
+    # 2 + sin t toward +inf, undecided: the ends are read in order, and at
+    # each end "unknown" is checked before "diverges", so the element is
+    # refused as ill-conditioned, the verdict of -inf
+    sup_weight = hl.custom(lambda t: np.where(t < 0.0, np.exp(np.minimum(t, 0.0)),
+                                              (1.0 + np.abs(t)) / (2.0 + np.sin(t))),
+                           label="exp-then-wavy")
+    line = hl.CompactMap.full_line(L=1.0)
+    assert hl.tail_trend(lambda t: 2.0 + math.sin(t), line, +1) == ("unknown", None)
+    grid = hl.build_grid(line, hl.GridSpec(m=17))
+    u = hl.lift(hl.Space(grid=grid, weight=ABS_LINE, order=0), np.ones(grid.m))
+    with pytest.raises(DomainError, match="sup part ill-conditioned"):
+        hl.eval_functional(hl.FunctionalSpec("weighted-sup", sup_weight=sup_weight), u)
+
+
+def test_a_raw_batch_refuses_with_its_first_row_before_its_first_end():
+    # row 0 over the sup weight is 2 + sin t toward +inf (undecided) and 1
+    # toward -inf; row 1 is |t| toward -inf (unbounded) and 1 toward +inf:
+    # the first refused row wins, although row 1 refuses at the first end
+    from hammerline.cone import _raw_parts
+
+    def fn(t, r):
+        bump = np.where(r == 0, np.where(t > 0.0, 2.0 + np.sin(t), 1.0),
+                        np.where(t < 0.0, np.abs(t), 1.0))
+        return (1.0 + np.abs(t)) * bump
+
+    grid = hl.build_grid(hl.CompactMap.full_line(L=1.0), hl.GridSpec(m=17))
+    space = hl.Space(grid=grid, weight=ABS_LINE, order=0)
+    _, sup = _raw_parts(fn, space, hl.DEFAULT_QUAD, np.empty((2, 0)))
+    with pytest.raises(DomainError) as both:
+        sup(ABS_LINE, np.arange(2))
+    assert str(both.value) == "sup part endpoint behavior undecided"
+    with pytest.raises(DomainError, match="sup part unbounded for this slice"):
+        sup(ABS_LINE, np.arange(1, 2))
 
 
 def _properties_loop(spec, space, n_pairs, seed):

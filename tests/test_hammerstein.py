@@ -433,8 +433,8 @@ def test_gravity_bound_profile_refuses_the_divergent_scalar_before_integrating()
         mp.setattr(quad_mod, "panel_nodes", counted)
         prof = hl.c3_bound_profile(problem, 1.0, quad)
     assert not prof.ok
-    assert prof.failure == ("integral part diverges: integrand decays no faster than "
-                            "1/|t| toward +inf")
+    assert prof.failure == ("modulus_dominator_integral diverges: integrand decays no "
+                            "faster than 1/|t| toward +inf")
     assert len(rounds) <= 10 and sum(rounds) <= 1_800
 
 

@@ -1,7 +1,7 @@
 """The package's public surface holds only what some caller uses, and
 documents itself.
 
-Three scans of the source tree:
+Four scans of the source tree:
 
 - every optional parameter of a public function or method in
   ``src/hammerline`` is set by at least one call in ``src/``, ``tests/``,
@@ -12,7 +12,10 @@ Three scans of the source tree:
   outside the package (tests, scripts, README, perfbench): a type that only
   comes back from a call is reached through that call, not exported;
 - every dataclass in ``src/hammerline`` has a docstring: for one without,
-  ``dataclasses`` builds ``__doc__`` from ``inspect.signature`` at import.
+  ``dataclasses`` builds ``__doc__`` from ``inspect.signature`` at import;
+- no module but ``weights.py`` imports the tail model's parts
+  (``tail_points``, ``tail_values``, ``classify_tail``): every other one
+  reads a function at +-inf through ``weights.read_ends``.
 """
 
 import ast
@@ -142,3 +145,14 @@ def test_every_dataclass_has_a_docstring():
                     if isinstance(node, ast.ClassDef) and _is_dataclass(node)
                     and ast.get_docstring(node) is None]
     assert undocumented == []
+
+
+TAIL_MODEL_PARTS = {"tail_points", "tail_values", "classify_tail"}
+
+
+def test_only_weights_imports_the_tail_model_parts():
+    importers = sorted(f"{path.stem} imports {alias.name}"
+                       for path in sorted(PACKAGE.glob("*.py")) if path.name != "weights.py"
+                       for node in ast.walk(_parse(path)) if isinstance(node, ast.ImportFrom)
+                       for alias in node.names if alias.name in TAIL_MODEL_PARTS)
+    assert importers == []

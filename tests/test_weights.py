@@ -210,6 +210,27 @@ def test_same_rate_exponentials_are_honestly_inconclusive():
     assert out.verdict == "inconclusive"
 
 
+def test_weights_equivalent_names_the_first_node_whose_ratio_fails():
+    # a float-only weight that raises, or a zero denominator, fails the
+    # scan at the first such node, and the detail names it
+    nodes = hl.build_grid(HALF, hl.GridSpec(m=33)).t
+    first = next(t for t in nodes.tolist() if t >= 10.0)
+    raising = hl.custom(lambda t: 1.0 if t < 10.0 else math.log(-1.0), label="raising")
+    zero_late = hl.custom(lambda t: max(t - first, 0.0) + (t < first), label="zero-late")
+    for w1, w2 in ((raising, hl.affine()), (hl.affine(), zero_late)):
+        out = hl.weights_equivalent(w1, w2, HALF)
+        assert (out.verdict, out.detail) == ("inconclusive",
+                                             f"ratio evaluation failed at t={first}")
+
+
+def test_an_underflowing_weight_escapes_at_both_ends_of_the_full_line():
+    # e^(0.3 t) underflows to 0 deep in the -inf tail, where the ratio 2 /
+    # e^(0.3 t) reads inf, a certified escape, as the settling to 0 toward
+    # +inf is
+    out = hl.weights_equivalent(hl.exponential(c=2.0, rate=0.0), hl.exponential(rate=0.3), FULL)
+    assert (out.verdict, out.left, out.right) == ("not-equivalent", math.inf, 0.0)
+
+
 def test_weight_derivative_matches_finite_differences():
     h = 1e-6
     for w in (hl.affine(b=2.0), hl.exponential(c=1.0, rate=0.7), hl.power(q=1.5)):

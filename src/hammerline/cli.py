@@ -37,15 +37,21 @@ _NUMERICAL_ERRORS = (QuadratureError, BlowupError, TailLimitError, DomainError,
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """payload as strict JSON: a nan or inf is refused before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise DomainError(f"{path.name} not written: {e}") from None
+    path.write_text(text + "\n")
 
 
-def _error_record(exc: Exception, command: str, scenario_path) -> dict:
-    return {"schema": 1, "kind": "error",
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "command": command, "scenario": str(scenario_path)}
+def _refuse(exc: Exception, command: str, scenario_path) -> dict:
+    """The error record of exc, printed to stderr as one JSON line."""
+    record = {"schema": 1, "kind": "error",
+              "error": {"type": type(exc).__name__, "message": str(exc)},
+              "command": command, "scenario": str(scenario_path)}
+    print(json.dumps(record, allow_nan=False), file=sys.stderr)
+    return record
 
 
 def _plot_script(csv_name: str) -> str:
@@ -285,15 +291,13 @@ def run_scenario(path, command: str, *, out_dir=None, grid_size=None,
                  tol=None, seed=None) -> int:
     """Run one pipeline for a scenario file; returns the process exit code."""
     if command not in COMMANDS:
-        print(json.dumps(_error_record(
-            ScenarioError(f"unknown command {command!r}"), command, path)),
-            file=sys.stderr)
+        _refuse(ScenarioError(f"unknown command {command!r}"), command, path)
         return EXIT_VALIDATION
     try:
         scn = load_scenario(path)
         scn = _apply_overrides(scn, grid_size, tol, seed, out_dir)
     except ScenarioError as e:
-        print(json.dumps(_error_record(e, command, path)), file=sys.stderr)
+        _refuse(e, command, path)
         return EXIT_VALIDATION
     out = Path(scn.output_dir)
     try:
@@ -302,15 +306,14 @@ def run_scenario(path, command: str, *, out_dir=None, grid_size=None,
         _DISPATCH[command](scn, out)
         return EXIT_OK
     except ScenarioError as e:
-        print(json.dumps(_error_record(e, command, path)), file=sys.stderr)
+        _refuse(e, command, path)
         return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as e:
-        record = _error_record(e, command, path)
+        record = _refuse(e, command, path)
         try:
             _write_json(out / "error.json", record)
         except OSError:
             pass
-        print(json.dumps(record), file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pcg64 import Generator
 from .compactline import Grid
 from .elementwise import elementwise, filled
 from .errors import DomainError, QuadratureError
@@ -376,9 +377,20 @@ class CertificateReport:
         return self.context
 
 
+def _finite_or_null(x):
+    """x with every non-finite float in its dicts and lists made None: JSON
+    has no nan or inf."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _entry_jsonable(e: ConditionEntry) -> dict:
     return {"key": e.key, "title": e.title, "status": e.status,
-            "tolerance": e.tolerance, "witness": e.witness, "detail": e.detail}
+            "tolerance": e.tolerance, "witness": _finite_or_null(e.witness),
+            "detail": e.detail}
 
 
 def report_to_jsonable(report: CertificateReport) -> dict:
@@ -454,7 +466,7 @@ def report_from_json(data: dict) -> CertificateReport:
 
 def _sample_cone_elements(space: Space, cone: FunctionalSpec,
                           quad: QuadratureConfig, n: int,
-                          rng: Generator, memo: dict | None = None) -> list:
+                          rng: random.Random, memo: dict | None = None) -> list:
     """Random smooth nonnegative elements, filtered to the cone: the first n
     that pass, in draw order, of at most 50n draws.
 
@@ -468,7 +480,7 @@ def _sample_cone_elements(space: Space, cone: FunctionalSpec,
     while len(out) < n and tries < 50 * n:
         batch = []
         for _ in range(min(n - len(out), 50 * n - tries)):
-            coeff = rng.uniform(0.0, 1.0, 4)
+            coeff = [rng.uniform(0.0, 1.0) for _ in range(4)]
             scale = rng.uniform(0.2, 2.0)
             samples = np.zeros((space.order + 1, space.m))
             samples[0] = scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2
@@ -480,12 +492,20 @@ def _sample_cone_elements(space: Space, cone: FunctionalSpec,
     return out
 
 
-def _nonneg_elements(space: Space, rng: Generator, n: int) -> list:
+def _stream(seed: int) -> random.Random:
+    """The certifier's seeded stream of uniform draws. A negative seed is
+    refused: ``random.Random`` seeds with |seed|, so -s would repeat s."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"sampling seed must be nonnegative, got {seed}")
+    return random.Random(seed)
+
+
+def _nonneg_elements(space: Space, rng: random.Random, n: int) -> list:
     out = []
     for _ in range(n):
-        row = rng.uniform(0.0, 1.0, space.m)
         samples = np.zeros((space.order + 1, space.m))
-        samples[0] = row
+        samples[0] = [rng.uniform(0.0, 1.0) for _ in range(space.m)]
         out.append(WeightedFunction(space, samples))
     return out
 
@@ -524,10 +544,10 @@ def check_functional_properties(spec: FunctionalSpec, space: Space,
     nonnegativity falsification search, on random nonnegative elements: the
     oracle that tests ``eval_functional`` against ``KIND_LEMMAS``, which the
     certifier reads in place of these samples."""
-    rng = Generator(seed)
+    rng = _stream(seed)
     us = _nonneg_elements(space, rng, n_pairs)
     vs = _nonneg_elements(space, rng, n_pairs)
-    lams = rng.uniform(0.0, 3.0, n_pairs)
+    lams = np.array([rng.uniform(0.0, 3.0) for _ in range(n_pairs)])
     memo: dict = {}
     fu, fv, fuv, flam = np.split(eval_functional(
         spec, us + vs + [u + v for u, v in zip(us, vs)]
@@ -645,7 +665,7 @@ class _Certification:
         self.problem, self.specs, self.quad = problem, specs, quad
         self.sp = problem.space
         self.memo: dict = {}
-        self.rng = Generator(seed)
+        self.rng = _stream(seed)
 
     def share(self, samples: int) -> None:
         """The kernel profiles and the functionals of the forcing, then the

@@ -505,8 +505,7 @@ def c3_bound_profile(problem: HammersteinProblem, r: float = 1.0,
         scalars = dict(zip(factors, _integral_parts(scalar_integrand, cmap, quad,
                                                     np.empty((len(factors), 0))).tolist()))
         values = np.empty(grid.m)
-        # w of a float: an array call may round otherwise (np.exp, math.exp)
-        values[finite] = raw / np.array([w(ti) for ti in t_nodes.tolist()])
+        values[finite] = raw / w(t_nodes)
         values[grid.t == -math.inf] = scalars["abs_z_lo_integral"]
         values[grid.t == math.inf] = scalars["abs_z_hi_integral"]
 

@@ -1,9 +1,11 @@
 import importlib.metadata
 import json
+import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -229,6 +231,38 @@ def test_numerical_failure_exits_two_with_error_record(tmp_path, capsys):
     assert record["error"]["type"] == "DomainError"
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["type"] == "DomainError"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_gravity_report_is_strict_json(tmp_path):
+    # C2's and C3's witnesses hold nan and inf, which the report writes as null
+    out = tmp_path / "out"
+    assert hl.main(["--scenario", GRAVITY, "--command", "verify", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_no_constant)
+    c2, c3 = report["entries"]["C2"]["witness"], report["entries"]["C3"]["witness"]
+    assert c2["negativity"]["value"] is None
+    assert c2["dominator"]["r=1"]["value"] is None
+    assert c3["r=1"]["sup"] is None
+
+
+def test_a_non_finite_artifact_number_exits_two_with_error_record(tmp_path, capsys,
+                                                                  monkeypatch):
+    # an artifact number JSON cannot hold is a numerical failure, not a
+    # nonstandard file
+    import hammerline.cli as cli_mod
+
+    relation = SimpleNamespace(tag="comparable-with-limit", limit=math.nan, detail="")
+    monkeypatch.setattr(cli_mod, "classify_asymptotic", lambda *args, **kwargs: relation)
+    rc, out = run(tmp_path, "classify", CLASSIFY)
+    assert rc == 2
+    assert not (out / "classification.json").exists()
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "DomainError"
+    assert "classification.json not written" in record["error"]["message"]
+    assert json.loads(capsys.readouterr().err.strip()) == record
 
 
 # -- entry points ---------------------------------------------------------------------

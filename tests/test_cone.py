@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from pathlib import Path
 
 import jsonschema
@@ -656,13 +657,13 @@ def _properties_loop(spec, space, n_pairs, seed):
     """P1-P3 one element at a time: the reference of the batched checks."""
     from hammerline.cone import PROP_TOL, _nonneg_elements
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     p1, p2, p3 = -math.inf, 0.0, 0
     for u, v in zip(_nonneg_elements(space, rng, n_pairs),
                     _nonneg_elements(space, rng, n_pairs)):
         fu, fv = hl.eval_functional(spec, u), hl.eval_functional(spec, v)
         p1 = max(p1, fu + fv - hl.eval_functional(spec, u + v))
-        lam = float(rng.uniform(0.0, 3.0))
+        lam = rng.uniform(0.0, 3.0)
         p2 = max(p2, abs(hl.eval_functional(spec, lam * u) - lam * fu) / max(1.0, abs(fu)))
         if fu >= 0.0 and hl.norm(u) > 0.0 and hl.eval_functional(spec, -1.0 * u) >= 0.0:
             p3 += 1
@@ -679,6 +680,15 @@ def test_batched_property_checks_equal_the_loop(seed, system_c2, space):
         assert (out.p3_counterexamples, out.passed) == (p3, passed)
         assert out.p3_counterexamples == (8 if spec.kind == "weighted-sup" else 0)
         assert (out.p1_worst, out.p2_worst) == (p1, p2)
+
+
+def test_a_negative_seed_is_refused(problem_c2, system_c2, space):
+    # random.Random seeds with |seed|, so -1 would repeat the draws of 1
+    with pytest.raises(DomainError, match="sampling seed must be nonnegative, got -1"):
+        hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                                  system_c2.lower, seed=-1)
+    with pytest.raises(DomainError, match="sampling seed must be nonnegative, got -1"):
+        hl.check_functional_properties(system_c2.cone, space, seed=-1)
 
 
 def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
@@ -732,7 +742,7 @@ def _cone_draw_loop(space, cone, quad, n, rng):
     q = (1.0 + space.grid.x) / 2.0
     while len(out) < n and tries < 50 * n:
         tries += 1
-        coeff = rng.uniform(0.0, 1.0, 4)
+        coeff = [rng.uniform(0.0, 1.0) for _ in range(4)]
         scale = rng.uniform(0.2, 2.0)
         u = hl.lift(space, scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2
                                     + coeff[3] * q ** 3))
@@ -743,7 +753,8 @@ def _cone_draw_loop(space, cone, quad, n, rng):
 
 @pytest.mark.parametrize("name, rounds", [
     ("boosted_projectile_c2.json", [8]),
-    ("boosted_projectile_c3.json", [8, 6, 6, 6, 5, 4, 2, 2, 1]),   # 40 draws
+    ("boosted_projectile_c3.json",                                 # 97 draws
+     [8, 7, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4, 4, 3, 3, 3, 2, 1, 1, 1]),
 ])
 def test_cone_draw_is_one_batch_per_round_and_equals_the_loop(name, rounds, monkeypatch):
     # count guard: a round draws the shortfall and evaluates it as one
@@ -759,14 +770,14 @@ def test_cone_draw_is_one_batch_per_round_and_equals_the_loop(name, rounds, monk
         return _real(spec, u, *args, **kwargs)
 
     monkeypatch.setattr(cone_mod, "eval_functional", counted)
-    rng = np.random.default_rng(scn.seed)
+    rng = random.Random(scn.seed)
     got = cone_mod._sample_cone_elements(space, cone, quad, scn.samples, rng, {})
     monkeypatch.undo()
     assert batches == rounds
-    ref = np.random.default_rng(scn.seed)
+    ref = random.Random(scn.seed)
     want = _cone_draw_loop(space, cone, quad, scn.samples, ref)
     assert [u.samples.tobytes() for u in got] == [u.samples.tobytes() for u in want]
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.getstate() == ref.getstate()
 
 
 # -- certification report ---------------------------------------------------

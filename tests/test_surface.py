@@ -1,7 +1,7 @@
 """The package's public surface holds only what some caller uses, and
 documents itself.
 
-Four scans of the source tree:
+Five scans of the source tree:
 
 - every optional parameter of a public function or method in
   ``src/hammerline`` is set by at least one call in ``src/``, ``tests/``,
@@ -15,7 +15,9 @@ Four scans of the source tree:
   ``dataclasses`` builds ``__doc__`` from ``inspect.signature`` at import;
 - no module but ``weights.py`` imports the tail model's parts
   (``tail_points``, ``tail_values``, ``classify_tail``): every other one
-  reads a function at +-inf through ``weights.read_ends``.
+  reads a function at +-inf through ``weights.read_ends``;
+- every ``json.dump`` and ``json.dumps`` call passes ``allow_nan=False``:
+  the package writes strict JSON, as ``load_scenario`` reads it.
 """
 
 import ast
@@ -156,3 +158,14 @@ def test_only_weights_imports_the_tail_model_parts():
                        for node in ast.walk(_parse(path)) if isinstance(node, ast.ImportFrom)
                        for alias in node.names if alias.name in TAIL_MODEL_PARTS)
     assert importers == []
+
+
+def test_every_json_dump_is_strict():
+    lax = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+           for node in ast.walk(_parse(path))
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+           and node.func.attr in ("dump", "dumps")
+           and not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in node.keywords)]
+    assert lax == []

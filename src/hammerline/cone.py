@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compactline import Grid
-from .elementwise import elementwise, filled
+from .elementwise import elementwise, exp, filled
 from .errors import DomainError, QuadratureError
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, _integral_parts, integrate_compact,
                          sup_on_grid)
@@ -98,80 +98,141 @@ class ConeSystem:
 # ---------------------------------------------------------------------------
 # functional evaluation
 
-def _memoized(memo: dict | None, keys: list | None, part: str, compute, n: int):
-    """``compute`` (a part as a function of its weight and of the rows, an
-    index array, of a batch of n) for every row, each read from ``memo`` on
-    a hit and computed once, for all the misses at once, on a miss; without
-    a memo or keys (one per row) every row is computed. A part that raises
-    is not stored."""
-    def part_of(w: Weight) -> np.ndarray:
-        if memo is None or keys is None:
-            return compute(w, np.arange(n))
-        name = (part, weight_key(w))
-        named = [name + k for k in keys]
-        todo: dict = {}
-        for i, k in enumerate(named):
+def _row_weight(w) -> Callable:
+    """(t, r) -> the weight of row r at t. ``w`` is one weight for every
+    row, or a sequence with one per row, each evaluated only at the points
+    of its rows (t and r broadcast)."""
+    if isinstance(w, Weight):
+        return lambda t, r: w(t)
+    index: dict = {}
+    which = np.array([index.setdefault(id(v), len(index)) for v in w])
+    if len(index) == 1:
+        return _row_weight(w[0])
+    unique = list({id(v): v for v in w}.values())
+
+    def at(t, r):
+        t, r = np.broadcast_arrays(t, r)
+        out = np.empty(t.shape)
+        k = which[r]
+        for j, v in enumerate(unique):
+            mask = k == j
+            if mask.any():
+                out[mask] = v(t[mask])
+        return out
+
+    return at
+
+
+def _parts(memo: dict | None, keys: list | None, part: str, compute,
+           wanted: list) -> list:
+    """The part ``part`` for every (weight, rows) pair of ``wanted`` (rows an
+    index array into a batch), an array each. compute(w, rows) computes a
+    part of the batch's rows, w their one weight or a list with a weight
+    per row. With a memo and keys (one per row of the batch) each value is
+    read from ``memo`` on a hit, and all the misses, whatever their weight,
+    are computed in one call; without them every pair is, in one call. A
+    part that raises is not stored."""
+    def run(weights: list, rows: np.ndarray) -> np.ndarray:
+        if not rows.size:
+            return np.empty(0)
+        return compute(weights[0] if all(w is weights[0] for w in weights) else weights, rows)
+
+    if memo is None or keys is None:
+        values = run([w for w, r in wanted for _ in range(r.size)],
+                     np.concatenate([r for _, r in wanted] + [np.zeros(0, int)]))
+        return np.split(values, np.cumsum([r.size for _, r in wanted])[:-1])
+    named = [[name + keys[i] for i in r.tolist()]
+             for name, r in (((part, weight_key(w)), r) for w, r in wanted)]
+    todo: dict = {}
+    for (w, r), names in zip(wanted, named):
+        for i, k in zip(r.tolist(), names):
             if k not in memo:
-                todo.setdefault(k, i)
-        if todo:
-            memo.update(zip(todo, compute(w, np.fromiter(todo.values(), int)).tolist()))
-        return np.array([memo[k] for k in named])
+                todo.setdefault(k, (w, i))
+    if todo:
+        weights, rows = zip(*todo.values())
+        memo.update(zip(todo, run(list(weights), np.array(rows)).tolist()))
+    return [np.array([memo[k] for k in names]) for names in named]
 
-    return part_of
 
-
-def _combine(spec: FunctionalSpec, integral, sup, memo: dict | None = None,
-             keys: list | None = None, n: int = 1) -> np.ndarray:
-    """The functional of the rows of a batch of n from their parts:
+def _combine(requests: list, integral, sup, memo: dict | None = None,
+             keys: list | None = None) -> list:
+    """The functional of every (spec, rows) request (rows an index array
+    into a batch), an array each, from the parts of the rows:
     integral(integral_weight), sup(sup_weight), or integral minus sup for a
-    difference. With a memo, ``keys`` name what each row's parts are taken
-    of."""
-    integral = _memoized(memo, keys, "integral", integral, n)
-    sup = _memoized(memo, keys, "sup", sup, n)
-    if spec.kind == "weighted-integral":
-        return integral(spec.integral_weight)
-    if spec.kind == "weighted-sup":
-        return sup(spec.sup_weight)
-    return integral(spec.integral_weight) - sup(spec.sup_weight)
+    difference. The integral parts of all requests are one call of
+    ``integral``, then their sup parts one of ``sup`` (see ``_parts``). With
+    a memo, ``keys`` name what each row's parts are taken of."""
+    integrals = iter(_parts(memo, keys, "integral", integral,
+                            [(s.integral_weight, r) for s, r in requests
+                             if s.kind != "weighted-sup"]))
+    sups = iter(_parts(memo, keys, "sup", sup, [(s.sup_weight, r) for s, r in requests
+                                                if s.kind != "weighted-integral"]))
+    return [next(integrals) if s.kind == "weighted-integral" else
+            next(sups) if s.kind == "weighted-sup" else next(integrals) - next(sups)
+            for s, _ in requests]
 
 
 def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) -> tuple:
     """The integral and sup parts of a batch of space elements, one per row
     of ``samples`` (their rescaled node values), as functions of the weight
-    and of the rows to compute (see ``_combine``).
+    (one, or one per row) and of the rows to compute (see ``_parts``).
 
     At an infinite end the sup part takes each row's end sample times the
-    certified limit of phi/sup_weight, classified once for the batch, and
-    refuses when that ratio diverges or has no certified limit.
+    certified limit of phi/sup_weight, one reading of the ends for the
+    batch, and refuses when that ratio diverges or has no certified limit.
     """
     grid, cmap, phi = space.grid, space.map, space.weight
     interp = grid.interpolant(samples)
 
-    def integral(w2: Weight, rows: np.ndarray) -> np.ndarray:
-        return _integral_parts(lambda t, x, r: interp(x, rows[r]) * phi(t) / w2(t), cmap,
+    def integral(w2, rows: np.ndarray) -> np.ndarray:
+        wt = _row_weight(w2)
+        return _integral_parts(lambda t, x, r: interp(x, rows[r]) * phi(t) / wt(t, r), cmap,
                                quad, np.empty((rows.size, 0)))
 
-    def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
+    def sup(w3, rows: np.ndarray) -> np.ndarray:
+        wt = _row_weight(w3)
+        col = np.arange(rows.size)[:, None]
         ends = {}
-        for x, (kind, ratio) in read_ends(lambda t: phi(t) / w3(t), cmap).items():
-            if kind == "unknown":
+        for x, (kind, ratio) in read_ends(lambda t: phi(t) / wt(t, col), cmap,
+                                          (rows.size,)).items():
+            if (kind == "unknown").any():
                 raise DomainError("weight ratio has no certified endpoint behavior")
-            if math.isinf(ratio):
+            if np.isinf(ratio).any():
                 # an unbounded ratio amplifies any interpolation wiggle of
                 # the sampled element without bound near the endpoint, so no
                 # trustworthy sup exists even for vanishing elements
                 raise DomainError(
                     "sup part ill-conditioned: the space weight outgrows the "
                     "sup weight toward the endpoint")
-            ends[x] = np.abs(samples[rows, 0 if x < 0 else -1]) * abs(float(ratio))
+            ends[x] = np.abs(samples[rows, 0 if x < 0 else -1]) * np.abs(ratio)
 
-        def fn_x(x):   # x of shape batch + (n,), batch () for a batch of one
+        def fn_x(x, r):
             t = cmap.from_compact(x)
-            return np.abs(interp(x, rows.reshape(x.shape[:-1] + (1,)))) * phi(t) / w3(t)
+            return np.abs(interp(x, rows[r])) * phi(t) / wt(t, r)
 
         return sup_on_grid(fn_x, grid, ends, np.empty((rows.size, 0)))
 
     return integral, sup
+
+
+def _element_functionals(requests: list, quad: QuadratureConfig, memo: dict | None) -> list:
+    """The values of every (spec, elements) request, an array each, the
+    elements of all requests of one space: one integral computes the
+    integral parts of all of them, one sup search their sup parts (see
+    ``_combine``), each with the value it has alone, bit for bit."""
+    elements = [u for _, us in requests for u in us]
+    if not elements:
+        return [np.empty(0) for _ in requests]
+    sp = elements[0].space
+    if any(not spaces_compatible(e.space, sp) for e in elements):
+        raise DomainError("elements of a batch live in different spaces")
+    samples = np.array([e.samples[0] for e in elements])
+    integral, sup = _element_parts(samples, sp, quad)
+    keys = None if memo is None else [("element", quad, sp, row.tobytes())
+                                      for row in samples]
+    bounds = np.cumsum([0] + [len(us) for _, us in requests])
+    return _combine([(spec, np.arange(a, b)) for (spec, _), a, b
+                     in zip(requests, bounds, bounds[1:])], integral, sup, memo, keys)
 
 
 def eval_functional(spec: FunctionalSpec, u: WeightedFunction | Sequence[WeightedFunction],
@@ -189,43 +250,40 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction | Sequence[Weighte
     is raised. ``memo`` (a dict) keeps each part by weight, quadrature,
     space and samples, so a repeated part is not recomputed.
     """
-    quad = quad or DEFAULT_QUAD
-    elements = [u] if isinstance(u, WeightedFunction) else list(u)
-    if not elements:
-        return np.empty(0)
-    sp = elements[0].space
-    if any(not spaces_compatible(e.space, sp) for e in elements):
-        raise DomainError("elements of a batch live in different spaces")
-    samples = np.array([e.samples[0] for e in elements])
-    integral, sup = _element_parts(samples, sp, quad)
-    keys = None if memo is None else [("element", quad, sp, row.tobytes())
-                                      for row in samples]
-    values = _combine(spec, integral, sup, memo, keys, len(elements))
-    return float(values[0]) if isinstance(u, WeightedFunction) else values
+    one = isinstance(u, WeightedFunction)
+    values = _element_functionals([(spec, [u] if one else list(u))], quad or DEFAULT_QUAD,
+                                  memo)[0]
+    return float(values[0]) if one else values
 
 
-def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> tuple:
+def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray,
+               start: np.ndarray | None = None) -> tuple:
     """The integral and sup parts of a batch of raw callables, t -> fn(t, r)
     for every row r of ``kinks`` (their kink locations, shape (rows, k)),
-    as functions of the weight and of the rows to compute.
+    as functions of the weight (one, or one per row) and of the rows to
+    compute (see ``_parts``).
 
     At an infinite end the sup part takes the certified limit of
     |fn|/sup_weight, and refuses when it diverges or is undecided; of
     several refused rows, the first one's refusal is raised. The sup search
-    cuts each row's brackets at its kinks.
+    cuts each row's brackets at its kinks, and reads a row on t >= its
+    ``start`` only (a t per row, where the callable vanishes left of it).
     """
     grid, cmap = space.grid, space.map
     cuts = cmap.to_compact(kinks)
+    starts = None if start is None else cmap.to_compact(start)
 
-    def integral(w2: Weight, rows: np.ndarray) -> np.ndarray:
-        return _integral_parts(lambda t, x, r: fn(t, rows[r]) / w2(t), cmap, quad,
+    def integral(w2, rows: np.ndarray) -> np.ndarray:
+        wt = _row_weight(w2)
+        return _integral_parts(lambda t, x, r: fn(t, rows[r]) / wt(t, r), cmap, quad,
                                cuts[rows])
 
-    def sup(w3: Weight, rows: np.ndarray) -> np.ndarray:
+    def sup(w3, rows: np.ndarray) -> np.ndarray:
+        wt = _row_weight(w3)
         col = np.arange(rows.size)[:, None]
 
         def h(t, r):
-            return np.abs(fn(t, rows[r])) / w3(t)
+            return np.abs(fn(t, rows[r])) / wt(t, r)
 
         ends, refusals = {}, []
         for x, (kind, lim) in read_ends(lambda t: h(t, col), cmap, (rows.size,)).items():
@@ -237,8 +295,8 @@ def _raw_parts(fn, space: Space, quad: QuadratureConfig, kinks: np.ndarray) -> t
         if (refused != "").any():
             first = refused[np.argmax((refused != "").any(axis=1))]
             raise DomainError(str(first[first != ""][0]))
-        return sup_on_grid(lambda x: h(cmap.from_compact(x), col), grid, ends,
-                           cuts[rows])
+        return sup_on_grid(lambda x, r: h(cmap.from_compact(x), r), grid, ends, cuts[rows],
+                           None if starts is None else starts[rows])
 
     return integral, sup
 
@@ -260,7 +318,7 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
     fn = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
     integral, sup = _raw_parts(lambda t, r: fn(t), space, quad,
                                np.array(kinks, dtype=float).reshape(1, -1))
-    return float(_combine(spec, integral, sup)[0])
+    return float(_combine([(spec, np.arange(1))], integral, sup)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +329,13 @@ def _kernel_slices(kernel: Kernel, s: np.ndarray, space: Space,
     """The parts of the slices t -> k(t,s)eta(s) at every point of the 1-d
     array s (see ``_raw_parts``) and each slice's memo key. Each slice is
     cut at its diagonal t = s, the kink of a Volterra kernel and the peak
-    of a Green's function."""
+    of a Green's function. A Volterra slice, zero for t < s, is searched
+    for its sup on t >= s only."""
     eta = kernel.eta(s)
     keys = [("raw", quad, space, (kernel.fn, kernel.eta, kernel.support, v), (v,))
             for v in s.tolist()]
-    return _raw_parts(lambda t, r: kernel.fn(t, s[r]) * eta[r], space, quad,
-                      s[:, None]) + (keys,)
+    return _raw_parts(lambda t, r: kernel.fn(t, s[r]) * eta[r], space, quad, s[:, None],
+                      s if kernel.support == VOLTERRA else None) + (keys,)
 
 
 @dataclass(frozen=True)
@@ -295,29 +354,59 @@ class ProfileIntegral:
     tolerance: float = POS_TOL
 
 
-def kernel_functional_integral(spec: FunctionalSpec, kernel: Kernel,
-                               quad: QuadratureConfig | None = None, *,
-                               space: Space, memo: dict | None = None) -> ProfileIntegral:
+def kernel_functional_integral(spec: FunctionalSpec | Sequence[FunctionalSpec],
+                               kernel: Kernel, quad: QuadratureConfig | None = None, *,
+                               space: Space, memo: dict | None = None
+                               ) -> ProfileIntegral | list:
     """Integrate s -> spec(k(.,s)eta(s)) over the interval, and record the
     profile at every point the integral evaluated it: the quadrature's nodes
     plus each finite end of the interval, which no node reaches.
 
-    Each refinement round of the integral is one batch of slices (see
-    ``_raw_parts``), the first with the finite ends added. Slice parts go
-    through ``memo`` keyed by the slice's s.
+    A sequence of specs gives the list of their profiles, as one integral
+    with a row per spec, each row refined as if it ran alone. Each
+    refinement round is one batch of slices over all rows (see
+    ``_raw_parts``, and ``_combine`` for the one call per part), the first
+    with the finite ends added. Slice parts go through ``memo`` keyed by
+    the slice's s. When the batch refuses, the specs run one at a time, so
+    the refusal raised is the first spec's, as a loop over them raises it.
     """
-    quad = quad or DEFAULT_QUAD
+    if isinstance(spec, FunctionalSpec):
+        return kernel_functional_integral([spec], kernel, quad, space=space, memo=memo)[0]
+    specs, quad = list(spec), quad or DEFAULT_QUAD
     ends = [v for v in space.map.interval() if math.isfinite(v)]
-    seen: list = []   # the (s, value) columns of each round
 
-    def profile(s: np.ndarray, x, row) -> np.ndarray:
-        at = np.concatenate((s, [] if seen else ends))
-        integral, sup, keys = _kernel_slices(kernel, at, space, quad)
-        seen.append(np.stack((at, _combine(spec, integral, sup, memo, keys, at.size))))
-        return seen[-1][1, :s.size]
+    def run(specs: list) -> list:
+        seen: list = [[] for _ in specs]   # the (s, value) columns of each round
 
-    integral = integrate_compact(profile, space.map, quad, [-1.0, 1.0])
-    points = np.hstack(seen)
+        def profile(s: np.ndarray, x, row) -> np.ndarray:
+            at = [np.concatenate((s[row == j], [] if seen[j] else ends))
+                  for j in range(len(specs))]
+            bounds = np.cumsum([0] + [a.size for a in at])
+            integral, sup, keys = _kernel_slices(kernel, np.concatenate(at), space, quad)
+            values = _combine([(sp, np.arange(lo, hi)) for sp, lo, hi
+                               in zip(specs, bounds, bounds[1:])], integral, sup, memo, keys)
+            out = np.empty(s.size)
+            for j, (a, v) in enumerate(zip(at, values)):
+                here = row == j
+                out[here] = v[:np.count_nonzero(here)]
+                if a.size:
+                    seen[j].append(np.stack((a, v)))
+            return out
+
+        integrals = integrate_compact(profile, space.map, quad,
+                                      np.broadcast_to([-1.0, 1.0], (len(specs), 2)))
+        return [_profile(np.hstack(pts), value) for pts, value in zip(seen, integrals.tolist())]
+
+    try:
+        return run(specs)
+    except (DomainError, QuadratureError):
+        if len(specs) == 1:
+            raise
+    return [run([sp])[0] for sp in specs]
+
+
+def _profile(points: np.ndarray, integral: float) -> ProfileIntegral:
+    """The profile of the (s, value) columns ``points`` and its integral."""
     s_vals, vals = points[:, np.argsort(points[0])]
     min_i = int(np.argmin(vals))
     positive = bool(vals[min_i] >= -POS_TOL) and bool(vals.max() > 0.0)
@@ -466,18 +555,25 @@ def report_from_json(data: dict) -> CertificateReport:
 
 def _sample_cone_elements(space: Space, cone: FunctionalSpec,
                           quad: QuadratureConfig, n: int,
-                          rng: random.Random, memo: dict | None = None) -> list:
+                          rng: random.Random, memo: dict | None = None,
+                          first: Sequence[tuple] = ()) -> tuple:
     """Random smooth nonnegative elements, filtered to the cone: the first n
-    that pass, in draw order, of at most 50n draws.
+    that pass, in draw order, of at most 50n draws. Returns them and the
+    value of each (spec, element) pair of ``first``.
 
     The draws come in rounds of as many candidates as are still missing,
-    each round evaluated as one batch. Drawing one at a time would draw at
-    least as many, so the random stream after the call is the same.
+    each round evaluated as one batch, the first with the pairs of
+    ``first`` ahead of its candidates (see ``_element_functionals``). When
+    that batch refuses, the pairs run one at a time and then the
+    candidates, so the refusal raised is that of a loop over them. Drawing
+    one at a time would draw at least as many, so the random stream after
+    the call is the same.
     """
-    out = []
-    tries = 0
+    out, tries = [], 0
+    pending = [(spec, [u]) for spec, u in first]
+    values: list = []
     q = (1.0 + space.grid.x) / 2.0
-    while len(out) < n and tries < 50 * n:
+    while (len(out) < n and tries < 50 * n) or pending:
         batch = []
         for _ in range(min(n - len(out), 50 * n - tries)):
             coeff = [rng.uniform(0.0, 1.0) for _ in range(4)]
@@ -487,9 +583,17 @@ def _sample_cone_elements(space: Space, cone: FunctionalSpec,
                                   + coeff[3] * q ** 3)
             batch.append(WeightedFunction(space, samples))
         tries += len(batch)
-        values = eval_functional(cone, batch, quad, memo=memo)
-        out += [u for u, v in zip(batch, values.tolist()) if not v < -POS_TOL]
-    return out
+        try:
+            *head, cone_of = _element_functionals(pending + [(cone, batch)], quad, memo)
+        except DomainError:
+            if not pending:
+                raise
+            head = [_element_functionals([pair], quad, memo)[0] for pair in pending]
+            cone_of = _element_functionals([(cone, batch)], quad, memo)[0]
+        if pending:
+            values, pending = [float(v[0]) for v in head], []
+        out += [u for u, v in zip(batch, cone_of.tolist()) if not v < -POS_TOL]
+    return out, values
 
 
 def _stream(seed: int) -> random.Random:
@@ -595,6 +699,17 @@ def bridge_b(report: CertificateReport, rho: float) -> float:
     return rho / info["coefficient"]
 
 
+def _weight_ratio(up: Weight, low: Weight) -> Callable:
+    """The integrand (t, x, row) -> up(t)/low(t) of bridge c. Two builder
+    exponentials c e^(rate t) are one exponential, which reads no inf/inf
+    where both overflow; any other pair is the quotient."""
+    (up_label, *up_p), (low_label, *low_p) = weight_key(up), weight_key(low)
+    if up_label == low_label == "exponential":
+        (c_up, rate_up), (c_low, rate_low) = up_p, low_p
+        return lambda t, x, row: (c_up / c_low) * exp((rate_up - rate_low) * t)
+    return lambda t, x, row: up(t) / low(t)
+
+
 def _detect_bridge_c(upper: FunctionalSpec, lower: FunctionalSpec, space: Space,
                      quad: QuadratureConfig) -> tuple:
     """Closed-form radius bridge c = integral of w_up/w_low over the
@@ -610,7 +725,8 @@ def _detect_bridge_c(upper: FunctionalSpec, lower: FunctionalSpec, space: Space,
         return None, ("no bridge c: the upper sup weight is the lower integral weight, "
                       "and their ratio 1 has no finite integral over an unbounded interval")
     try:
-        c = eval_functional_raw(lower, upper.sup_weight, space, quad)
+        c = float(_integral_parts(_weight_ratio(upper.sup_weight, lower.integral_weight),
+                                  space.map, quad, np.empty((1, 0)))[0])
     except DomainError as e:
         return None, f"no bridge c: {e}"
     return {"form": "closed", "coefficient": c,
@@ -668,22 +784,17 @@ class _Certification:
         self.rng = _stream(seed)
 
     def share(self, samples: int) -> None:
-        """The kernel profiles and the functionals of the forcing, then the
-        sampled cone elements and their images."""
+        """The kernel profiles (the cone's, and the upper and lower ones that
+        C7 and the index checks use) as one integral, then the sampled cone
+        elements, with the functionals of the forcing in the draw's first
+        batch, and their images."""
         sp, quad, memo, p = self.sp, self.quad, self.memo, self.problem.forcing
-        cone, upper, lower = self.specs.values()
-
-        def profile(spec: FunctionalSpec) -> ProfileIntegral:
-            return kernel_functional_integral(spec, self.problem.kernel, quad, space=sp,
-                                              memo=memo)
-
-        self.profiles = {"cone": profile(cone)}
-        self.forcing = {"cone": eval_functional(cone, p, quad, memo=memo)}
-        # upper/lower kernel profiles (used by C7 and the index checks)
-        self.profiles.update(upper=profile(upper), lower=profile(lower))
-        self.forcing.update(upper=eval_functional(upper, p, quad, memo=memo),
-                            lower=eval_functional(lower, p, quad, memo=memo))
-        self.elements = _sample_cone_elements(sp, cone, quad, samples, self.rng, memo)
+        specs = list(self.specs.values())
+        self.profiles = dict(zip(self.specs, kernel_functional_integral(
+            specs, self.problem.kernel, quad, space=sp, memo=memo)))
+        self.elements, forcing = _sample_cone_elements(sp, specs[0], quad, samples, self.rng,
+                                                       memo, [(spec, p) for spec in specs])
+        self.forcing = dict(zip(self.specs, forcing))
         # the images refine the problem's operator, whose panels later solves keep
         self.images = [apply_T(self.problem, u, quad) for u in self.elements]
 
@@ -801,7 +912,7 @@ class _Certification:
         def g(s, x, row):
             integral, sup, keys = _kernel_slices(kern, s, sp, self.quad)
             compute = integral if part == "integral" else sup
-            inner = _memoized(self.memo, keys, part, compute, s.size)(w)
+            inner = _parts(self.memo, keys, part, compute, [(w, np.arange(s.size))])[0]
             return inner * nl.fn(s, interp(x, row) * sp.weight(s))
 
         return integrate_compact(g, sp.map, self.quad,
@@ -817,10 +928,10 @@ class _Certification:
         elements = [u] if isinstance(u, WeightedFunction) else list(u)
         samples = np.array([e.samples[0] for e in elements])
         keys = [("fubini", self.quad, self.sp, row.tobytes()) for row in samples]
-        values = _combine(self.specs[name],
+        values = _combine([(self.specs[name], np.arange(len(elements)))],
                           lambda w2, rows: self._fubini_part("integral", w2, samples[rows]),
                           lambda w3, rows: self._fubini_part("sup", w3, samples[rows]),
-                          self.memo, keys, len(elements)) + self.forcing[name]
+                          self.memo, keys)[0] + self.forcing[name]
         return float(values[0]) if isinstance(u, WeightedFunction) else values
 
     def _first_violation(self, check) -> dict | None:
@@ -1012,14 +1123,14 @@ def _envelope_extreme(env, rho: np.ndarray, space: Space, mode: str) -> np.ndarr
     env = elementwise(env, 2)
     sign, col = (1.0 if mode == "sup" else -1.0), rho[:, None]
 
-    def ratio(t):   # negated for an inf, which classify_tail mirrors exactly
-        return sign * (env(t, col) / col)
+    def ratio(t, r):   # negated for an inf, which classify_tail mirrors exactly
+        return sign * (env(t, r) / r)
 
-    verdicts = read_ends(ratio, cmap, (rho.size,))
+    verdicts = read_ends(lambda t: ratio(t, col), cmap, (rho.size,))
     if any((kind == "unknown").any() for kind, _ in verdicts.values()):
         raise DomainError("envelope endpoint behavior undecided")
     ends = {x: value for x, (_, value) in verdicts.items()}
-    return sign * sup_on_grid(lambda x: ratio(cmap.from_compact(x)), grid, ends,
+    return sign * sup_on_grid(lambda x, r: ratio(cmap.from_compact(x), rho[r]), grid, ends,
                               np.empty((rho.size, 0)))
 
 

@@ -50,6 +50,10 @@ class Kernel:
     ``fn``, ``eta``, ``tilde_slice``, ``slice_endpoints`` and ``dt_slices``
     take floats or arrays (see ``elementwise``); float-only ones are wrapped
     at construction.
+
+    A ``VOLTERRA`` kernel's ``fn`` (and ``tilde_slice``) vanishes for
+    t < s. The operator integrates a row at t over s <= t, and the slice
+    functionals search the sup of a slice k(., s) on t >= s only.
     """
 
     fn: Callable[[float, float], float]
@@ -173,7 +177,8 @@ def kernel_limits(kernel: Kernel, phi: Weight, s, *, grid: Grid) -> KernelLimits
     """Endpoint values and sup of the rescaled slices at s (a float, or an
     array of s searched in one batch, with array fields). The sup search
     cuts each slice's brackets at its diagonal t = s (the kink of a Volterra
-    kernel, the peak of a Green's function)."""
+    kernel, the peak of a Green's function), and reads a Volterra slice,
+    zero for t < s, on t >= s only."""
     cmap = grid.map
     z_lo, z_hi = slice_endpoint_values(kernel, phi, s, cmap)
     bad = ~(np.isfinite(z_lo) & np.isfinite(z_hi))
@@ -182,13 +187,16 @@ def kernel_limits(kernel: Kernel, phi: Weight, s, *, grid: Grid) -> KernelLimits
         name = "left" if not np.isfinite(np.ravel(z_lo)[r]) else "right"
         raise DomainError(f"slice at s={np.ravel(s)[r].item()} unbounded toward "
                           f"the {name} end")
-    s_col = np.asarray(s, dtype=float)[..., None]
+    s_row = np.ravel(np.asarray(s, dtype=float))
+    x_s = cmap.to_compact(s_row)
 
-    def fn_x(x):
-        return np.abs(slice_tilde(kernel, phi, cmap.from_compact(x), s_col))
+    def fn_x(x, r):
+        return np.abs(slice_tilde(kernel, phi, cmap.from_compact(x), s_row[r]))
 
-    ends = {x: np.abs(z_lo) if x < 0 else np.abs(z_hi) for x in cmap.infinite_ends()}
-    return KernelLimits(z_lo, z_hi, sup_on_grid(fn_x, grid, ends, cmap.to_compact(s_col)))
+    ends = {x: np.ravel(np.abs(z_lo if x < 0 else z_hi)) for x in cmap.infinite_ends()}
+    sup = sup_on_grid(fn_x, grid, ends, x_s[:, None],
+                      x_s if kernel.support == VOLTERRA else None).reshape(np.shape(s))
+    return KernelLimits(z_lo, z_hi, sup if sup.ndim else float(sup))
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,12 @@ PRESCAN = 4       # prescan points inside each bracket
 EDGE = 1e-12      # the endpoint brackets are clipped this far inward
 
 
-def _values(fn, x: np.ndarray) -> np.ndarray:
-    """fn at every point of the array x, in one call; a nan is refused."""
-    v = np.asarray(fn(x), dtype=float)
+def _values(fn, x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """fn(x, row) at every point of the 1-d array x, in one call; a nan is
+    refused. An empty x is not evaluated."""
+    if not x.size:
+        return np.empty(0)
+    v = np.asarray(fn(x, row), dtype=float)
     if v.shape != x.shape:
         raise DomainError(f"sup search: fn_x returned shape {v.shape} "
                           f"for {x.size} points")
@@ -280,64 +283,86 @@ def _values(fn, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def golden_section_max(fn: Callable, lo, hi) -> tuple:
-    """Approximate max of fn on every bracket [lo[..., k], hi[..., k]]: a
-    coarse prescan, then a golden search around the best prescan cell.
-
-    lo and hi have the shape batch + (K,): the K brackets of each function
-    of a batch (``()`` for one function). fn takes an array of the shape
-    batch + (n,) and gives each function's values at the points of its row.
-    The brackets of all functions run in lockstep: each step calls fn once,
-    with one point per bracket; a bracket narrower than ``XTOL`` re-reads a
-    point it has visited, so each bracket visits the points a search of it
-    alone would visit. Returns the arrays (argmax, max) of the shape of lo;
-    a tie goes to the larger x.
-    """
-    lo = np.atleast_1d(np.asarray(lo, float))
-    hi = np.atleast_1d(np.asarray(hi, float))
-    batch = lo.shape[:-1]
-    xs = lo[..., None] + (hi - lo)[..., None] * np.arange(PRESCAN + 2) / (PRESCAN + 1)
+def _lockstep(fn, lo: np.ndarray, hi: np.ndarray, row: np.ndarray,
+              also: tuple) -> tuple:
+    """``golden_section_max`` of the brackets [lo, hi] of the rows ``row``
+    (1-d arrays), for fn(x, row); the points of ``also`` (x, row) are
+    evaluated in the prescan's call, after every bracket's first point lo
+    and before its others. Returns (argmax, max, the values at ``also``)."""
+    xs = lo[:, None] + (hi - lo)[:, None] * np.arange(PRESCAN + 2) / (PRESCAN + 1)
+    k = np.arange(lo.size)
     # an overflow to inf is a value: floating-point warnings stay quiet
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = _values(fn, xs.reshape(batch + (-1,))).reshape(-1, PRESCAN + 2)
-        xs = xs.reshape(vals.shape)
-        rows = np.arange(lo.size)
+        v = _values(fn, np.concatenate((xs[:, 0], also[0], xs[:, 1:].T.ravel())),
+                    np.concatenate((row, also[1], np.tile(row, PRESCAN + 1))))
+        also_v = v[lo.size:lo.size + also[0].size]
+        vals = np.concatenate((v[:lo.size], v[lo.size + also[0].size:])).reshape(
+            PRESCAN + 2, lo.size).T
         i = np.argmax(vals, axis=1)
-        a = xs[rows, np.maximum(i - 1, 0)].reshape(lo.shape)
-        b = xs[rows, np.minimum(i + 1, PRESCAN + 1)].reshape(lo.shape)
+        a = xs[k, np.maximum(i - 1, 0)]
+        b = xs[k, np.minimum(i + 1, PRESCAN + 1)]
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc, fd = np.split(_values(fn, np.concatenate((c, d), axis=-1)), 2, axis=-1)
-        # the final (c, fc, d, fd) of every bracket, kept when it stops; a
-        # stopped bracket probes its c, so its c and d stay visited points
+        fc, fd = np.split(_values(fn, np.concatenate((c, d)), np.concatenate((row, row))), 2)
+        # the final (c, fc, d, fd) of every bracket, kept when it stops; only
+        # the live brackets are stepped and evaluated
         out = [c.copy(), fc.copy(), d.copy(), fd.copy()]
-        live = (b - a) > XTOL
-        while live.any():
+        live = np.flatnonzero((b - a) > XTOL)
+        a, b, c, d, fc, fd = (u[live] for u in (a, b, c, d, fc, fd))
+        while live.size:
             # fc >= fd keeps [a, d] and probes a new c, else [c, b] and a new d
             left = fc >= fd
             a = np.where(left, a, c)
             b = np.where(left, d, b)
             width = b - a
             h = _INVPHI * width
-            x = np.where(live, np.where(left, b - h, a + h), c)
-            fx = _values(fn, x)
+            x = np.where(left, b - h, a + h)
+            fx = _values(fn, x, row[live])
             c, d = np.where(left, x, d), np.where(left, c, x)
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-            stop = live & ~(width > XTOL)
+            stop = ~(width > XTOL)
             if stop.any():
-                for o, v in zip(out, (c, fc, d, fd)):
-                    np.copyto(o, v, where=stop)
-                live &= ~stop
+                for o, u in zip(out, (c, fc, d, fd)):
+                    o[live[stop]] = u[stop]
+                go = ~stop
+                live = live[go]
+                a, b, c, d, fc, fd = (u[go] for u in (a, b, c, d, fc, fd))
     c, fc, d, fd = out
-    cand_v = np.stack((vals[rows, i].reshape(lo.shape), fc, fd), axis=-1)
-    cand_x = np.stack((xs[rows, i].reshape(lo.shape), c, d), axis=-1)
+    cand_v = np.stack((vals[k, i], fc, fd), axis=-1)
+    cand_x = np.stack((xs[k, i], c, d), axis=-1)
     best = cand_v.max(axis=-1)
-    arg = np.where(cand_v == best[..., None], cand_x, -np.inf).max(axis=-1)
-    return arg, best
+    arg = np.where(cand_v == best[:, None], cand_x, -np.inf).max(axis=-1)
+    return arg, best, also_v
+
+
+_NO_POINTS = (np.empty(0), np.empty(0, int))
+
+
+def golden_section_max(fn: Callable, lo, hi, row=None) -> tuple:
+    """Approximate max of fn on every bracket [lo[k], hi[k]]: a coarse
+    prescan, then a golden search around the best prescan cell.
+
+    lo and hi are floats or 1-d arrays, one entry a bracket. Without
+    ``row`` the brackets belong to one function, fn(x) of a 1-d array x.
+    With ``row`` (an int per bracket) they form one flat list over a batch
+    of functions: fn(x, row) gives, for 1-d arrays x and row, the value of
+    function row[j] at x[j]. All brackets run in lockstep: each step calls
+    fn once, with one point per bracket still wider than ``XTOL``, so each
+    bracket visits the points a search of it alone would visit. Returns the
+    1-d arrays (argmax, max), one entry a bracket; a tie goes to the larger
+    x.
+    """
+    lo = np.atleast_1d(np.asarray(lo, float))
+    hi = np.atleast_1d(np.asarray(hi, float))
+    if row is None:
+        f, row = (lambda x, r: fn(x)), np.zeros(lo.size, int)
+    else:
+        f, row = fn, np.asarray(row)
+    return _lockstep(f, lo, hi, row, _NO_POINTS)[:2]
 
 
 def sup_on_grid(fn_x: Callable, grid: Grid,
-                end_vals: Mapping[float, float] | None = None, kinks=()):
+                end_vals: Mapping[float, float] | None = None, kinks=(), start=None):
     """Sup of fn_x over [-1, 1]: node values, endpoint values, and a golden
     refinement inside every bracket between nodes and ``kinks`` (endpoint
     brackets clipped inward).
@@ -345,14 +370,24 @@ def sup_on_grid(fn_x: Callable, grid: Grid,
     ``kinks`` holds compact coordinates of shape batch + (k,): ``(k,)`` for
     one function, a row each for a batch of functions (k may be 0); the sup
     is a float for one function and an array of the batch's shape for a
-    batch (empty for an empty batch, which never calls fn_x). fn_x takes an
-    array of compact coordinates of the shape batch + (n,) and returns each
-    function's values at the points of its row (a float-only fn_x is
-    wrapped, see ``elementwise``); one call covers every node, then one
-    every bracket's next point (see ``golden_section_max``). A nan value
-    raises DomainError. ``end_vals`` holds the values at the infinite ends
-    (a float, or one per function), keyed by their compact coordinate
-    -1.0 / 1.0; fn_x is never called at those points.
+    batch (empty for an empty batch, which never calls fn_x). One function
+    is fn_x(x) of a 1-d array x (a float-only one is wrapped, see
+    ``elementwise``); a batch is fn_x(x, row), the value of function
+    ``row[j]`` (in the flattened batch) at x[j], for 1-d arrays x and row.
+    The brackets of all functions are one flat list (see
+    ``golden_section_max``): one call covers every bracket's prescan, whose
+    first point is the bracket's lo, so the nodes inside (-1, 1) are read
+    there and only the two end nodes need a point of their own; then one
+    call a step covers every live bracket's next point. A nan value raises
+    DomainError, naming the first nan of a call (the los come first).
+    ``end_vals`` holds the values at the infinite ends (a float, or one per
+    function), keyed by their compact coordinate -1.0 / 1.0; fn_x is never
+    called at those points.
+
+    ``start`` (a compact coordinate per function, of the batch's shape)
+    searches each function on [start, 1] only: its brackets are cut at the
+    start, and no node, end or bracket left of it is read. A zero-width
+    bracket is dropped when a bracket starts at its point.
     """
     end_vals = end_vals or {}
     kinks = np.asarray(kinks, dtype=float)
@@ -360,19 +395,34 @@ def sup_on_grid(fn_x: Callable, grid: Grid,
     if 0 in batch:
         return np.empty(batch)
     xs = grid.x
-    fn_x = elementwise(fn_x, at=np.broadcast_to(xs[1:3], batch + (2,)))
+    if batch:
+        f = fn_x
+    else:
+        one = elementwise(fn_x, at=xs[1:3])
+        f = lambda x, row: one(x)   # noqa: E731
+    n = math.prod(batch)
+    first = np.full(n, -1.0) if start is None else np.broadcast_to(start, batch).ravel()
+    cuts = [np.broadcast_to(xs, (n, xs.size)), kinks.reshape(n, -1)]
+    if start is not None:
+        cuts.append(first[:, None])
+    edges = np.clip(np.concatenate(cuts, axis=1), -1.0 + EDGE, 1.0 - EDGE)
+    edges.sort(axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    # a zero-width bracket's point starts the next bracket, unless it is last
+    keep = (lo >= np.clip(first, -1.0 + EDGE, 1.0 - EDGE)[:, None]) & (
+        (hi > lo) | (lo == edges[:, -1:]))
+    row = np.nonzero(keep)[0]
     at_end = np.array([x in end_vals for x in xs.tolist()])
-    edges = np.concatenate((np.broadcast_to(np.clip(xs, -1.0 + EDGE, 1.0 - EDGE),
-                                            batch + xs.shape),
-                            np.clip(kinks, -1.0 + EDGE, 1.0 - EDGE)), axis=-1)
-    edges.sort(axis=-1)
-    vals = [np.broadcast_to(end_vals[x], batch)[..., None] for x in xs[at_end].tolist()]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals.append(_values(fn_x, np.broadcast_to(xs[~at_end], batch + (xs.size - at_end.sum(),))))
-    _, best = golden_section_max(fn_x, edges[..., :-1], edges[..., 1:])
-    vals.append(best)
-    sup = np.concatenate(vals, axis=-1).max(axis=-1)
-    return sup if batch else float(sup)
+    # a node inside the clipped interval is the lo of a bracket of its row
+    own = ~at_end & (np.abs(xs) > 1.0 - EDGE)
+    node_row, node = np.nonzero(own & (xs >= first[:, None]))
+    _, best, node_v = _lockstep(f, lo[keep], hi[keep], row, (xs[node], node_row))
+    sup = np.full(n, -math.inf)
+    for x, v in end_vals.items():
+        np.maximum(sup, np.broadcast_to(v, batch).ravel(), out=sup, where=x >= first)
+    np.maximum.at(sup, node_row, node_v)
+    np.maximum.at(sup, row, best)
+    return sup.reshape(batch) if batch else float(sup[0])
 
 
 def inf_on_grid(fn_x: Callable, grid: Grid,

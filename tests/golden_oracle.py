@@ -42,9 +42,15 @@ def one_point_at_a_time(fn_x):
     return lambda x: float(np.asarray(fn_x(np.array([x])))[0])
 
 
-def sup_brackets(grid, edge=1e-12):
-    """The brackets ``sup_on_grid`` searches: grid cells, ends clipped."""
-    lo = np.maximum(grid.x[:-1], -1.0 + edge)
-    hi = np.minimum(grid.x[1:], 1.0 - edge)
-    keep = hi > lo
-    return lo[keep], hi[keep]
+def sup_brackets(grid, kinks=(), start=None, edge=1e-12):
+    """The brackets ``sup_on_grid`` searches for one function: the cells
+    between the grid nodes, the ``kinks`` and the ``start``, all clipped
+    ``edge`` inside [-1, 1], from the start on; a zero-width cell is left
+    out unless it is the last, since the next cell starts at its point."""
+    first = -1.0 if start is None else start
+    cuts = list(grid.x) + list(kinks) + ([] if start is None else [start])
+    edges = sorted(min(max(x, -1.0 + edge), 1.0 - edge) for x in cuts)
+    lo_min = min(max(first, -1.0 + edge), 1.0 - edge)
+    kept = [(a, b) for a, b in zip(edges, edges[1:])
+            if a >= lo_min and (b > a or a == edges[-1])]
+    return np.array([a for a, _ in kept]), np.array([b for _, b in kept])

@@ -356,7 +356,9 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
     # certification made 25 sup_on_grid and 113 integrate_compact calls,
     # batched 19 and 75, without the 256-point profile tables 16 and 72,
     # with C9's bridges read from the weights, not the samples, 16 and 71,
-    # and with C1's probes and C3's node rows and scalars as batches, 14 and 28
+    # with C1's probes and C3's node rows and scalars as batches, 14 and 28,
+    # and with the three kernel profiles as one integral and the forcing in
+    # the cone draw's first batch, 13 and 20
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
     import hammerline.quadrature as quad_mod
@@ -372,8 +374,107 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
             monkeypatch.setattr(mod, name, counted)
     hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
                               system_c2.lower, samples=8, seed=0)
-    assert calls["sup_on_grid"] <= 14
-    assert calls["integrate_compact"] <= 28
+    assert calls["sup_on_grid"] <= 13
+    assert calls["integrate_compact"] <= 20
+
+
+def test_certifier_sup_search_point_count(problem_c2, system_c2, monkeypatch):
+    # host-independent cost guard: the points of every sup search of a c2
+    # certification; 527,726 when every bracket was stepped until the last
+    # one stopped, every node read apart from its bracket, and a Volterra
+    # slice searched on t < s too, 170,673 without
+    import hammerline.cone as cone_mod
+    import hammerline.hammerstein as hammerstein_mod
+
+    points = [0]
+
+    def counting(real):
+        def sup_on_grid(fn_x, *args, **kwargs):
+            def fn(x, *row):
+                points[0] += np.size(x)
+                return fn_x(x, *row)
+            return real(fn, *args, **kwargs)
+        return sup_on_grid
+
+    for mod in (cone_mod, hammerstein_mod):
+        monkeypatch.setattr(mod, "sup_on_grid", counting(mod.sup_on_grid))
+    hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                              system_c2.lower, samples=8, seed=0)
+    assert points[0] <= 171_000
+
+
+@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
+def test_profiles_and_forcing_of_a_certification_equal_separate_calls(name):
+    # the certifier computes the three kernel profiles as one integral and
+    # the forcing's functionals in the cone draw's first batch: each equals
+    # its own call bit for bit
+    from hammerline.cone import _Certification
+
+    scn = hl.load_scenario(SCENARIO_DIR / name)
+    space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
+    problem = hl.build_problem(scn, space)
+    specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
+    ctx = _Certification(problem, specs, quad, scn.seed)
+    ctx.share(scn.samples)
+    fields = ("s_values", "values", "integral", "min_value", "witness_s")
+    for key, spec in specs.items():
+        alone = hl.kernel_functional_integral(spec, problem.kernel, quad, space=space)
+        assert [getattr(ctx.profiles[key], f) for f in fields] == \
+            [getattr(alone, f) for f in fields], key
+        assert ctx.forcing[key] == hl.eval_functional(spec, problem.forcing, quad), key
+    both = hl.kernel_functional_integral([system.upper, system.lower], problem.kernel, quad,
+                                         space=space)
+    assert both == [ctx.profiles["upper"], ctx.profiles["lower"]]
+
+
+def test_a_volterra_slice_is_never_searched_left_of_its_diagonal(problem_c2, system_c2):
+    # every sup search of a c2 certification (kernel profiles, C1's slice
+    # limits, C3's sup|slice| scalar) reads the kernel at t >= s only; the
+    # report is that of the kernel's own callables
+    import hammerline.cone as cone_mod
+    import hammerline.hammerstein as hammerstein_mod
+
+    kern = problem_c2.kernel
+    searching, read = [False], []
+
+    def recorded(fn):
+        def at(t, s):
+            if searching[0]:
+                read.append(np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float)))
+            return fn(t, s)
+        return at
+
+    def flagged(real):
+        def sup_on_grid(fn_x, *args, **kwargs):
+            def fn(*x_row):
+                searching[0] = True
+                try:
+                    return fn_x(*x_row)
+                finally:
+                    searching[0] = False
+            return real(fn, *args, **kwargs)
+        return sup_on_grid
+
+    watched = dataclasses.replace(kern, fn=recorded(kern.fn),
+                                  tilde_slice=recorded(kern.tilde_slice))
+    problem = hl.HammersteinProblem(watched, problem_c2.nonlinearity, problem_c2.forcing,
+                                    problem_c2.space, name=problem_c2.name)
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (cone_mod, hammerstein_mod):
+            mp.setattr(mod, "sup_on_grid", flagged(mod.sup_on_grid))
+        report = hl.verify_cone_hypotheses(problem, system_c2.cone, system_c2.upper,
+                                           system_c2.lower, samples=8, seed=0)
+    t, s = (np.concatenate([np.ravel(p[i]) for p in read]) for i in (0, 1))
+    assert t.size > 10_000
+    # the search starts at the compact coordinate of the diagonal, whose t
+    # the map gives back up to rounding
+    cmap = problem_c2.space.map
+    assert (t >= cmap.from_compact(cmap.to_compact(s))).all()
+    plain = hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                                      system_c2.lower, samples=8, seed=0)
+    assert report.scalars == plain.scalars
+    assert [e.witness for e in report.entries.values()] == \
+        [e.witness for e in plain.entries.values()]
 
 
 def test_a_profile_calls_the_kernel_on_arrays_of_slices(problem_c2, system_c2, space):
@@ -752,30 +853,36 @@ def _cone_draw_loop(space, cone, quad, n, rng):
 
 
 @pytest.mark.parametrize("name, rounds", [
-    ("boosted_projectile_c2.json", [8]),
+    ("boosted_projectile_c2.json", [3 + 8]),
     ("boosted_projectile_c3.json",                                 # 97 draws
-     [8, 7, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4, 4, 3, 3, 3, 2, 1, 1, 1]),
+     [3 + 8, 7, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4, 4, 3, 3, 3, 2, 1, 1, 1]),
 ])
 def test_cone_draw_is_one_batch_per_round_and_equals_the_loop(name, rounds, monkeypatch):
     # count guard: a round draws the shortfall and evaluates it as one
-    # batch, where the loop made one call per candidate
+    # batch, where the loop made one call per candidate; the first batch
+    # carries the forcing's three functionals, each the value of its own
+    # eval_functional call
     import hammerline.cone as cone_mod
 
     scn = hl.load_scenario(SCENARIO_DIR / name)
-    space, cone, quad = hl.build_space(scn), hl.build_system(scn).cone, hl.build_quad(scn)
+    space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
+    forcing = hl.build_problem(scn, space).forcing
+    specs = [system.cone, system.upper, system.lower]
     batches = []
 
-    def counted(spec, u, *args, _real=cone_mod.eval_functional, **kwargs):
-        batches.append(1 if isinstance(u, hl.WeightedFunction) else len(u))
-        return _real(spec, u, *args, **kwargs)
+    def counted(requests, *args, _real=cone_mod._element_functionals, **kwargs):
+        batches.append(sum(len(us) for _, us in requests))
+        return _real(requests, *args, **kwargs)
 
-    monkeypatch.setattr(cone_mod, "eval_functional", counted)
+    monkeypatch.setattr(cone_mod, "_element_functionals", counted)
     rng = random.Random(scn.seed)
-    got = cone_mod._sample_cone_elements(space, cone, quad, scn.samples, rng, {})
+    got, values = cone_mod._sample_cone_elements(space, system.cone, quad, scn.samples, rng,
+                                                 {}, [(spec, forcing) for spec in specs])
     monkeypatch.undo()
     assert batches == rounds
+    assert values == [hl.eval_functional(spec, forcing, quad) for spec in specs]
     ref = random.Random(scn.seed)
-    want = _cone_draw_loop(space, cone, quad, scn.samples, ref)
+    want = _cone_draw_loop(space, system.cone, quad, scn.samples, ref)
     assert [u.samples.tobytes() for u in got] == [u.samples.tobytes() for u in want]
     assert rng.getstate() == ref.getstate()
 
@@ -914,6 +1021,27 @@ def test_closed_bridge_c_on_the_full_line():
                                     space, hl.DEFAULT_QUAD)
     assert reason == ""
     assert info["coefficient"] == pytest.approx(math.pi, abs=1e-10)
+
+
+def test_closed_bridge_c_for_two_exponential_weights(space):
+    # integral over [0, oo) of e^(t/2) / e^t = 2: both weights overflow to
+    # inf at the tail probes, where the quotient read inf/inf = nan and the
+    # bridge was refused; the pair is one exponential
+    from hammerline.cone import _detect_bridge_c
+
+    info, reason = _detect_bridge_c(_sup(hl.exponential(rate=0.5)),
+                                    _integral(hl.exponential()), space, hl.DEFAULT_QUAD)
+    assert reason == ""
+    assert info["coefficient"] == pytest.approx(2.0, abs=1e-10)
+    # 3 e^(t/4) against 2 e^(t/2) integrates to 3/2 * 4 = 6; the reverse diverges
+    info, _ = _detect_bridge_c(_sup(hl.exponential(c=3.0, rate=0.25)),
+                               _integral(hl.exponential(c=2.0, rate=0.5)), space,
+                               hl.DEFAULT_QUAD)
+    assert info["coefficient"] == pytest.approx(6.0, abs=1e-10)
+    info, reason = _detect_bridge_c(_sup(hl.exponential()),
+                                    _integral(hl.exponential(rate=0.5)), space,
+                                    hl.DEFAULT_QUAD)
+    assert info is None and "diverges" in reason
 
 
 def test_no_bridge_c_for_a_divergent_weight_ratio(space):

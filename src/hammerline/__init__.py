@@ -20,7 +20,7 @@ from .weighted_space import (NORM_KINDS, Space, WeightedFunction,
                              asymptotic_limits, from_raw, from_tilde, lift,
                              norm, spaces_compatible)
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, golden_section_max,
-                         inf_on_grid, integrate_interval, sup_on_grid)
+                         integrate_interval, sup_on_grid)
 from .hammerstein import (FULL, VOLTERRA, HammersteinProblem, Kernel,
                           Nonlinearity, PROBLEM_BUILDERS,
                           apply_T, boosted_projectile_problem,
@@ -65,8 +65,8 @@ __all__ = [
     "NORM_KINDS", "Space", "WeightedFunction", "asymptotic_limits",
     "from_raw", "from_tilde", "lift", "norm", "spaces_compatible",
     # quadrature
-    "DEFAULT_QUAD", "QuadratureConfig", "golden_section_max", "inf_on_grid",
-    "integrate_interval", "sup_on_grid",
+    "DEFAULT_QUAD", "QuadratureConfig", "golden_section_max", "integrate_interval",
+    "sup_on_grid",
     # operator
     "FULL", "VOLTERRA", "HammersteinProblem", "Kernel", "Nonlinearity",
     "PROBLEM_BUILDERS", "apply_T",

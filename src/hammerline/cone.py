@@ -5,7 +5,8 @@ sup part) whose nonnegativity set is the cone, an upper functional (weighted
 sup) and a lower functional (weighted integral) that measure radii. The
 certifier checks every hypothesis the fixed-point-index machinery needs (the
 functionals' structure is a lemma of their kinds, ``KIND_LEMMAS``; the
-operator inequalities are sampled on random cone elements as a cross-check),
+operator inequalities are sampled on random nonnegative elements as a
+cross-check, which needs no cone membership),
 records pass/fail with witnesses and tolerances, and the window search turns
 a certified report plus envelope bounds into solution-count statements.
 
@@ -553,47 +554,25 @@ def report_from_json(data: dict) -> CertificateReport:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _sample_cone_elements(space: Space, cone: FunctionalSpec,
-                          quad: QuadratureConfig, n: int,
-                          rng: random.Random, memo: dict | None = None,
-                          first: Sequence[tuple] = ()) -> tuple:
-    """Random smooth nonnegative elements, filtered to the cone: the first n
-    that pass, in draw order, of at most 50n draws. Returns them and the
-    value of each (spec, element) pair of ``first``.
+def _draw_elements(space: Space, n: int, rng: random.Random) -> list:
+    """n random smooth nonnegative elements scale*(c0 + c1 q + c2 q^2 +
+    c3 q^3), q = (1 + x)/2, in draw order: per element four coefficients
+    from [0, 1], then the scale from [0.2, 2].
 
-    The draws come in rounds of as many candidates as are still missing,
-    each round evaluated as one batch, the first with the pairs of
-    ``first`` ahead of its candidates (see ``_element_functionals``). When
-    that batch refuses, the pairs run one at a time and then the
-    candidates, so the refusal raised is that of a loop over them. Drawing
-    one at a time would draw at least as many, so the random stream after
-    the call is the same.
+    They need not lie in the cone. Once C2 gives f >= 0, the C6/C7 operator
+    inequalities hold for every element of the space: the integral parts by
+    Tonelli, the sup parts by Minkowski's integral inequality. The elements
+    only feed the cross-check of the images against the Fubini route.
     """
-    out, tries = [], 0
-    pending = [(spec, [u]) for spec, u in first]
-    values: list = []
     q = (1.0 + space.grid.x) / 2.0
-    while (len(out) < n and tries < 50 * n) or pending:
-        batch = []
-        for _ in range(min(n - len(out), 50 * n - tries)):
-            coeff = [rng.uniform(0.0, 1.0) for _ in range(4)]
-            scale = rng.uniform(0.2, 2.0)
-            samples = np.zeros((space.order + 1, space.m))
-            samples[0] = scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2
-                                  + coeff[3] * q ** 3)
-            batch.append(WeightedFunction(space, samples))
-        tries += len(batch)
-        try:
-            *head, cone_of = _element_functionals(pending + [(cone, batch)], quad, memo)
-        except DomainError:
-            if not pending:
-                raise
-            head = [_element_functionals([pair], quad, memo)[0] for pair in pending]
-            cone_of = _element_functionals([(cone, batch)], quad, memo)[0]
-        if pending:
-            values, pending = [float(v[0]) for v in head], []
-        out += [u for u, v in zip(batch, cone_of.tolist()) if not v < -POS_TOL]
-    return out, values
+    out = []
+    for _ in range(n):
+        coeff = [rng.uniform(0.0, 1.0) for _ in range(4)]
+        scale = rng.uniform(0.2, 2.0)
+        samples = np.zeros((space.order + 1, space.m))
+        samples[0] = scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2 + coeff[3] * q ** 3)
+        out.append(WeightedFunction(space, samples))
+    return out
 
 
 def _stream(seed: int) -> random.Random:
@@ -772,29 +751,32 @@ def _alone_on_refusal(run, points: np.ndarray, refusal) -> list:
 
 class _Certification:
     """The context the checks of one certification share (the problem, its
-    functionals ``specs`` by name, the parts memo, the random stream, and
-    what ``share`` adds), with one check per hypothesis: ``c1`` ... ``c9``,
-    each returning its entry."""
+    functionals ``specs`` by name, the parts memo, and what ``share``
+    adds), with one check per hypothesis: ``c1`` ... ``c9``, each returning
+    its entry."""
 
-    def __init__(self, problem: HammersteinProblem, specs: dict, quad: QuadratureConfig,
-                 seed: int):
+    def __init__(self, problem: HammersteinProblem, specs: dict, quad: QuadratureConfig):
         self.problem, self.specs, self.quad = problem, specs, quad
         self.sp = problem.space
         self.memo: dict = {}
-        self.rng = _stream(seed)
 
-    def share(self, samples: int) -> None:
+    def share(self, elements: list) -> None:
         """The kernel profiles (the cone's, and the upper and lower ones that
-        C7 and the index checks use) as one integral, then the sampled cone
-        elements, with the functionals of the forcing in the draw's first
-        batch, and their images."""
+        C7 and the index checks use) as one integral, the functionals of the
+        forcing as one batch, and the sampled ``elements`` with their
+        images. When the forcing's batch refuses, its functionals run one at
+        a time, so the refusal raised is that of a loop over them."""
         sp, quad, memo, p = self.sp, self.quad, self.memo, self.problem.forcing
         specs = list(self.specs.values())
         self.profiles = dict(zip(self.specs, kernel_functional_integral(
             specs, self.problem.kernel, quad, space=sp, memo=memo)))
-        self.elements, forcing = _sample_cone_elements(sp, specs[0], quad, samples, self.rng,
-                                                       memo, [(spec, p) for spec in specs])
-        self.forcing = dict(zip(self.specs, forcing))
+        requests = [(spec, [p]) for spec in specs]
+        try:
+            forcing = _element_functionals(requests, quad, memo)
+        except DomainError:
+            forcing = [_element_functionals([r], quad, memo)[0] for r in requests]
+        self.forcing = {name: float(v[0]) for name, v in zip(self.specs, forcing)}
+        self.elements = elements
         # the images refine the problem's operator, whose panels later solves keep
         self.images = [apply_T(self.problem, u, quad) for u in self.elements]
 
@@ -962,7 +944,7 @@ class _Certification:
         c6_witness = self._first_violation(check)
         return ConditionEntry(
             "C6", "cone functional of operator images dominates the slice estimate",
-            PASS if (c6_witness is None and self.elements) else FAIL,
+            PASS if c6_witness is None else FAIL,
             tolerance=SAMPLE_INEQ_TOL, witness=c6_witness or {"samples": len(self.elements)},
             detail="integral and sup parts by nested quadrature (slice parts under "
                    "an adaptive outer integral)")
@@ -1050,22 +1032,27 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     nonnegative nonlinearity, weighted image bound, forcing membership) is
     probed on lattices; cone nonnegativity of slices at the profile
     integral's points, and of the forcing; the operator inequalities on
-    ``samples`` random cone elements; the functionals' structure (P1-P3,
+    ``samples`` random nonnegative elements (a cross-check: with f >= 0 the
+    inequalities hold for every element, so the elements need not lie in
+    the cone, see ``_draw_elements``); the functionals' structure (P1-P3,
     C7's homogeneity and additivity) from their kinds (``KIND_LEMMAS``); the
     reference element by direct computation; the radius bridges b and c from
     the weights, with no samples (C9). Failures carry witnesses; nothing is
-    raised for a failed hypothesis.
+    raised for a failed hypothesis. Fewer than one sample is refused.
 
     Each integral and sup part of a functional, on a kernel slice or an
     element, and each Fubini part of a C6/C7 right-hand side is computed
     once per call and read back wherever it repeats; the values are those
     of separate calls.
     """
+    if samples < 1:
+        raise DomainError(f"the sampled inequalities need at least 1 sample, got {samples}")
     quad = quad or DEFAULT_QUAD
     sp = problem.space
-    ctx = _Certification(problem, {"cone": cone, "upper": upper, "lower": lower}, quad, seed)
+    elements = _draw_elements(sp, samples, _stream(seed))
+    ctx = _Certification(problem, {"cone": cone, "upper": upper, "lower": lower}, quad)
     entries = [ctx.c1(), ctx.c2(), ctx.c3(), ctx.c4()]   # these touch no memo
-    ctx.share(samples)
+    ctx.share(elements)
     entries += [ctx.c5(), ctx.c6(), ctx.c7(), ctx.c8(), ctx.c9()]
     scalars = {f"{name}_of_forcing": v for name, v in ctx.forcing.items()}
     scalars.update({f"{name}_profile_integral": ctx.profiles[name].integral

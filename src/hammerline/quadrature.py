@@ -424,9 +424,3 @@ def sup_on_grid(fn_x: Callable, grid: Grid,
     np.maximum.at(sup, row, best)
     return sup.reshape(batch) if batch else float(sup[0])
 
-
-def inf_on_grid(fn_x: Callable, grid: Grid,
-                end_vals: Mapping[float, float] | None = None) -> float:
-    """Inf of fn_x over [-1, 1], with the conventions of sup_on_grid."""
-    neg_ends = {x: -v for x, v in (end_vals or {}).items()}
-    return -sup_on_grid(lambda x: -fn_x(x), grid, neg_ends)

@@ -271,12 +271,12 @@ def test_sup_part_of_the_operator_rhs_matches_the_closed_form_profile(scale, sys
     from scipy.integrate import quad
 
     from conftest import make_space
-    from hammerline.cone import _Certification
+    from hammerline.cone import _Certification, _draw_elements
 
     problem = hl.boosted_projectile_problem(make_space(scale=scale), v0=1.0)
     specs = {"cone": system_c2.cone, "upper": system_c2.upper, "lower": system_c2.lower}
-    ctx = _Certification(problem, specs, hl.DEFAULT_QUAD, seed=0)
-    ctx.share(4)
+    ctx = _Certification(problem, specs, hl.DEFAULT_QUAD)
+    ctx.share(_draw_elements(problem.space, 4, random.Random(0)))
     assert ctx.elements
     for u in ctx.elements:
         got = ctx.rhs("upper", u) - ctx.forcing["upper"]
@@ -287,11 +287,11 @@ def test_sup_part_of_the_operator_rhs_matches_the_closed_form_profile(scale, sys
 
 def _certification(problem, system, samples):
     """A fresh certification context, shared up to the sampled images."""
-    from hammerline.cone import _Certification
+    from hammerline.cone import _Certification, _draw_elements
 
     specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
-    ctx = _Certification(problem, specs, hl.DEFAULT_QUAD, seed=0)
-    ctx.share(samples)
+    ctx = _Certification(problem, specs, hl.DEFAULT_QUAD)
+    ctx.share(_draw_elements(problem.space, samples, random.Random(0)))
     return ctx
 
 
@@ -357,8 +357,8 @@ def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
     # batched 19 and 75, without the 256-point profile tables 16 and 72,
     # with C9's bridges read from the weights, not the samples, 16 and 71,
     # with C1's probes and C3's node rows and scalars as batches, 14 and 28,
-    # and with the three kernel profiles as one integral and the forcing in
-    # the cone draw's first batch, 13 and 20
+    # and with the three kernel profiles as one integral and the forcing's
+    # functionals as one batch, 13 and 20
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
     import hammerline.quadrature as quad_mod
@@ -406,16 +406,16 @@ def test_certifier_sup_search_point_count(problem_c2, system_c2, monkeypatch):
 @pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
 def test_profiles_and_forcing_of_a_certification_equal_separate_calls(name):
     # the certifier computes the three kernel profiles as one integral and
-    # the forcing's functionals in the cone draw's first batch: each equals
-    # its own call bit for bit
-    from hammerline.cone import _Certification
+    # the forcing's three functionals as one batch: each equals its own
+    # call bit for bit
+    from hammerline.cone import _Certification, _draw_elements
 
     scn = hl.load_scenario(SCENARIO_DIR / name)
     space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
     problem = hl.build_problem(scn, space)
     specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
-    ctx = _Certification(problem, specs, quad, scn.seed)
-    ctx.share(scn.samples)
+    ctx = _Certification(problem, specs, quad)
+    ctx.share(_draw_elements(space, scn.samples, random.Random(scn.seed)))
     fields = ("s_values", "values", "integral", "min_value", "witness_s")
     for key, spec in specs.items():
         alone = hl.kernel_functional_integral(spec, problem.kernel, quad, space=space)
@@ -834,57 +834,80 @@ def test_f_of_minus_u_from_the_parts_of_u_equals_the_direct_value(name):
         assert np.array_equal(_at_negated(spec, elements, quad, memo), direct)
 
 
-def _cone_draw_loop(space, cone, quad, n, rng):
-    """The certifier's cone-element draw one candidate at a time: the
-    reference of the batched draw."""
-    from hammerline.cone import POS_TOL
-
-    out, tries = [], 0
+def _draw_loop(space, n, rng):
+    """The certifier's draw one element at a time: the reference of
+    ``_draw_elements``."""
     q = (1.0 + space.grid.x) / 2.0
-    while len(out) < n and tries < 50 * n:
-        tries += 1
-        coeff = [rng.uniform(0.0, 1.0) for _ in range(4)]
+    out = []
+    for _ in range(n):
+        c0, c1, c2, c3 = (rng.uniform(0.0, 1.0) for _ in range(4))
         scale = rng.uniform(0.2, 2.0)
-        u = hl.lift(space, scale * (coeff[0] + coeff[1] * q + coeff[2] * q ** 2
-                                    + coeff[3] * q ** 3))
-        if hl.eval_functional(cone, u, quad) >= -POS_TOL:
-            out.append(u)
+        out.append(hl.lift(space, scale * (c0 + c1 * q + c2 * q ** 2 + c3 * q ** 3)))
     return out
 
 
-@pytest.mark.parametrize("name, rounds", [
-    ("boosted_projectile_c2.json", [3 + 8]),
-    ("boosted_projectile_c3.json",                                 # 97 draws
-     [3 + 8, 7, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4, 4, 3, 3, 3, 2, 1, 1, 1]),
-])
-def test_cone_draw_is_one_batch_per_round_and_equals_the_loop(name, rounds, monkeypatch):
-    # count guard: a round draws the shortfall and evaluates it as one
-    # batch, where the loop made one call per candidate; the first batch
-    # carries the forcing's three functionals, each the value of its own
-    # eval_functional call
-    import hammerline.cone as cone_mod
+@pytest.mark.parametrize("seed, n", [(0, 8), (1, 3)])
+def test_the_draw_is_five_uniforms_per_element(seed, n, space):
+    # the elements are the loop's, bit for bit, and the stream is left
+    # where the loop leaves it
+    from hammerline.cone import _draw_elements
+
+    rng, ref = random.Random(seed), random.Random(seed)
+    got, want = _draw_elements(space, n, rng), _draw_loop(space, n, ref)
+    assert [u.samples.tobytes() for u in got] == [u.samples.tobytes() for u in want]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_c3_draws_elements_outside_the_cone_and_its_inequalities_pass():
+    # f >= 0 (C2) makes the C6/C7 inequalities hold on the whole space, so
+    # the draw keeps elements whose cone functional is negative, and the
+    # sampled cross-check passes on them
+    from hammerline.cone import POS_TOL, _draw_elements
+
+    scn = hl.load_scenario(SCENARIO_DIR / "boosted_projectile_c3.json")
+    space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
+    elements = _draw_elements(space, scn.samples, random.Random(scn.seed))
+    assert (hl.eval_functional(system.cone, elements, quad) < -POS_TOL).any()
+    report = hl.verify_cone_hypotheses(hl.build_problem(scn, space), system.cone,
+                                       system.upper, system.lower, samples=scn.samples,
+                                       quad=quad, seed=scn.seed)
+    assert report.entry("C2").status == "pass"
+    assert report.entry("C6").status == report.entry("C7").status == "pass"
+
+
+@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
+def test_the_seed_picks_the_elements_not_the_verdicts(name):
+    from hammerline.cone import _draw_elements
 
     scn = hl.load_scenario(SCENARIO_DIR / name)
     space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
-    forcing = hl.build_problem(scn, space).forcing
-    specs = [system.cone, system.upper, system.lower]
-    batches = []
+    problem = hl.build_problem(scn, space)
+    first, second = ([u.samples.tobytes() for u in
+                      _draw_elements(space, scn.samples, random.Random(seed))]
+                     for seed in (0, 1))
+    assert all(a != b for a, b in zip(first, second))
+    reports = [hl.verify_cone_hypotheses(problem, system.cone, system.upper, system.lower,
+                                         samples=scn.samples, quad=quad, seed=seed)
+               for seed in (0, 1)]
+    verdicts = [{k: e.status for k, e in {**r.entries, **r.properties}.items()}
+                for r in reports]
+    assert verdicts[0] == verdicts[1]
+    assert [r.meta["seed"] for r in reports] == [0, 1]
 
-    def counted(requests, *args, _real=cone_mod._element_functionals, **kwargs):
-        batches.append(sum(len(us) for _, us in requests))
-        return _real(requests, *args, **kwargs)
 
-    monkeypatch.setattr(cone_mod, "_element_functionals", counted)
-    rng = random.Random(scn.seed)
-    got, values = cone_mod._sample_cone_elements(space, system.cone, quad, scn.samples, rng,
-                                                 {}, [(spec, forcing) for spec in specs])
-    monkeypatch.undo()
-    assert batches == rounds
-    assert values == [hl.eval_functional(spec, forcing, quad) for spec in specs]
-    ref = random.Random(scn.seed)
-    want = _cone_draw_loop(space, system.cone, quad, scn.samples, ref)
-    assert [u.samples.tobytes() for u in got] == [u.samples.tobytes() for u in want]
-    assert rng.getstate() == ref.getstate()
+@pytest.mark.parametrize("samples", [0, -2])
+def test_fewer_than_one_sample_is_refused_before_any_check(samples, problem_c2, system_c2,
+                                                           monkeypatch):
+    # no sample would pass C6 and C7 without checking anything
+    import hammerline.cone as cone_mod
+
+    def c1(self):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cone_mod._Certification, "c1", c1)
+    with pytest.raises(DomainError, match=f"need at least 1 sample, got {samples}"):
+        hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
+                                  system_c2.lower, samples=samples)
 
 
 # -- certification report ---------------------------------------------------
@@ -924,7 +947,7 @@ def _c1(problem, quad):
 
     system = make_system()
     specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
-    return _Certification(problem, specs, quad, seed=0).c1()
+    return _Certification(problem, specs, quad).c1()
 
 
 @pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
@@ -1202,7 +1225,7 @@ def test_the_kind_table_fails_where_a_counterexample_exists(problem_c2, system_c
     assert hl.eval_functional(sup, u) > 0.0 and hl.eval_functional(sup, -1.0 * u) > 0.0
     # a cone functional of such a kind gets failing entries that give the reason
     specs = {"cone": sup, "upper": sup, "lower": integral}
-    props = _Certification(problem_c2, specs, hl.DEFAULT_QUAD, seed=0).properties()
+    props = _Certification(problem_c2, specs, hl.DEFAULT_QUAD).properties()
     assert {k: e.status for k, e in props.items()} == {"P1": "fail", "P2": "pass",
                                                        "P3": "fail"}
     assert props["P1"].detail == "weighted-sup functional: " \

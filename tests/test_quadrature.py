@@ -182,16 +182,6 @@ def test_sup_on_grid_interior_peak():
     assert hl.sup_on_grid(fn_x, grid) == pytest.approx(1.0 / math.e, abs=1e-9)
 
 
-def test_inf_on_grid_mirrors_sup():
-    grid = hl.build_grid(HALF, hl.GridSpec(m=17))
-    def fn_x(x):
-        t = HALF.from_compact(x)
-        if not math.isfinite(t):
-            return 0.0
-        return -t * math.exp(-t)
-    assert hl.inf_on_grid(fn_x, grid) == pytest.approx(-1.0 / math.e, abs=1e-9)
-
-
 def _raising_at_ends(x):
     if abs(x) == 1.0:
         raise AssertionError(f"fn_x called at the end x={x}")
@@ -200,13 +190,11 @@ def _raising_at_ends(x):
 
 def test_searches_take_given_end_values_without_calling_fn_x():
     grid = hl.build_grid(FULL, hl.GridSpec(m=17))
-    # end values inside the interior range (0, 1] leave both extremes inside
+    # end values inside the interior range (0, 1] leave the sup inside
     ends = {-1.0: 0.5, 1.0: 0.25}
     assert hl.sup_on_grid(_raising_at_ends, grid, ends) == pytest.approx(1.0, abs=1e-12)
-    assert hl.inf_on_grid(_raising_at_ends, grid, ends) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_searches_return_an_end_value_that_beats_the_interior():
     grid = hl.build_grid(FULL, hl.GridSpec(m=17))
     assert hl.sup_on_grid(_raising_at_ends, grid, {-1.0: 3.0, 1.0: 2.0}) == 3.0
-    assert hl.inf_on_grid(_raising_at_ends, grid, {-1.0: 0.5, 1.0: -2.0}) == -2.0

@@ -16,6 +16,7 @@ stated tolerance, "fail" means not certified (never a disproof).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -99,17 +100,23 @@ class ConeSystem:
 # ---------------------------------------------------------------------------
 # functional evaluation
 
+def _distinct_weights(w: Sequence) -> tuple:
+    """The distinct weight objects of the sequence ``w`` (one per row), in
+    order, and the index among them of every row's weight."""
+    index: dict = {}
+    which = np.array([index.setdefault(id(v), len(index)) for v in w])
+    return list({id(v): v for v in w}.values()), which
+
+
 def _row_weight(w) -> Callable:
     """(t, r) -> the weight of row r at t. ``w`` is one weight for every
     row, or a sequence with one per row, each evaluated only at the points
     of its rows (t and r broadcast)."""
     if isinstance(w, Weight):
         return lambda t, r: w(t)
-    index: dict = {}
-    which = np.array([index.setdefault(id(v), len(index)) for v in w])
-    if len(index) == 1:
+    unique, which = _distinct_weights(w)
+    if len(unique) == 1:
         return _row_weight(w[0])
-    unique = list({id(v): v for v in w}.values())
 
     def at(t, r):
         t, r = np.broadcast_arrays(t, r)
@@ -731,6 +738,28 @@ def _ineq_tol(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return SAMPLE_INEQ_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
+# the pieces of each sampled check in the order its refusals are raised:
+# (side, functional), "lhs" the functional of the images, "rhs" its
+# right-hand side on the elements (see ``_Certification._rounds``)
+_SAMPLED = {"C6": (("lhs", "cone"), ("rhs", "cone")),
+            "C7": (("rhs", "upper"), ("rhs", "lower"), ("lhs", "upper"), ("lhs", "lower"))}
+
+
+def _violations(check: str, v: dict) -> tuple:
+    """The mask of the samples of a round that violate ``check``'s operator
+    inequalities, and its witness columns (name -> values), from the
+    round's values ``v`` by (side, functional): C6 asks cone(Tu) >= its
+    right-hand side, C7 upper(Tu) <= and lower(Tu) >= theirs."""
+    if check == "C6":
+        lhs, rhs = v["lhs", "cone"], v["rhs", "cone"]
+        slack = lhs - rhs
+        return slack < -_ineq_tol(lhs, rhs), {"lhs": lhs, "rhs": rhs, "slack": slack}
+    b_lhs, b_rhs, g_lhs, g_rhs = (v[side, name] for name in ("upper", "lower")
+                                  for side in ("lhs", "rhs"))
+    bad = (b_lhs > b_rhs + _ineq_tol(b_lhs, b_rhs)) | (g_lhs < g_rhs - _ineq_tol(g_lhs, g_rhs))
+    return bad, {"upper_lhs": b_lhs, "upper_rhs": b_rhs, "lower_lhs": g_lhs, "lower_rhs": g_rhs}
+
+
 def _alone_on_refusal(run, points: np.ndarray, refusal) -> list:
     """run(points), a value per point of the 1-d array, as one batch; when
     the batch raises ``refusal``, run on each point alone, so that each
@@ -751,9 +780,9 @@ def _alone_on_refusal(run, points: np.ndarray, refusal) -> list:
 
 class _Certification:
     """The context the checks of one certification share (the problem, its
-    functionals ``specs`` by name, the parts memo, and what ``share``
-    adds), with one check per hypothesis: ``c1`` ... ``c9``, each returning
-    its entry."""
+    functionals ``specs`` by name, the parts memo, what ``share`` adds, and
+    the sample rounds that C6 and C7 read, ``sampled``), with one check per
+    hypothesis: ``c1`` ... ``c9``, each returning its entry."""
 
     def __init__(self, problem: HammersteinProblem, specs: dict, quad: QuadratureConfig):
         self.problem, self.specs, self.quad = problem, specs, quad
@@ -762,23 +791,34 @@ class _Certification:
 
     def share(self, elements: list) -> None:
         """The kernel profiles (the cone's, and the upper and lower ones that
-        C7 and the index checks use) as one integral, the functionals of the
-        forcing as one batch, and the sampled ``elements`` with their
-        images. When the forcing's batch refuses, its functionals run one at
-        a time, so the refusal raised is that of a loop over them."""
+        C7 and the index checks use) as one integral, the sampled
+        ``elements`` with the image of the first, and the functionals of the
+        forcing and of that image as one batch, which leaves the image's
+        parts in the memo for the first sample round (see ``sampled``). The
+        other images are computed only when the second round runs. When
+        the batch refuses, the forcing's functionals run one at a time, so
+        the refusal raised is that of a loop over them, and the image's are
+        left to the first round."""
         sp, quad, memo, p = self.sp, self.quad, self.memo, self.problem.forcing
         specs = list(self.specs.values())
         self.profiles = dict(zip(self.specs, kernel_functional_integral(
             specs, self.problem.kernel, quad, space=sp, memo=memo)))
         requests = [(spec, [p]) for spec in specs]
+        self.elements = elements
         try:
-            forcing = _element_functionals(requests, quad, memo)
-        except DomainError:
+            # the images refine the problem's operator, whose panels the
+            # later images and solves keep
+            self.images = [apply_T(self.problem, elements[0], quad)]
+        except (DomainError, QuadratureError):
+            for r in requests:   # a refused forcing functional is raised first
+                _element_functionals([r], quad, memo)
+            raise
+        try:
+            forcing = _element_functionals(
+                requests + [(spec, self.images) for spec in specs], quad, memo)
+        except (DomainError, QuadratureError):
             forcing = [_element_functionals([r], quad, memo)[0] for r in requests]
         self.forcing = {name: float(v[0]) for name, v in zip(self.specs, forcing)}
-        self.elements = elements
-        # the images refine the problem's operator, whose panels later solves keep
-        self.images = [apply_T(self.problem, u, quad) for u in self.elements]
 
     def c1(self) -> ConditionEntry:
         """Slice integrability, membership, translation modulus. The three
@@ -881,67 +921,113 @@ class _Certification:
                      "cone_of_forcing": alpha_p},
             detail="" if c5_ok else "cone functional negative on a slice or the forcing")
 
-    def _fubini_part(self, part: str, w: Weight, samples: np.ndarray) -> np.ndarray:
-        # Fubini route: the slice part ("integral" or "sup") in the weight w
-        # times f(s, u(s)) for the element of every row of samples, under one
-        # adaptive outer integral with a row per element, each refined as if
-        # it ran alone, a batch of slices each round, all at the
-        # certification's accuracy. The slice parts share the memo with the
-        # kernel profiles
+    def _fubini_part(self, part: str, w, samples: np.ndarray) -> np.ndarray:
+        # Fubini route: the slice part ("integral" or "sup") in the weight of
+        # each row (w: one weight for every row, or a sequence with one per
+        # row) times f(s, u(s)) for the element of every row of samples,
+        # under one adaptive outer integral with a row per element, each
+        # refined as if it ran alone, a batch of slices each round, all at
+        # the certification's accuracy. The slice parts share the memo with
+        # the kernel profiles
         sp, kern, nl = self.sp, self.problem.kernel, self.problem.nonlinearity
         interp = sp.grid.interpolant(samples)
+        unique, which = _distinct_weights([w] * len(samples) if isinstance(w, Weight) else w)
 
         def g(s, x, row):
             integral, sup, keys = _kernel_slices(kern, s, sp, self.quad)
-            compute = integral if part == "integral" else sup
-            inner = _parts(self.memo, keys, part, compute, [(w, np.arange(s.size))])[0]
+            groups = [np.flatnonzero(which[row] == j) for j in range(len(unique))]
+            inner = np.empty(s.size)
+            for here, v in zip(groups, _parts(self.memo, keys, part,
+                                              integral if part == "integral" else sup,
+                                              list(zip(unique, groups)))):
+                inner[here] = v
             return inner * nl.fn(s, interp(x, row) * sp.weight(s))
 
         return integrate_compact(g, sp.map, self.quad,
                                  np.broadcast_to([-1.0, 1.0], (len(samples), 2)))
+
+    def _rhs(self, names: list, elements: list) -> list:
+        """The right-hand side of every functional of ``names`` on the
+        elements, an array each: one ``_combine`` over the Fubini parts, so
+        the integral parts of all of them are one outer integral and their
+        sup parts another, memoized per weight and element."""
+        samples = np.array([e.samples[0] for e in elements])
+        keys = [("fubini", self.quad, self.sp, row.tobytes()) for row in samples]
+        rows = np.arange(len(elements))
+        values = _combine([(self.specs[name], rows) for name in names],
+                          lambda w2, r: self._fubini_part("integral", w2, samples[r]),
+                          lambda w3, r: self._fubini_part("sup", w3, samples[r]),
+                          self.memo, keys)
+        return [v + self.forcing[name] for name, v in zip(names, values)]
 
     def rhs(self, name: str, u: WeightedFunction | Sequence[WeightedFunction]
             ) -> float | np.ndarray:
         """Integral over s of spec(slice at s)*f(s, u(s)), plus spec of the
         forcing, for the functional ``name``: a float for one element, the
         array of the values for a sequence of them, each the value it has
-        alone. Both parts go by the Fubini route (see ``_fubini_part``) and
-        through the memo, per weight and element."""
-        elements = [u] if isinstance(u, WeightedFunction) else list(u)
-        samples = np.array([e.samples[0] for e in elements])
-        keys = [("fubini", self.quad, self.sp, row.tobytes()) for row in samples]
-        values = _combine([(self.specs[name], np.arange(len(elements)))],
-                          lambda w2, rows: self._fubini_part("integral", w2, samples[rows]),
-                          lambda w3, rows: self._fubini_part("sup", w3, samples[rows]),
-                          self.memo, keys)[0] + self.forcing[name]
-        return float(values[0]) if isinstance(u, WeightedFunction) else values
+        alone, and the value it has in a sample round. Both parts go by the
+        Fubini route (see ``_fubini_part``) and through the memo, per weight
+        and element."""
+        one = isinstance(u, WeightedFunction)
+        values = self._rhs([name], [u] if one else list(u))[0]
+        return float(values[0]) if one else values
 
-    def _first_violation(self, check) -> dict | None:
-        """The witness of the first sample, in sample order, that violates
-        a sampled operator inequality; None when none does. check(elements,
-        images) gives, for a batch of samples and their images, the mask
-        of the violating ones and the witness columns (name -> values). The
-        samples run in two rounds, the first alone and then the rest as one
-        batch, so a check that fails on the first sample evaluates no other."""
-        for batch in (slice(0, 1), slice(1, None)):
-            if self.elements[batch]:
-                bad, columns = check(self.elements[batch], self.images[batch])
+    def _round(self, pieces: list, rows: slice) -> dict:
+        """The value of every (side, name) piece on the samples ``rows``, an
+        array each: side "lhs" is the functional ``name`` of the images, as
+        one element batch, and "rhs" its right-hand side on the elements, as
+        one Fubini batch (see ``_rhs``), each value that of its own call."""
+        lhs = [name for side, name in pieces if side == "lhs"]
+        rhs = [name for side, name in pieces if side == "rhs"]
+        values = _element_functionals([(self.specs[name], self.images[rows]) for name in lhs],
+                                      self.quad, self.memo)
+        values += self._rhs(rhs, self.elements[rows])
+        return dict(zip([("lhs", n) for n in lhs] + [("rhs", n) for n in rhs], values))
+
+    def _rounds(self, checks: tuple, alone: bool = False) -> dict:
+        """The witness of every check of ``checks`` that a sample violates:
+        the first violating sample in sample order. The checks share their
+        rounds: the first sample, then every other one for the checks it
+        left undecided, with their images computed only then. A round
+        evaluates the pieces of its checks (``_SAMPLED``) as one
+        ``_round``, or one at a time when ``alone``. When a round refuses,
+        the checks rerun one at a time, each its pieces one at a time, so
+        the refusal raised is the first of separate calls in check order; a
+        refused image is raised as it is."""
+        witnesses: dict = {}
+        for rows in (slice(0, 1), slice(1, None)):
+            undecided = [c for c in checks if c not in witnesses]
+            if not undecided or not self.elements[rows]:
+                break
+            self.images += [apply_T(self.problem, u, self.quad)
+                            for u in self.elements[len(self.images):rows.stop]]
+            pieces = [p for c in undecided for p in _SAMPLED[c]]
+            try:
+                values = {k: v for batch in ([[p] for p in pieces] if alone else [pieces])
+                          for k, v in self._round(batch, rows).items()}
+            except (DomainError, QuadratureError):
+                if alone:
+                    raise
+                return {c: w for check in checks
+                        for c, w in self._rounds((check,), alone=True).items()}
+            for check in undecided:
+                bad, columns = _violations(check, values)
                 if bad.any():
                     i = int(np.argmax(bad))
-                    return {k: float(v[i]) for k, v in columns.items()}
-        return None
+                    witnesses[check] = {k: float(v[i]) for k, v in columns.items()}
+        return witnesses
+
+    @functools.cached_property
+    def sampled(self) -> dict:
+        """The witness of C6 and of C7's operator inequalities, for each
+        check that a sample violates: shared rounds (see ``_rounds``), the
+        first sample's image and functionals from ``share``, so a problem
+        that fails both on its first sample computes no other image."""
+        return self._rounds(tuple(_SAMPLED))
 
     def c6(self) -> ConditionEntry:
         """Cone functional of images dominates the slice estimate."""
-        cone = self.specs["cone"]
-
-        def check(us: list, images: list) -> tuple:
-            lhs = eval_functional(cone, images, self.quad, memo=self.memo)
-            rhs = self.rhs("cone", us)
-            slack = lhs - rhs
-            return slack < -_ineq_tol(lhs, rhs), {"lhs": lhs, "rhs": rhs, "slack": slack}
-
-        c6_witness = self._first_violation(check)
+        c6_witness = self.sampled.get("C6")
         return ConditionEntry(
             "C6", "cone functional of operator images dominates the slice estimate",
             PASS if c6_witness is None else FAIL,
@@ -951,26 +1037,14 @@ class _Certification:
 
     def c7(self) -> ConditionEntry:
         """Functional structure plus positive integrable kernel profiles."""
-        _, upper, lower = self.specs.values()
         upper_prof, lower_prof = self.profiles["upper"], self.profiles["lower"]
-        quad, memo = self.quad, self.memo
         c7_detail = [f"{name} kernel profile not positive" for name, prof in
                      (("upper", upper_prof), ("lower", lower_prof)) if not prof.positive]
         for name, prop in (("upper", "homogeneous"), ("lower", "additive")):
             holds, reason = KIND_LEMMAS[prop][self.specs[name].kind]
             if not holds:
                 c7_detail.append(f"{name} functional not {prop}: {reason}")
-
-        def check(us: list, images: list) -> tuple:
-            b_rhs, g_rhs = self.rhs("upper", us), self.rhs("lower", us)
-            b_lhs = eval_functional(upper, images, quad, memo=memo)
-            g_lhs = eval_functional(lower, images, quad, memo=memo)
-            bad = ((b_lhs > b_rhs + _ineq_tol(b_lhs, b_rhs))
-                   | (g_lhs < g_rhs - _ineq_tol(g_lhs, g_rhs)))
-            return bad, {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
-                         "lower_lhs": g_lhs, "lower_rhs": g_rhs}
-
-        op_worst = self._first_violation(check)
+        op_worst = self.sampled.get("C7")
         if op_worst is not None:
             c7_detail.append("operator inequality violated on a sample")
         c7_ok = not c7_detail and math.isfinite(upper_prof.integral) \
@@ -1043,7 +1117,10 @@ def verify_cone_hypotheses(problem: HammersteinProblem, cone: FunctionalSpec,
     Each integral and sup part of a functional, on a kernel slice or an
     element, and each Fubini part of a C6/C7 right-hand side is computed
     once per call and read back wherever it repeats; the values are those
-    of separate calls.
+    of separate calls. C6 and C7 share their sample rounds: the first
+    sample, whose functionals join the forcing's batch, then the others for
+    a check the first left undecided, each round one element batch and one
+    Fubini batch; an image is computed only when its round runs.
     """
     if samples < 1:
         raise DomainError(f"the sampled inequalities need at least 1 sample, got {samples}")

@@ -307,16 +307,86 @@ def test_a_batch_of_right_hand_sides_equals_the_loop(name, problem_c2, system_c2
     assert batch.tolist() == alone
 
 
+def _scenario(name):
+    """The scenario ``name`` with a fresh space, problem (its operator not yet
+    refined), system and quadrature config."""
+    scn = hl.load_scenario(SCENARIO_DIR / name)
+    space = hl.build_space(scn)
+    return (scn, hl.build_problem(scn, space), hl.build_system(scn), hl.build_quad(scn))
+
+
+def _verify(problem, system, scn, quad):
+    return hl.verify_cone_hypotheses(problem, system.cone, system.upper, system.lower,
+                                     samples=scn.samples, quad=quad, seed=scn.seed)
+
+
+def _per_check_witnesses(problem, system, quad, elements):
+    """The C6 and C7 witnesses of a loop over per-check rounds: each check
+    runs its own two rounds (the first sample, then the others) in check
+    order, with every image computed up front, each functional its own
+    ``eval_functional`` call and each right-hand side its own ``rhs`` call.
+    Refusals propagate in that order."""
+    from hammerline.cone import SAMPLE_INEQ_TOL, _Certification
+
+    specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
+    ctx = _Certification(problem, specs, quad)
+    ctx.share(elements)
+    images = [hl.apply_T(problem, u, quad) for u in elements[1:]]
+    images = ctx.images + images
+
+    def tol(a, b):
+        return SAMPLE_INEQ_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+    def c6(us, imgs):
+        lhs = hl.eval_functional(specs["cone"], imgs, quad)
+        rhs = ctx.rhs("cone", us)
+        slack = lhs - rhs
+        return slack < -tol(lhs, rhs), {"lhs": lhs, "rhs": rhs, "slack": slack}
+
+    def c7(us, imgs):
+        b_rhs, g_rhs = ctx.rhs("upper", us), ctx.rhs("lower", us)
+        b_lhs = hl.eval_functional(specs["upper"], imgs, quad)
+        g_lhs = hl.eval_functional(specs["lower"], imgs, quad)
+        bad = (b_lhs > b_rhs + tol(b_lhs, b_rhs)) | (g_lhs < g_rhs - tol(g_lhs, g_rhs))
+        return bad, {"upper_lhs": b_lhs, "upper_rhs": b_rhs,
+                     "lower_lhs": g_lhs, "lower_rhs": g_rhs}
+
+    out = {}
+    for key, check in (("C6", c6), ("C7", c7)):
+        out[key] = None
+        for batch in (slice(0, 1), slice(1, None)):
+            if elements[batch]:
+                bad, columns = check(elements[batch], images[batch])
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    out[key] = {k: float(v[i]) for k, v in columns.items()}
+                    break
+    return out
+
+
 @pytest.mark.parametrize("zeroed", [[1], [2, 5], [0, 3]])
-def test_the_first_violating_sample_is_the_witness(zeroed, problem_c2, system_c2):
+def test_the_first_violating_sample_is_the_witness(zeroed, problem_c2, system_c2,
+                                                   monkeypatch):
     # a zero image has cone, upper and lower functional 0, below the
     # positive right-hand sides of the cone and lower inequalities: C6 and
     # C7 fail at the first zeroed sample, also when a later one of the same
     # round fails too
-    ctx = _certification(problem_c2, system_c2, 6)
-    for k in zeroed:
-        ctx.images[k] = 0.0 * ctx.images[k]
+    import hammerline.cone as cone_mod
+    from hammerline.cone import _Certification, _draw_elements
+
+    elements = _draw_elements(problem_c2.space, 6, random.Random(0))
+    zero = [elements[k] for k in zeroed]
+
+    def zeroing(problem, u, quad, _real=cone_mod.apply_T):
+        image = _real(problem, u, quad)
+        return 0.0 * image if any(u is z for z in zero) else image
+
+    monkeypatch.setattr(cone_mod, "apply_T", zeroing)
+    specs = {"cone": system_c2.cone, "upper": system_c2.upper, "lower": system_c2.lower}
+    ctx = _Certification(problem_c2, specs, hl.DEFAULT_QUAD)
+    ctx.share(elements)
     c6, c7 = ctx.c6(), ctx.c7()
+    monkeypatch.undo()
     ref = _certification(problem_c2, system_c2, 6)
     rhs = {name: ref.rhs(name, ref.elements[zeroed[0]]) for name in ("cone", "upper", "lower")}
     assert c6.status == c7.status == "fail"
@@ -327,55 +397,194 @@ def test_the_first_violating_sample_is_the_witness(zeroed, problem_c2, system_c2
 
 def test_a_check_failing_on_the_first_sample_evaluates_no_other(monkeypatch):
     # verify-gravity fails C6 and C7 on its first sample (the slacks of all
-    # 8 are negative): only that sample's right-hand sides are computed
+    # 8 are negative): only that sample's image is computed, and the one
+    # Fubini batch of the certification holds that sample only
     import hammerline.cone as cone_mod
+    from hammerline.cone import _draw_elements
 
-    scn = hl.load_scenario(SCENARIO_DIR / "gravity_projectile.json")
-    space = hl.build_space(scn)
-    problem, system = hl.build_problem(scn, space), hl.build_system(scn)
-    handed = []
+    scn, problem, system, quad = _scenario("gravity_projectile.json")
+    images, handed = [], []
 
-    def counted(self, name, u, _real=cone_mod._Certification.rhs):
-        handed.append((name, 1 if isinstance(u, hl.WeightedFunction) else len(u)))
-        return _real(self, name, u)
+    def counted_apply(problem, u, quad, _real=cone_mod.apply_T):
+        images.append(u.samples.tobytes())
+        return _real(problem, u, quad)
 
-    monkeypatch.setattr(cone_mod._Certification, "rhs", counted)
-    report = hl.verify_cone_hypotheses(problem, system.cone, system.upper, system.lower,
-                                       samples=scn.samples, quad=hl.build_quad(scn),
-                                       seed=scn.seed)
+    def counted_rhs(self, names, elements, _real=cone_mod._Certification._rhs):
+        handed.append((list(names), [u.samples.tobytes() for u in elements]))
+        return _real(self, names, elements)
+
+    monkeypatch.setattr(cone_mod, "apply_T", counted_apply)
+    monkeypatch.setattr(cone_mod._Certification, "_rhs", counted_rhs)
+    report = _verify(problem, system, scn, quad)
     assert scn.samples == 8
     assert [k for k, e in sorted(report.entries.items()) if e.status != "pass"] == \
         ["C2", "C3", "C6", "C7"]
-    assert handed == [("cone", 1), ("upper", 1), ("lower", 1)]
+    first = _draw_elements(problem.space, scn.samples, random.Random(scn.seed))[0]
+    assert images == [first.samples.tobytes()]
+    assert handed == [(["cone", "upper", "lower"], [first.samples.tobytes()])]
 
 
-def test_certifier_call_count(problem_c2, system_c2, monkeypatch):
-    # count guard: C6 and C7 check their samples in two rounds, each
-    # right-hand side part of a round one outer integral, and C7's upper sup
-    # parts are memo hits on C6's; with a loop over the 8 samples this
-    # certification made 25 sup_on_grid and 113 integrate_compact calls,
-    # batched 19 and 75, without the 256-point profile tables 16 and 72,
-    # with C9's bridges read from the weights, not the samples, 16 and 71,
-    # with C1's probes and C3's node rows and scalars as batches, 14 and 28,
-    # and with the three kernel profiles as one integral and the forcing's
-    # functionals as one batch, 13 and 20
+@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
+def test_sample_rounds_equal_their_own_calls_and_the_per_check_loop(name, monkeypatch):
+    # every value of a shared sample round is the one its own
+    # eval_functional or rhs call gives, bit for bit, and the C6 and C7
+    # entries are those of per-check rounds
+    import hammerline.cone as cone_mod
+    from hammerline.cone import _Certification, _draw_elements
+
+    scn, problem, system, quad = _scenario(name)
+    rounds = []
+
+    def recorded(self, pieces, rows, _real=cone_mod._Certification._round):
+        values = _real(self, pieces, rows)
+        rounds.append((list(pieces), rows, values, self.images[rows], self.elements[rows]))
+        return values
+
+    monkeypatch.setattr(cone_mod._Certification, "_round", recorded)
+    report = _verify(problem, system, scn, quad)
+    monkeypatch.undo()
+    assert [rows for _, rows, *_ in rounds] == \
+        [slice(0, 1)] + ([slice(1, None)] if name.startswith("boosted") else [])
+    specs = {"cone": system.cone, "upper": system.upper, "lower": system.lower}
+    _, fresh, _, _ = _scenario(name)
+    ref = _Certification(fresh, specs, quad)
+    ref.share(_draw_elements(fresh.space, scn.samples, random.Random(scn.seed)))
+    for pieces, rows, values, images, us in rounds:
+        assert sorted(values) == sorted(pieces)
+        for (side, fn), v in values.items():
+            want = (hl.eval_functional(specs[fn], images, quad) if side == "lhs" else
+                    [ref.rhs(fn, u) for u in us])
+            assert v.tolist() == list(want), (side, fn, rows)
+    _, fresh, _, _ = _scenario(name)
+    loop = _per_check_witnesses(
+        fresh, system, quad, _draw_elements(fresh.space, scn.samples, random.Random(scn.seed)))
+    assert (report.entries["C6"].status == "fail") == (loop["C6"] is not None)
+    assert report.entries["C6"].witness == (loop["C6"] or {"samples": scn.samples})
+    assert report.entries["C7"].witness["operator_witness"] == loop["C7"]
+
+
+def _refusing_sample(k):
+    """An apply_T that refuses its k-th call (0-based), as a quadrature that
+    does not converge."""
+    import hammerline.cone as cone_mod
+
+    calls = []
+
+    def apply_T(problem, u, quad, _real=cone_mod.apply_T):
+        calls.append(u)
+        if len(calls) == k + 1:
+            raise hl.QuadratureError(f"integration did not converge for sample {k}")
+        return _real(problem, u, quad)
+
+    return apply_T
+
+
+def test_a_refused_later_image_is_raised_where_it_is_computed(monkeypatch):
+    # c2 passes the first round, so the second computes image 3 and raises
+    # its refusal, as every image computed up front did; verify-gravity
+    # fails both checks on sample 0, never computes image 3, and reports as
+    # without the refusal
+    import hammerline.cone as cone_mod
+
+    scn, problem, system, quad = _scenario("boosted_projectile_c2.json")
+    monkeypatch.setattr(cone_mod, "apply_T", _refusing_sample(3))
+    with pytest.raises(hl.QuadratureError, match="^integration did not converge for sample 3$"):
+        _verify(problem, system, scn, quad)
+    monkeypatch.undo()
+    scn, problem, system, quad = _scenario("gravity_projectile.json")
+    monkeypatch.setattr(cone_mod, "apply_T", _refusing_sample(3))
+    report = _verify(problem, system, scn, quad)
+    monkeypatch.undo()
+    scn, problem, system, quad = _scenario("gravity_projectile.json")
+    plain = _verify(problem, system, scn, quad)
+    assert [k for k, e in sorted(report.entries.items()) if e.status != "pass"] == \
+        ["C2", "C3", "C6", "C7"]
+    assert report.entries["C6"] == plain.entries["C6"]
+    assert report.entries["C7"] == plain.entries["C7"]
+
+
+@pytest.mark.parametrize("name, later_cone, raised", [
+    ("boosted_projectile_c2.json", False, "lower"),
+    ("gravity_projectile.json", False, "lower"),
+    ("boosted_projectile_c2.json", True, "cone"),
+    ("gravity_projectile.json", True, "lower"),
+])
+def test_a_refused_round_raises_the_refusal_of_the_per_check_loop(name, later_cone, raised,
+                                                                  monkeypatch):
+    # C7's lower functional of the first image refuses, with a message
+    # naming the functionals of its batch: the merged batches of the forcing
+    # and of the first round rerun their pieces one at a time, so the
+    # refusal raised is the one of the per-check loop. With later_cone, the
+    # cone functional of the later images refuses too: c2 passes C6 on the
+    # first sample, so the loop raises C6's second round before C7's first;
+    # gravity fails C6 there and never reaches it
+    import hammerline.cone as cone_mod
+    from hammerline.cone import _draw_elements
+
+    def refusal(certify) -> str:
+        scn, problem, system, quad = _scenario(name)
+        names = {id(system.cone): "cone", id(system.upper): "upper", id(system.lower): "lower"}
+
+        def refuses(spec, us):
+            images = [u for u in us if u is not problem.forcing]
+            return images and (spec is system.lower or
+                               (later_cone and spec is system.cone and len(images) > 1))
+
+        def refusing(requests, quad, memo, _real=cone_mod._element_functionals):
+            for spec, us in requests:
+                if refuses(spec, us):
+                    raise DomainError(f"{names[id(spec)]} functional refused in a batch of "
+                                      f"{[names[id(spec)] for spec, _ in requests]}")
+            return _real(requests, quad, memo)
+
+        monkeypatch.setattr(cone_mod, "_element_functionals", refusing)
+        with pytest.raises(DomainError) as refused:
+            certify(scn, problem, system, quad)
+        monkeypatch.undo()
+        return str(refused.value)
+
+    loop = refusal(lambda scn, problem, system, quad: _per_check_witnesses(
+        problem, system, quad, _draw_elements(problem.space, scn.samples,
+                                              random.Random(scn.seed))))
+    assert loop == f"{raised} functional refused in a batch of ['{raised}']"
+    assert refusal(lambda scn, problem, system, quad: _verify(problem, system, scn, quad)) == loop
+
+
+def test_certifier_call_count(monkeypatch):
+    # count guard: C6 and C7 share their sample rounds, each one element
+    # batch and one Fubini batch, the first sample's functionals in the
+    # forcing's batch, and C7's upper sup parts are memo hits on C6's; with
+    # a loop over the 8 samples this c2 certification made 25 sup_on_grid
+    # and 113 integrate_compact calls, batched 19 and 75, without the
+    # 256-point profile tables 16 and 72, with C9's bridges read from the
+    # weights, not the samples, 16 and 71, with C1's probes and C3's node
+    # rows and scalars as batches, 14 and 28, with the three kernel profiles
+    # as one integral and the forcing's functionals as one batch, 13 and 20
+    # (gravity: 7 and 13, and 8 apply_T calls), and with the sample rounds
+    # shared by C6 and C7, 12 and 15 (gravity: 6 and 10, and 1 apply_T
+    # call, as it computes the first sample's image only)
     import hammerline.cone as cone_mod
     import hammerline.hammerstein as hammerstein_mod
     import hammerline.quadrature as quad_mod
 
-    calls = {"sup_on_grid": 0, "integrate_compact": 0}
-    for name, modules in (("sup_on_grid", (cone_mod, hammerstein_mod)),
-                          ("integrate_compact", (cone_mod, hammerstein_mod, quad_mod))):
-        for mod in modules:
-            def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+    for name, limits in (("boosted_projectile_c2.json", (12, 15, 8)),
+                         ("gravity_projectile.json", (6, 10, 1))):
+        scn, problem, system, quad = _scenario(name)
+        calls = {"sup_on_grid": 0, "integrate_compact": 0, "apply_T": 0}
+        for fn, modules in (("sup_on_grid", (cone_mod, hammerstein_mod)),
+                            ("integrate_compact", (cone_mod, hammerstein_mod, quad_mod)),
+                            ("apply_T", (cone_mod,))):
+            for mod in modules:
+                def counted(*args, _real=getattr(mod, fn), _name=fn, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
 
-            monkeypatch.setattr(mod, name, counted)
-    hl.verify_cone_hypotheses(problem_c2, system_c2.cone, system_c2.upper,
-                              system_c2.lower, samples=8, seed=0)
-    assert calls["sup_on_grid"] <= 13
-    assert calls["integrate_compact"] <= 20
+                monkeypatch.setattr(mod, fn, counted)
+        _verify(problem, system, scn, quad)
+        monkeypatch.undo()
+        assert calls["sup_on_grid"] <= limits[0], name
+        assert calls["integrate_compact"] <= limits[1], name
+        assert calls["apply_T"] == limits[2], name
 
 
 def test_certifier_sup_search_point_count(problem_c2, system_c2, monkeypatch):

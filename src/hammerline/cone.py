@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,11 +101,13 @@ class ConeSystem:
 # functional evaluation
 
 def _distinct_weights(w: Sequence) -> tuple:
-    """The distinct weight objects of the sequence ``w`` (one per row), in
-    order, and the index among them of every row's weight."""
+    """The distinct weights of the sequence ``w`` (one per row), in order,
+    two weights with one ``weight_key`` being one, and the index among
+    them of every row's weight."""
+    keys = [weight_key(v) for v in w]
     index: dict = {}
-    which = np.array([index.setdefault(id(v), len(index)) for v in w])
-    return list({id(v): v for v in w}.values()), which
+    which = np.array([index.setdefault(k, len(index)) for k in keys])
+    return [w[keys.index(k)] for k in index], which
 
 
 def _row_weight(w) -> Callable:
@@ -131,26 +133,16 @@ def _row_weight(w) -> Callable:
     return at
 
 
-def _parts(memo: dict | None, keys: list | None, part: str, compute,
-           wanted: list) -> list:
+def _parts(memo: dict, keys: list, part: str, compute, wanted: list) -> list:
     """The part ``part`` for every (weight, rows) pair of ``wanted`` (rows an
     index array into a batch), an array each. compute(w, rows) computes a
     part of the batch's rows, w their one weight or a list with a weight
-    per row. With a memo and keys (one per row of the batch) each value is
-    read from ``memo`` on a hit, and all the misses, whatever their weight,
-    are computed in one call; without them every pair is, in one call. A
-    part that raises is not stored."""
-    def run(weights: list, rows: np.ndarray) -> np.ndarray:
-        if not rows.size:
-            return np.empty(0)
-        return compute(weights[0] if all(w is weights[0] for w in weights) else weights, rows)
-
-    if memo is None or keys is None:
-        values = run([w for w, r in wanted for _ in range(r.size)],
-                     np.concatenate([r for _, r in wanted] + [np.zeros(0, int)]))
-        return np.split(values, np.cumsum([r.size for _, r in wanted])[:-1])
-    named = [[name + keys[i] for i in r.tolist()]
-             for name, r in (((part, weight_key(w)), r) for w, r in wanted)]
+    per row. ``keys`` name what each row of the batch is (one per row); a
+    value is kept in ``memo`` under (part, weight_key(w), the row's key),
+    read back on a hit, and all the misses, whatever their weight, are
+    computed in one call. A part that raises is not stored."""
+    named = [[(part, wk, keys[i]) for i in r.tolist()]
+             for wk, r in ((weight_key(w), r) for w, r in wanted)]
     todo: dict = {}
     for (w, r), names in zip(wanted, named):
         for i, k in zip(r.tolist(), names):
@@ -158,18 +150,19 @@ def _parts(memo: dict | None, keys: list | None, part: str, compute,
                 todo.setdefault(k, (w, i))
     if todo:
         weights, rows = zip(*todo.values())
-        memo.update(zip(todo, run(list(weights), np.array(rows)).tolist()))
+        one = len({wk for _, wk, _ in todo}) == 1   # same_weight's rule, read off the keys
+        memo.update(zip(todo, compute(weights[0] if one else list(weights),
+                                      np.array(rows)).tolist()))
     return [np.array([memo[k] for k in names]) for names in named]
 
 
-def _combine(requests: list, integral, sup, memo: dict | None = None,
-             keys: list | None = None) -> list:
+def _combine(requests: list, integral, sup, memo: dict, keys: list) -> list:
     """The functional of every (spec, rows) request (rows an index array
     into a batch), an array each, from the parts of the rows:
     integral(integral_weight), sup(sup_weight), or integral minus sup for a
     difference. The integral parts of all requests are one call of
-    ``integral``, then their sup parts one of ``sup`` (see ``_parts``). With
-    a memo, ``keys`` name what each row's parts are taken of."""
+    ``integral``, then their sup parts one of ``sup``, each part kept in
+    ``memo`` under the key ``keys`` gives its row (see ``_parts``)."""
     integrals = iter(_parts(memo, keys, "integral", integral,
                             [(s.integral_weight, r) for s, r in requests
                              if s.kind != "weighted-sup"]))
@@ -223,11 +216,13 @@ def _element_parts(samples: np.ndarray, space: Space, quad: QuadratureConfig) ->
     return integral, sup
 
 
-def _element_functionals(requests: list, quad: QuadratureConfig, memo: dict | None) -> list:
+def _element_functionals(requests: list, quad: QuadratureConfig, memo: dict) -> list:
     """The values of every (spec, elements) request, an array each, the
     elements of all requests of one space: one integral computes the
     integral parts of all of them, one sup search their sup parts (see
-    ``_combine``), each with the value it has alone, bit for bit."""
+    ``_combine``), each with the value it has alone, bit for bit. A part
+    is kept in ``memo`` by its element's samples, so a repeated element's
+    parts are computed once."""
     elements = [u for _, us in requests for u in us]
     if not elements:
         return [np.empty(0) for _ in requests]
@@ -236,16 +231,14 @@ def _element_functionals(requests: list, quad: QuadratureConfig, memo: dict | No
         raise DomainError("elements of a batch live in different spaces")
     samples = np.array([e.samples[0] for e in elements])
     integral, sup = _element_parts(samples, sp, quad)
-    keys = None if memo is None else [("element", quad, sp, row.tobytes())
-                                      for row in samples]
+    keys = [("element", row.tobytes()) for row in samples]
     bounds = np.cumsum([0] + [len(us) for _, us in requests])
     return _combine([(spec, np.arange(a, b)) for (spec, _), a, b
                      in zip(requests, bounds, bounds[1:])], integral, sup, memo, keys)
 
 
 def eval_functional(spec: FunctionalSpec, u: WeightedFunction | Sequence[WeightedFunction],
-                    quad: QuadratureConfig | None = None, *,
-                    memo: dict | None = None) -> float | np.ndarray:
+                    quad: QuadratureConfig | None = None) -> float | np.ndarray:
     """Value of the functional on a space element (quadrature-certified), or
     the array of its values on a sequence of elements of one space.
 
@@ -255,12 +248,12 @@ def eval_functional(spec: FunctionalSpec, u: WeightedFunction | Sequence[Weighte
     part takes the element's end sample times the certified limit of
     phi/sup_weight, and refuses when that ratio diverges or has no
     certified limit; of several refused elements, the first one's refusal
-    is raised. ``memo`` (a dict) keeps each part by weight, quadrature,
-    space and samples, so a repeated part is not recomputed.
+    is raised. Within the call, an element that repeats in the sequence
+    has its parts computed once.
     """
     one = isinstance(u, WeightedFunction)
     values = _element_functionals([(spec, [u] if one else list(u))], quad or DEFAULT_QUAD,
-                                  memo)[0]
+                                  {})[0]
     return float(values[0]) if one else values
 
 
@@ -317,16 +310,15 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
     ``fn`` takes a float or an array; a float-only one is wrapped (see
     ``elementwise``). At an infinite end the sup part takes the certified
     limit of |fn|/sup_weight, and refuses when it diverges or is undecided.
-    A bare callable has no name to be memoized by, so its parts are always
-    computed (no memo). It is a batch of one of the slice functionals (see
-    ``kernel_functional_integral``).
+    It is a batch of one of the slice functionals (see
+    ``kernel_functional_integral``), with a memo of its own.
     """
     quad = quad or DEFAULT_QUAD
     grid = space.grid
     fn = elementwise(fn, at=grid.t[grid.m // 2:grid.m // 2 + 2])
     integral, sup = _raw_parts(lambda t, r: fn(t), space, quad,
                                np.array(kinks, dtype=float).reshape(1, -1))
-    return float(_combine([(spec, np.arange(1))], integral, sup)[0][0])
+    return float(_combine([(spec, np.arange(1))], integral, sup, {}, [0])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +327,13 @@ def eval_functional_raw(spec: FunctionalSpec, fn: Callable[[float], float],
 def _kernel_slices(kernel: Kernel, s: np.ndarray, space: Space,
                    quad: QuadratureConfig) -> tuple:
     """The parts of the slices t -> k(t,s)eta(s) at every point of the 1-d
-    array s (see ``_raw_parts``) and each slice's memo key. Each slice is
+    array s (see ``_raw_parts``) and each slice's memo key, ("raw", s): a
+    memo serves one kernel, quadrature and space. Each slice is
     cut at its diagonal t = s, the kink of a Volterra kernel and the peak
     of a Green's function. A Volterra slice, zero for t < s, is searched
     for its sup on t >= s only."""
     eta = kernel.eta(s)
-    keys = [("raw", quad, space, (kernel.fn, kernel.eta, kernel.support, v), (v,))
-            for v in s.tolist()]
+    keys = [("raw", v) for v in s.tolist()]
     return _raw_parts(lambda t, r: kernel.fn(t, s[r]) * eta[r], space, quad, s[:, None],
                       s if kernel.support == VOLTERRA else None) + (keys,)
 
@@ -364,23 +356,31 @@ class ProfileIntegral:
 
 def kernel_functional_integral(spec: FunctionalSpec | Sequence[FunctionalSpec],
                                kernel: Kernel, quad: QuadratureConfig | None = None, *,
-                               space: Space, memo: dict | None = None
-                               ) -> ProfileIntegral | list:
+                               space: Space) -> ProfileIntegral | list:
     """Integrate s -> spec(k(.,s)eta(s)) over the interval, and record the
     profile at every point the integral evaluated it: the quadrature's nodes
     plus each finite end of the interval, which no node reaches.
 
     A sequence of specs gives the list of their profiles, as one integral
-    with a row per spec, each row refined as if it ran alone. Each
-    refinement round is one batch of slices over all rows (see
+    with a row per spec, each row refined as if it ran alone (see
+    ``_profiles``); a slice part that repeats within the call is computed
+    once.
+    """
+    if isinstance(spec, FunctionalSpec):
+        return kernel_functional_integral([spec], kernel, quad, space=space)[0]
+    return _profiles(list(spec), kernel, quad or DEFAULT_QUAD, space, {})
+
+
+def _profiles(specs: list, kernel: Kernel, quad: QuadratureConfig, space: Space,
+              memo: dict) -> list:
+    """The profile of every spec of ``specs`` (see
+    ``kernel_functional_integral``), as one integral with a row per spec.
+    Each refinement round is one batch of slices over all rows (see
     ``_raw_parts``, and ``_combine`` for the one call per part), the first
     with the finite ends added. Slice parts go through ``memo`` keyed by
     the slice's s. When the batch refuses, the specs run one at a time, so
     the refusal raised is the first spec's, as a loop over them raises it.
     """
-    if isinstance(spec, FunctionalSpec):
-        return kernel_functional_integral([spec], kernel, quad, space=space, memo=memo)[0]
-    specs, quad = list(spec), quad or DEFAULT_QUAD
     ends = [v for v in space.map.interval() if math.isfinite(v)]
 
     def run(specs: list) -> list:
@@ -600,21 +600,6 @@ def _nonneg_elements(space: Space, rng: random.Random, n: int) -> list:
     return out
 
 
-def _at_negated(spec: FunctionalSpec, us: list, quad: QuadratureConfig,
-                memo: dict) -> np.ndarray:
-    """f(-u) for every element u of ``us``, from the parts of u that ``memo``
-    holds: negating an element negates its integral part and keeps its sup
-    part, bit for bit, so f(-u) is -I(u) - S(u) for a difference, -I(u) for
-    a weighted integral and S(u) for a weighted sup."""
-    def part(kind: str) -> np.ndarray:
-        return eval_functional(replace(spec, kind=kind), us, quad, memo=memo)
-
-    if spec.kind == "weighted-sup":
-        return part("weighted-sup")
-    integral = -part("weighted-integral")
-    return integral - part("weighted-sup") if spec.kind == "difference" else integral
-
-
 @dataclass(frozen=True)
 class PropertyChecks:
     """Result of the sampled property oracle ``check_functional_properties``."""
@@ -633,21 +618,20 @@ def check_functional_properties(spec: FunctionalSpec, space: Space,
     """Sampled superadditivity, positive homogeneity, and the two-sided
     nonnegativity falsification search, on random nonnegative elements: the
     oracle that tests ``eval_functional`` against ``KIND_LEMMAS``, which the
-    certifier reads in place of these samples."""
+    certifier reads in place of these samples. u, v, u+v, lam*u and -u are
+    one ``eval_functional`` batch."""
     rng = _stream(seed)
     us = _nonneg_elements(space, rng, n_pairs)
     vs = _nonneg_elements(space, rng, n_pairs)
     lams = np.array([rng.uniform(0.0, 3.0) for _ in range(n_pairs)])
-    memo: dict = {}
-    fu, fv, fuv, flam = np.split(eval_functional(
+    fu, fv, fuv, flam, fneg = np.split(eval_functional(
         spec, us + vs + [u + v for u, v in zip(us, vs)]
-        + [lam * u for lam, u in zip(lams.tolist(), us)], memo=memo), 4)
+        + [lam * u for lam, u in zip(lams.tolist(), us)] + [-u for u in us]), 5)
     p1_worst = float(np.max(fu + fv - fuv, initial=-math.inf))
     p2_worst = float(np.max(np.abs(flam - lams * fu) / np.maximum(1.0, np.abs(fu)),
                             initial=0.0))
     nonzero = np.array([norm(u) > 0.0 for u in us], dtype=bool)
-    negated = _at_negated(spec, us, DEFAULT_QUAD, memo)
-    p3_bad = int(np.sum((fu >= 0.0) & nonzero & (negated >= 0.0)))
+    p3_bad = int(np.sum((fu >= 0.0) & nonzero & (fneg >= 0.0)))
     passed = (p1_worst <= tolerance) and (p2_worst <= tolerance) and (p3_bad == 0)
     return PropertyChecks(n_pairs, p1_worst, p2_worst, p3_bad, tolerance, passed)
 
@@ -782,7 +766,13 @@ class _Certification:
     """The context the checks of one certification share (the problem, its
     functionals ``specs`` by name, the parts memo, what ``share`` adds, and
     the sample rounds that C6 and C7 read, ``sampled``), with one check per
-    hypothesis: ``c1`` ... ``c9``, each returning its entry."""
+    hypothesis: ``c1`` ... ``c9``, each returning its entry.
+
+    The memo serves this certification alone, so one problem, one
+    quadrature and one space: a part is keyed by plain values, its part,
+    its weight's ``weight_key`` and what it is taken of, ("raw", s) for a
+    kernel slice, ("element", samples bytes) for an element and
+    ("fubini", samples bytes) for a Fubini right-hand side."""
 
     def __init__(self, problem: HammersteinProblem, specs: dict, quad: QuadratureConfig):
         self.problem, self.specs, self.quad = problem, specs, quad
@@ -801,8 +791,8 @@ class _Certification:
         left to the first round."""
         sp, quad, memo, p = self.sp, self.quad, self.memo, self.problem.forcing
         specs = list(self.specs.values())
-        self.profiles = dict(zip(self.specs, kernel_functional_integral(
-            specs, self.problem.kernel, quad, space=sp, memo=memo)))
+        self.profiles = dict(zip(self.specs, _profiles(specs, self.problem.kernel, quad, sp,
+                                                       memo)))
         requests = [(spec, [p]) for spec in specs]
         self.elements = elements
         try:
@@ -952,7 +942,7 @@ class _Certification:
         the integral parts of all of them are one outer integral and their
         sup parts another, memoized per weight and element."""
         samples = np.array([e.samples[0] for e in elements])
-        keys = [("fubini", self.quad, self.sp, row.tobytes()) for row in samples]
+        keys = [("fubini", row.tobytes()) for row in samples]
         rows = np.arange(len(elements))
         values = _combine([(self.specs[name], rows) for name in names],
                           lambda w2, r: self._fubini_part("integral", w2, samples[r]),

@@ -606,8 +606,8 @@ def boosted_projectile_problem(space: Space, v0: float = 1.0) -> HammersteinProb
 
     f(t, y) = max(y, 0) * exp(-t): increasing in y, zero below zero, with
     the closed-form envelopes used by the index checks (the upper envelope
-    assumes the standard exponential sup weight; scenario assembly enforces
-    that pairing).
+    assumes the standard exponential sup weight; that pairing is an
+    unchecked convention, and nothing refuses another sup weight).
     """
     kernel, p = second_order_ivp_kernel(v0, space)
 

@@ -201,27 +201,56 @@ def test_shared_memo_skips_repeated_slice_sups(problem_c2, system_c2, space,
 
     rows = _count_sup_searches(monkeypatch, cone_mod)
     memo = {}
-    first = hl.kernel_functional_integral(system_c2.upper, problem_c2.kernel,
-                                          space=space, memo=memo)
+    [first] = cone_mod._profiles([system_c2.upper], problem_c2.kernel, hl.DEFAULT_QUAD,
+                                 space, memo)
     searched = sum(rows)
     assert searched >= len(first.values)
     # an equal builder weight, not the same object, names the same parts
     twin = hl.FunctionalSpec("weighted-sup", sup_weight=hl.exponential(c=1.0, rate=1.0))
-    second = hl.kernel_functional_integral(twin, problem_c2.kernel,
-                                           space=space, memo=memo)
+    [second] = cone_mod._profiles([twin], problem_c2.kernel, hl.DEFAULT_QUAD, space, memo)
     assert sum(rows) == searched
     assert second.values == first.values
     assert second.integral == first.integral
 
 
 def test_memo_never_stores_a_refused_part(problem_c2):
+    from hammerline.cone import _element_functionals
+
     decay = hl.custom(lambda t: 1.0 / (1.0 + t) ** 2, label="inverse-square")
     bad = hl.FunctionalSpec(kind="weighted-sup", sup_weight=decay)
     memo = {}
     for _ in range(2):
         with pytest.raises(DomainError):
-            hl.eval_functional(bad, problem_c2.forcing, memo=memo)
+            _element_functionals([(bad, [problem_c2.forcing])], hl.DEFAULT_QUAD, memo)
     assert not any(key[0] == "sup" for key in memo)
+
+
+@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "gravity_projectile.json"])
+def test_the_parts_memo_is_keyed_by_plain_values(name, monkeypatch):
+    # a memo serves one certification, so one problem, quadrature and space:
+    # its keys name a part by plain values, never by a QuadratureConfig, a
+    # Space or a kernel callable
+    import hammerline.cone as cone_mod
+
+    made = []
+
+    class Recorded(cone_mod._Certification):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cone_mod, "_Certification", Recorded)
+    scn, problem, system, quad = _scenario(name)
+    _verify(problem, system, scn, quad)
+
+    def leaves(x):
+        return [leaf for v in x for leaf in leaves(v)] if isinstance(x, tuple) else [x]
+
+    [ctx] = made
+    assert ctx.memo
+    odd = [key for key in ctx.memo if not isinstance(key, tuple)
+           or any(type(leaf) not in (str, int, float, bytes) for leaf in leaves(key))]
+    assert odd == []
 
 
 def test_certifier_sup_search_count(problem_c2, system_c2, monkeypatch):
@@ -810,16 +839,41 @@ def test_a_batch_of_elements_gives_each_element_its_value_alone(name, problem_c2
         space, _, sup_spec, integral_spec = _green_setup()
         specs = [sup_spec, integral_spec]
         elements = _random_elements(space, 6)
+    # a copy of the second element, which the batch computes once
+    elements.append(1.0 * elements[1])
     for spec in specs:
         for part in _parts_of(spec):
             batch = hl.eval_functional(part, elements)
             alone = np.array([hl.eval_functional(part, u) for u in elements])
             assert batch.shape == (len(elements),)
             assert np.array_equal(batch, alone)
-        batch = hl.eval_functional(spec, elements, memo={})
+        batch = hl.eval_functional(spec, elements)
         alone = np.array([hl.eval_functional(spec, u) for u in elements])
         assert np.array_equal(batch, alone)
+        assert batch[-1] == batch[1] == alone[-1]
     assert hl.eval_functional(specs[0], []).shape == (0,)
+
+
+def test_equal_builder_weights_are_one_weight_in_a_batch(space):
+    # weight identity is weight_key: two equal builder weights that are
+    # distinct objects are one group, and the parts of a batch with a weight
+    # per row are those of one eval_functional call per row
+    from hammerline.cone import _distinct_weights, _element_parts
+
+    a, twin, other = (hl.exponential(c=c, rate=1.0) for c in (1.0, 1.0, 2.0))
+    per_row = [a, twin, other, twin]
+    unique, which = _distinct_weights(per_row)
+    assert unique == [a, other] and which.tolist() == [0, 0, 1, 0]
+    elements = _random_elements(space, 7, n=len(per_row))
+    integral, sup = _element_parts(np.array([u.samples[0] for u in elements]), space,
+                                   hl.DEFAULT_QUAD)
+    rows = np.arange(len(per_row))
+    assert integral(per_row, rows).tolist() == [
+        hl.eval_functional(hl.FunctionalSpec("weighted-integral", integral_weight=w), u)
+        for w, u in zip(per_row, elements)]
+    assert sup(per_row, rows).tolist() == [
+        hl.eval_functional(hl.FunctionalSpec("weighted-sup", sup_weight=w), u)
+        for w, u in zip(per_row, elements)]
 
 
 def test_a_slowly_divergent_integral_part_is_refused_before_quadrature(problem_c2,
@@ -1002,11 +1056,11 @@ def test_a_negative_seed_is_refused(problem_c2, system_c2, space):
 
 
 def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
-    # u, v, u+v and lam*u are one batch, and f(-u) is read from the parts of
-    # u: one sup search and one integral per part of the functional, where a
-    # loop over the 8 pairs made about 40 of each (the sup functional is
-    # two-sided nonnegative on every pair, so its f(-u) is read 8 times);
-    # the integral parts run in quadrature._integral_parts
+    # u, v, u+v, lam*u and -u are one batch: one sup search and one
+    # integral per part of the functional, where a loop over the 8 pairs
+    # made about 40 of each (the sup functional is two-sided nonnegative on
+    # every pair, so its f(-u) is evaluated 8 times); the integral parts run
+    # in quadrature._integral_parts
     import hammerline.cone as cone_mod
     import hammerline.quadrature as quad_mod
 
@@ -1022,25 +1076,6 @@ def test_property_checks_evaluate_batches(system_c2, space, monkeypatch):
         out = hl.check_functional_properties(spec, space, n_pairs=8, seed=0)
         assert out.passed == (spec is not system_c2.upper)
         assert (calls["sup_on_grid"], calls["integrate_compact"]) == parts
-
-
-@pytest.mark.parametrize("name", ["boosted_projectile_c2.json", "boosted_projectile_c3.json",
-                                  "gravity_projectile.json"])
-def test_f_of_minus_u_from_the_parts_of_u_equals_the_direct_value(name):
-    # P3's f(-u) is read from the memoized parts of u, for signed and
-    # nonnegative elements alike
-    from hammerline.cone import _at_negated
-
-    scn = hl.load_scenario(SCENARIO_DIR / name)
-    space, system, quad = hl.build_space(scn), hl.build_system(scn), hl.build_quad(scn)
-    rng = np.random.default_rng(2)
-    elements = ([hl.lift(space, rng.normal(size=space.m)) for _ in range(4)]
-                + _random_elements(space, 3, n=4))
-    for spec in (system.cone, system.upper, system.lower):
-        memo = {}
-        hl.eval_functional(spec, elements, quad, memo=memo)
-        direct = hl.eval_functional(spec, [-1.0 * u for u in elements], quad)
-        assert np.array_equal(_at_negated(spec, elements, quad, memo), direct)
 
 
 def _draw_loop(space, n, rng):

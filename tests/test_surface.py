@@ -1,7 +1,7 @@
 """The package's public surface holds only what some caller uses, and
 documents itself.
 
-Five scans of the source tree:
+Six scans of the source tree:
 
 - every optional parameter of a public function or method in
   ``src/hammerline`` is set by at least one call in ``src/``, ``tests/``,
@@ -17,7 +17,10 @@ Five scans of the source tree:
   (``tail_points``, ``tail_values``, ``classify_tail``): every other one
   reads a function at +-inf through ``weights.read_ends``;
 - every ``json.dump`` and ``json.dumps`` call passes ``allow_nan=False``:
-  the package writes strict JSON, as ``load_scenario`` reads it.
+  the package writes strict JSON, as ``load_scenario`` reads it;
+- no exported function has a parameter named ``memo``: a parts memo
+  belongs to one certification or one call, whose keys name parts by
+  plain values, and is never passed in.
 """
 
 import ast
@@ -169,3 +172,13 @@ def test_every_json_dump_is_strict():
            and not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
                        and k.value.value is False for k in node.keywords)]
     assert lax == []
+
+
+def test_no_exported_function_takes_a_memo():
+    _, listed = _exports()
+    takers = sorted(f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                    for node in _parse(path).body
+                    if isinstance(node, ast.FunctionDef) and node.name in listed
+                    and any(isinstance(a, ast.arg) and a.arg == "memo"
+                            for a in ast.walk(node.args)))
+    assert takers == []
